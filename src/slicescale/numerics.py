@@ -1,19 +1,20 @@
-"""Self-contained dense linear algebra helpers.
+"""Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
-Orthonormalization and null-space extraction go through Householder
-reflections so that basis orientation is deterministic: the same input always
-produces the same basis, which keeps downstream iterate traces reproducible.
-Symmetric eigendecompositions use cyclic Jacobi sweeps. Everything operates
-on plain float64 numpy arrays (row-major).
+Null spaces come from the SVD, orthonormalization from QR (SVD for
+rank-deficient input), symmetric eigendecompositions from ``eigh`` and linear
+solves from QR. Each returned basis has its column signs fixed (the entry of
+largest magnitude is positive), so the same input gives the same basis on a
+fixed numpy/LAPACK build. Inside a multi-dimensional subspace the orientation
+is whatever LAPACK returns. The solvers' objective and gradient-norm traces,
+block choices and scaled tensors do not depend on it; only the working
+coordinates of stored iterates do. Everything operates on plain float64
+numpy arrays.
 """
-
-import math
 
 import numpy as np
 
 __all__ = [
     "OrthonormalBasis",
-    "householder_qr",
     "orthonormalize",
     "null_space",
     "projector_onto",
@@ -21,8 +22,8 @@ __all__ = [
     "solve_linear",
 ]
 
-# Columns whose residual norm falls below this fraction of the largest input
-# column norm are treated as linearly dependent.
+# Singular values (or QR diagonal entries) at or below this fraction of the
+# largest singular value (or input column norm) count as zero.
 RANK_RTOL = 1e-10
 
 
@@ -75,93 +76,21 @@ class OrthonormalBasis:
         return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, size={self.size})"
 
 
-def _push_reflector(reflectors, resid):
-    """Build the Householder vector that maps ``resid`` to a multiple of e1."""
-    nr = math.sqrt(float(resid @ resid))
-    v = resid.copy()
-    alpha = -math.copysign(nr, resid[0])
-    v[0] -= alpha
-    vn = math.sqrt(float(v @ v))
-    v /= vn
-    reflectors.append(v)
-    return alpha
-
-
-def _apply_reflectors(reflectors, pivots, w):
-    """Apply the accumulated reflections (in factorization order) to ``w`` in place."""
-    for p, v in zip(pivots, reflectors):
-        seg = w[p:]
-        seg -= (2.0 * (v @ seg)) * v
-
-
-def _basis_columns(reflectors, pivots, n, col_indices):
-    """Columns ``col_indices`` of Q = H_1 H_2 ... H_r, as an (n, len) matrix."""
-    out = np.zeros((n, len(col_indices)))
-    for j, c in enumerate(col_indices):
-        out[c, j] = 1.0
-    for p, v in zip(reversed(pivots), reversed(reflectors)):
-        seg = out[p:, :]
-        seg -= np.outer(2.0 * v, v @ seg)
-    return out
-
-
-def _factor_columns(A, rtol=RANK_RTOL):
-    """Householder factorization of the columns of ``A``, skipping dependent ones.
-
-    Returns (reflectors, pivots, kept, alphas): ``kept`` lists the indices of
-    columns that contributed a reflection (len(kept) is the numerical rank)
-    and ``alphas`` the corresponding diagonal factors.
-    """
-    n, k = A.shape
-    if k:
-        tol = rtol * math.sqrt(float(np.max((A * A).sum(axis=0))))
-    else:
-        tol = 0.0
-    reflectors, pivots, kept, alphas = [], [], [], []
-    for idx in range(k):
-        w = np.array(A[:, idx], dtype=float)
-        _apply_reflectors(reflectors, pivots, w)
-        p = len(reflectors)
-        if p >= n:
-            break
-        resid = w[p:]
-        if math.sqrt(float(resid @ resid)) <= tol:
-            continue
-        alphas.append(_push_reflector(reflectors, resid))
-        pivots.append(p)
-        kept.append(idx)
-    return reflectors, pivots, kept, alphas
-
-
-def householder_qr(A):
-    """Full QR factorization A = Q R with Q (m, m) orthogonal, R (m, n)."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("matrix must be 2-d")
-    m, n = A.shape
-    R = A.copy()
-    reflectors, pivots = [], []
-    for j in range(min(m, n)):
-        resid = R[j:, j]
-        nr = math.sqrt(float(resid @ resid))
-        if nr == 0.0:
-            continue
-        alpha = _push_reflector(reflectors, resid.copy())
-        pivots.append(j)
-        v = reflectors[-1]
-        block = R[j:, j:]
-        block -= np.outer(2.0 * v, v @ block)
-        R[j, j] = alpha
-        R[j + 1:, j] = 0.0
-    Q = _basis_columns(reflectors, pivots, m, list(range(m)))
-    return Q, R
+def _fix_signs(Q):
+    """Flip columns so that each one's entry of largest magnitude is positive."""
+    if Q.shape[1]:
+        cols = np.arange(Q.shape[1])
+        lead = Q[np.abs(Q).argmax(axis=0), cols]
+        Q = Q * np.where(lead < 0, -1.0, 1.0)
+    return Q
 
 
 def orthonormalize(vectors):
     """Orthonormal basis of the span of the given vectors.
 
-    Rank-deficient inputs yield fewer output vectors than inputs; the basis
-    orientation is fixed by the Householder sign convention.
+    Linearly independent inputs give the Gram-Schmidt basis (QR with a
+    positive diagonal): basis vector i has a positive coefficient on input i.
+    Rank-deficient inputs yield fewer output vectors than inputs.
     """
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     if not vecs:
@@ -170,14 +99,14 @@ def orthonormalize(vectors):
     if n < 1 or any(v.size != n for v in vecs):
         raise ValueError("vectors must share a common positive length")
     A = np.column_stack(vecs)
-    reflectors, pivots, kept, alphas = _factor_columns(A)
-    Q = _basis_columns(reflectors, pivots, n, list(range(len(kept))))
-    # fix signs so that each basis vector has positive coefficient on the
-    # input column that introduced it
-    for i, alpha in enumerate(alphas):
-        if alpha < 0:
-            Q[:, i] = -Q[:, i]
-    return OrthonormalBasis(n, Q)
+    tol = RANK_RTOL * float(np.sqrt((A * A).sum(axis=0).max()))
+    if A.shape[1] <= n:
+        Q, R = np.linalg.qr(A)
+        diag = np.diag(R)
+        if np.abs(diag).min() > tol:
+            return OrthonormalBasis(n, Q * np.sign(diag))
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
 
 
 def null_space(A):
@@ -185,11 +114,11 @@ def null_space(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] < 1:
         raise ValueError("matrix must be 2-d with at least one column")
-    n = A.shape[1]
-    reflectors, pivots, kept, _ = _factor_columns(A.T.copy())
-    rank = len(kept)
-    K = _basis_columns(reflectors, pivots, n, list(range(rank, n)))
-    return OrthonormalBasis(n, K)
+    m, n = A.shape
+    # Full V only when it is needed (m < n); U is never larger than m x n.
+    _, s, vt = np.linalg.svd(A, full_matrices=m < n)
+    rank = int((s > RANK_RTOL * s[0]).sum()) if s.size else 0
+    return OrthonormalBasis(n, _fix_signs(vt[rank:].T))
 
 
 def projector_onto(basis):
@@ -198,8 +127,8 @@ def projector_onto(basis):
     return M @ M.T
 
 
-def symmetric_eigs(M, sweep_tol=1e-12, max_sweeps=100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigs(M):
+    """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, OrthonormalBasis of eigenvectors in the
     matching column order). The input must be symmetric to within 1e-10
@@ -208,68 +137,22 @@ def symmetric_eigs(M, sweep_tol=1e-12, max_sweeps=100):
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-10 * scale:
         raise ValueError("asymmetric input")
-    A = 0.5 * (A + A.T)
-    Q = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), OrthonormalBasis(1, Q)
-    fro = math.sqrt(float((A * A).sum()))
-    thresh = sweep_tol * max(fro, np.finfo(float).tiny)
-    skip = thresh / (n * n)
-    idx = np.arange(n)
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if math.sqrt(float((off * off).sum())) <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                A[p, p] -= t * apq
-                A[q, q] += t * apq
-                A[p, q] = A[q, p] = 0.0
-                others = idx[(idx != p) & (idx != q)]
-                Ap = A[p, others].copy()
-                Aq = A[q, others].copy()
-                A[p, others] = A[others, p] = Ap - s * (Aq + tau * Ap)
-                A[q, others] = A[others, q] = Aq + s * (Ap - tau * Aq)
-                Qp = Q[:, p].copy()
-                Qq = Q[:, q].copy()
-                Q[:, p] = Qp - s * (Qq + tau * Qp)
-                Q[:, q] = Qq + s * (Qp - tau * Qq)
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], OrthonormalBasis(n, Q[:, order])
+    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    return vals, OrthonormalBasis(A.shape[0], _fix_signs(vecs))
 
 
 def solve_linear(A, b):
-    """Solve A x = b for square nonsingular A via Householder QR."""
+    """Solve A x = b for square nonsingular A via QR."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    n = A.shape[0]
-    Q, R = householder_qr(A)
+    Q, R = np.linalg.qr(A)
     diag = np.abs(np.diag(R))
-    if n and diag.min() <= 1e-13 * max(diag.max(), np.finfo(float).tiny):
+    if diag.size and diag.min() <= 1e-13 * max(diag.max(), np.finfo(float).tiny):
         raise ValueError("matrix is singular to working precision")
-    y = Q.T @ b
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
-    return x
+    # R is upper triangular, so LU with partial pivoting is back substitution.
+    return np.linalg.solve(R, Q.T @ b)

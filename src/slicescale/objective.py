@@ -22,6 +22,7 @@ __all__ = [
     "ScalingPoint",
     "ScalingProblem",
     "build_frame",
+    "ambient_second_moments",
 ]
 
 
@@ -47,8 +48,11 @@ class SubspaceFrame:
     - ``projected_mode_bases[j]``: basis of the image of embedded mode block
       j under the reduced projector, shape (N, m_j - 1).
 
-    All bases come out of Householder factorizations, so their orientation is
-    reproducible; iterate traces depend on it, objective values do not.
+    The bases come from LAPACK factorizations with fixed column signs, so on a
+    fixed numpy/LAPACK build their orientation is reproducible. Inside each
+    subspace the orientation is otherwise arbitrary: the solvers' objective
+    and gradient-norm traces, block choices and scaled tensors do not depend
+    on it, only the working coordinates of the iterates do.
     """
 
     def __init__(self, targets, mode_bases, working_basis, support_kernel_basis,
@@ -127,14 +131,38 @@ class SubspaceFrame:
         )
 
 
+def ambient_second_moments(array):
+    """The N x N matrix of one- and two-mode sums of a nonnegative array.
+
+    Diagonal block j is the diagonal matrix of the mode-j slice sums and
+    off-diagonal block (j, k) is the two-mode (j, k) marginal. On a rescaled
+    tensor this is the ambient Hessian of the mass objective; on the support
+    indicator it is the Gram matrix R^T R of the support-incidence matrix R
+    (one row per nonzero, ones at that entry's per-mode positions).
+    """
+    dims = array.shape
+    d = len(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    blocks = [slice(offsets[j], offsets[j + 1]) for j in range(d)]
+    M = np.zeros((offsets[-1], offsets[-1]))
+    for j in range(d):
+        sums = array.sum(axis=tuple(a for a in range(d) if a != j))
+        M[blocks[j], blocks[j]] = np.diag(sums)
+        for k in range(j + 1, d):
+            marg = array.sum(axis=tuple(a for a in range(d) if a not in (j, k)))
+            M[blocks[j], blocks[k]] = marg
+            M[blocks[k], blocks[j]] = marg.T
+    return M
+
+
 def build_frame(tensor, targets):
     """Construct the SubspaceFrame of a tensor/targets pair.
 
-    The support kernel comes from the incidence matrix with one row per
-    positive entry (ones at that entry's per-mode positions); the gauge space
-    stacks those rows with the per-mode target-orthogonality rows. A deficient
-    projected mode basis (dimension below m_j - 1) cannot occur for a valid
-    tensor with no zero slice and raises an error.
+    The support kernel is ker R = ker R^T R, the null space of the N x N
+    support Gram matrix, so the nnz x N incidence matrix R is never formed.
+    The gauge space is the part of that kernel orthogonal to every per-mode
+    target row. A deficient projected mode basis (dimension below m_j - 1)
+    cannot occur for a valid tensor with no zero slice and raises an error.
     """
     dims = tensor.dims
     if targets.dims != dims:
@@ -157,17 +185,18 @@ def build_frame(tensor, targets):
         working[offsets[j]:offsets[j + 1], col:col + dims[j] - 1] = mode_bases[j]
         col += dims[j] - 1
 
-    support_idx = np.argwhere(tensor.support)
-    rows = np.zeros((len(support_idx), ambient))
-    for r, idx in enumerate(support_idx):
-        for j in range(d):
-            rows[r, offsets[j] + idx[j]] = 1.0
-    support_kernel = numerics.null_space(rows).matrix
+    gram = ambient_second_moments(tensor.support.astype(float))
+    support_kernel = numerics.null_space(gram).matrix
 
     target_rows = np.zeros((d, ambient))
     for j in range(d):
         target_rows[j, offsets[j]:offsets[j + 1]] = targets.vectors[j]
-    gauge = numerics.null_space(np.vstack([rows, target_rows])).matrix
+    if support_kernel.shape[1]:
+        # ker [R; T] = {K c : T K c = 0} for an orthonormal basis K of ker R.
+        coeffs = numerics.null_space(target_rows @ support_kernel).matrix
+        gauge = support_kernel @ coeffs
+    else:
+        gauge = support_kernel
 
     if gauge.shape[1]:
         gauge_in_working = working.T @ gauge
@@ -183,9 +212,7 @@ def build_frame(tensor, targets):
     reduced_projector = reduced @ reduced.T
     projected = []
     for j in range(d):
-        emb = np.zeros((ambient, dims[j] - 1))
-        emb[offsets[j]:offsets[j + 1], :] = mode_bases[j]
-        image = reduced_projector @ emb
+        image = reduced_projector[:, offsets[j]:offsets[j + 1]] @ mode_bases[j]
         basis = numerics.orthonormalize(image.T)
         if basis.size != dims[j] - 1:
             raise ValueError("zero slice or invalid tensor")
@@ -273,18 +300,7 @@ class ScalingProblem:
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal
         blocks are two-mode marginals of the rescaled tensor."""
         t = self.scaled(x) if scaled is None else scaled
-        frame = self.frame
-        H = np.zeros((frame.ambient_dim, frame.ambient_dim))
-        for j in range(self.d):
-            sl = frame.block_slice(j)
-            H[sl, sl] = np.diag(slice_sums(t, j))
-        for j in range(self.d):
-            for k in range(j + 1, self.d):
-                axes = tuple(a for a in range(self.d) if a not in (j, k))
-                marg = t.array.sum(axis=axes)
-                H[frame.block_slice(j), frame.block_slice(k)] = marg
-                H[frame.block_slice(k), frame.block_slice(j)] = marg.T
-        return H
+        return ambient_second_moments(t.array)
 
     def hessian_restricted(self, x, basis, scaled=None):
         """Hessian restricted to an ambient orthonormal basis (congruence Q^T H Q)."""

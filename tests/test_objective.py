@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from helpers import (ambient_point, fd_gradient, fd_hessian,
                      random_positive_tensor)
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import symmetric_eigs
-from slicescale.objective import ScalingPoint, ScalingProblem, build_frame
+from slicescale.objective import (ScalingPoint, ScalingProblem,
+                                  ambient_second_moments, build_frame)
 from slicescale.tensor import DenseTensor, SliceTargets, rank_one_target
 
 
@@ -76,6 +79,119 @@ class TestBuildFrame:
         # each column supported on one block
         assert np.abs(Q[2:, 0]).max() == 0.0
         assert np.abs(Q[:2, 1]).max() == 0.0
+
+
+def incidence_matrix(tensor):
+    """R: one row per nonzero entry, ones at that entry's per-mode positions."""
+    offsets = np.concatenate([[0], np.cumsum(tensor.dims)])
+    idx = np.argwhere(tensor.support)
+    R = np.zeros((len(idx), offsets[-1]))
+    for j in range(tensor.d):
+        R[np.arange(len(idx)), offsets[j] + idx[:, j]] = 1.0
+    return R
+
+
+def target_matrix(targets):
+    """T: row j holds target s_j in mode j's block and zeros elsewhere."""
+    offsets = np.concatenate([[0], np.cumsum(targets.dims)])
+    T = np.zeros((targets.d, offsets[-1]))
+    for j, s in enumerate(targets.vectors):
+        T[j, offsets[j]:offsets[j + 1]] = s
+    return T
+
+
+def masses(rng, m, total):
+    v = rng.uniform(0.5, 1.5, m)
+    return v * (total / v.sum())
+
+
+def block_diagonal_case(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [(3, 4), (5, 2), (2, 3)]
+    array = np.zeros((sum(p for p, _ in sizes), sum(q for _, q in sizes)))
+    i = j = 0
+    for p, q in sizes:
+        array[i:i + p, j:j + q] = rng.uniform(0.2, 1.0, (p, q))
+        i, j = i + p, j + q
+    # equal row and column mass per block, so the gauge is nontrivial
+    rows = np.concatenate([masses(rng, p, p + q) for p, q in sizes])
+    cols = np.concatenate([masses(rng, q, p + q) for p, q in sizes])
+    return DenseTensor(array), SliceTargets([rows, cols])
+
+
+def bidiagonal_case(seed, n=200):
+    # a path-shaped support: the smallest nonzero singular value of R, about
+    # pi / N, is the smallest over connected supports with N = 2 n vertices
+    rng = np.random.default_rng(seed)
+    array = (np.diag(rng.uniform(0.2, 1.0, n))
+             + np.diag(rng.uniform(0.2, 1.0, n - 1), 1))
+    return DenseTensor(array), SliceTargets.uniform((n, n))
+
+
+def pattern_case(dims, seed):
+    rng = np.random.default_rng(seed)
+    tensor = random_pattern_tensor(rng, dims, density=0.35)
+    return tensor, random_compatible_targets(rng, dims)
+
+
+KERNEL_CASES = {
+    **{f"pattern-d{len(dims)}-seed{seed}": (pattern_case, dims, seed)
+       for dims in [(6, 7), (4, 3, 5), (3, 4, 2, 3)]
+       for seed in range(1210, 1213)},
+    "block-diagonal": (block_diagonal_case, 1200),
+    "bidiagonal-200": (bidiagonal_case, 1201),
+}
+
+
+def kernel_case(name):
+    make, *args = KERNEL_CASES[name]
+    return make(*args)
+
+
+class TestFrameKernelOracle:
+    """Frame subspaces against ranks of the explicit incidence matrix R."""
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_kernel_and_gauge_dimensions(self, name):
+        tensor, targets = kernel_case(name)
+        frame = build_frame(tensor, targets)
+        R = incidence_matrix(tensor)
+        T = target_matrix(targets)
+        N = sum(tensor.dims)
+        np.testing.assert_array_equal(
+            ambient_second_moments(tensor.support.astype(float)), R.T @ R)
+        K, G = frame.support_kernel_basis, frame.gauge_basis
+        assert K.shape == (N, N - np.linalg.matrix_rank(R))
+        assert G.shape == (N, N - np.linalg.matrix_rank(np.vstack([R, T])))
+        assert np.abs(R @ K).max() <= 1e-10
+        if G.shape[1]:
+            assert np.abs(R @ G).max() <= 1e-10
+            assert np.abs(T @ G).max() <= 1e-10 * np.abs(T).max()
+        for B in (K, G):
+            np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12)
+
+    def test_block_diagonal_gauge_dimension(self):
+        # three blocks: one shift per block in the kernel; equal row and
+        # column mass per block leaves all but one of them in the gauge
+        frame = build_frame(*kernel_case("block-diagonal"))
+        assert frame.support_kernel_basis.shape[1] == 3
+        assert frame.gauge_dim == 2
+
+    def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
+        # The incidence matrix R of a dense 150 x 150 input alone would take
+        # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2).
+        rng = np.random.default_rng(1300)
+        dims = (150, 150)
+        tensor = random_positive_tensor(rng, dims)
+        targets = random_compatible_targets(rng, dims)
+        N = sum(dims)
+        tracemalloc.start()
+        try:
+            build_frame(tensor, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * N * N * 8
 
 
 class TestObjective:

@@ -5,7 +5,7 @@ from helpers import (alternating_scaling, random_compatible_targets,
                      random_positive_tensor)
 from slicescale import blockmin
 from slicescale.blockmin import BlockVector
-from slicescale.objective import ScalingProblem
+from slicescale.objective import ScalingProblem, SubspaceFrame
 from slicescale.scaler import (ProjectedScalingBlockProblem,
                                StandardScalingBlockProblem,
                                closed_form_block_update, normalize,
@@ -247,3 +247,69 @@ class TestWorkingProblems:
         v = wp.partial_minimizer(y, 0)
         y2 = wp.apply_update(y, 0, v)
         assert p.frame.reduced_residual(wp.to_ambient(y2)) <= 1e-12
+
+
+def random_orthogonal(rng, k):
+    """Seeded random orthogonal k x k matrix, reflections included."""
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return q
+
+
+def rotated_frame(frame, rng):
+    """The same subspaces as ``frame``, every basis turned by a random
+    orthogonal change of coordinates."""
+
+    def turn(basis):
+        return basis @ random_orthogonal(rng, basis.shape[1])
+
+    mode_bases = [turn(b) for b in frame.mode_bases]
+    working = np.zeros_like(frame.working_basis)
+    col = 0
+    for j, b in enumerate(mode_bases):
+        working[frame.block_slice(j), col:col + b.shape[1]] = b
+        col += b.shape[1]
+    return SubspaceFrame(frame.targets, mode_bases, working,
+                         turn(frame.support_kernel_basis),
+                         turn(frame.gauge_basis), turn(frame.reduced_basis),
+                         [turn(b) for b in frame.projected_mode_bases])
+
+
+def gauge_instance(rng):
+    array = np.zeros((7, 7))
+    array[:3, :4] = np.exp(rng.uniform(-2.0, 2.0, (3, 4)))
+    array[3:, 4:] = np.exp(rng.uniform(-2.0, 2.0, (4, 3)))
+    rows = np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)])
+    cols = np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])
+    return DenseTensor(array), SliceTargets([rows, cols])
+
+
+class TestOrientationInvariance:
+    """Nothing a solve reports depends on how the frame's bases are turned."""
+
+    @pytest.mark.parametrize("case", ["positive", "gauge"])
+    def test_solve_ignores_basis_orientation(self, case):
+        rng = np.random.default_rng(1400)
+        if case == "positive":
+            dims = (4, 5, 3)
+            tensor = random_positive_tensor(rng, dims)
+            targets = random_compatible_targets(rng, dims)
+        else:
+            tensor, targets = gauge_instance(rng)
+        plain = ScalingProblem(tensor, targets)
+        turned = ScalingProblem(tensor, targets,
+                                frame=rotated_frame(plain.frame, rng))
+        assert (plain.frame.gauge_dim > 0) == (case == "gauge")
+        a, b = solve(plain, tol=1e-11), solve(turned, tol=1e-11)
+        assert a.status == b.status == blockmin.CONVERGED
+        assert a.trace.n_steps == b.trace.n_steps > 0
+        assert a.trace.chosen_blocks == b.trace.chosen_blocks
+        np.testing.assert_allclose(b.trace.objectives, a.trace.objectives,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            b.trace.full_grad_norms, a.trace.full_grad_norms, rtol=0,
+            atol=1e-12 * a.trace.full_grad_norms[0])
+        np.testing.assert_allclose(b.scaled.array, a.scaled.array,
+                                   rtol=1e-12, atol=0)
+        # the working coordinates themselves do differ
+        assert not np.allclose(a.trace.iterates[-1].concat(),
+                               b.trace.iterates[-1].concat())
