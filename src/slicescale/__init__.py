@@ -11,8 +11,7 @@ problems to this scaling.
 from .blockmin import (BlockProblem, BlockVector, ConvergenceBound,
                        IterateTrace, NumericalOverflowError,
                        QuadraticBlockProblem, distance_bound_sq,
-                       estimate_alpha_beta, run, select_block, step,
-                       theoretical_bound)
+                       estimate_alpha_beta, run, theoretical_bound)
 from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)
@@ -20,10 +19,8 @@ from .numerics import (OrthonormalBasis, null_space, orthonormalize,
                        projector_onto, symmetric_eigs)
 from .objective import ScalingPoint, ScalingProblem, SubspaceFrame, build_frame
 from .scaler import (ScalingSolution, closed_form_block_update, normalize,
-                     sinkhorn_reference, solve, solve_modified,
-                     solve_positive_case)
+                     solve, solve_modified, solve_positive_case)
 from .tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
-                     ZeroPattern, check_compatibility, rank_one_target, scale,
-                     slice_sums)
+                     check_compatibility, rank_one_target, scale, slice_sums)
 
 __version__ = "0.1.0"

@@ -31,8 +31,6 @@ __all__ = [
     "CONVERGED",
     "MAX_ITERS_REACHED",
     "DIVERGING",
-    "select_block",
-    "step",
     "run",
     "theoretical_bound",
     "distance_bound_sq",
@@ -148,7 +146,7 @@ class BlockProblem(abc.ABC):
     @property
     @abc.abstractmethod
     def block_dims(self):
-        """Block lengths (m_1, ..., m_d) in working coordinates."""
+        """Block lengths (m_1, ..., m_d) of the iterates."""
 
     @property
     def d(self):
@@ -160,7 +158,12 @@ class BlockProblem(abc.ABC):
 
     @abc.abstractmethod
     def block_gradient(self, x, j):
-        """Gradient with respect to block j, length block_dims[j]."""
+        """Gradient with respect to block j.
+
+        The engine uses only its Euclidean norm, so any vector with that norm
+        will do: the projected scaling problem returns coordinates along its
+        projected mode basis, of length m_j - 1 rather than block_dims[j].
+        """
 
     @abc.abstractmethod
     def partial_minimizer(self, x, j):
@@ -185,7 +188,7 @@ class BlockProblem(abc.ABC):
         return None
 
     def hessian(self, x):
-        """Working-coordinate Hessian at ``x`` (needed for bound estimation)."""
+        """Hessian on the working space at ``x`` (needed for bound estimation)."""
         raise NotImplementedError("problem does not expose a Hessian")
 
 
@@ -408,24 +411,13 @@ def _check_finite(obj, norms, x, at_step):
         )
 
 
-def select_block(problem, x):
-    """Index of a block with maximal gradient norm; ties go to the smallest index."""
-    _, grads = problem.evaluate(x)
-    return int(np.argmax(_norms(grads)))
-
-
-def step(problem, x):
-    """One greedy step: partially minimize the block with the largest gradient."""
-    j = select_block(problem, x)
-    new_block = problem.partial_minimizer(x, j)
-    return problem.apply_update(x, j, new_block)
-
-
 def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False):
     """Greedy block minimization from ``x0``.
 
-    Stops with status ``converged`` when the working full-gradient norm drops
-    to ``tol``, with ``diverging`` when the sup norm of the iterate exceeds
+    Each step replaces a block of largest gradient norm (ties go to the
+    smallest index) by its partial minimizer. Stops with status
+    ``converged`` when the working full-gradient norm drops to ``tol``, with
+    ``diverging`` when the sup norm of the iterate exceeds
     ``divergence_guard`` (pass None to disable), and with
     ``max_iters_reached`` otherwise. Returns (x_final, trace, status).
     Non-finite objective or gradient values raise NumericalOverflowError.

@@ -5,10 +5,10 @@ rank-deficient input), symmetric eigendecompositions from ``eigh`` and linear
 solves from QR. Each returned basis has its column signs fixed (the entry of
 largest magnitude is positive), so the same input gives the same basis on a
 fixed numpy/LAPACK build. Inside a multi-dimensional subspace the orientation
-is whatever LAPACK returns. The solvers' objective and gradient-norm traces,
-block choices and scaled tensors do not depend on it; only the working
-coordinates of stored iterates do. Everything operates on plain float64
-numpy arrays.
+is whatever LAPACK returns. Nothing the solvers report or store depends on
+it: their iterates are ambient exponent blocks, and bases enter only through
+coordinate norms and Hessian congruences. Everything operates on plain
+float64 numpy arrays.
 """
 
 import numpy as np

@@ -14,7 +14,6 @@ projected solver operates.
 import numpy as np
 
 from . import numerics
-from .blockmin import BlockVector
 from .tensor import scale, slice_sums
 
 __all__ = [
@@ -42,17 +41,17 @@ class SubspaceFrame:
       the flat directions of the objective;
     - ``reduced_basis``: complement of the gauge inside the working space,
       where the objective is strictly convex;
-    - ``support_complement_projector`` / ``reduced_projector``: orthogonal
-      projectors onto the complement of the support kernel and onto the
-      reduced space;
+    - ``reduced_projector``: orthogonal projector onto the reduced space;
     - ``projected_mode_bases[j]``: basis of the image of embedded mode block
       j under the reduced projector, shape (N, m_j - 1).
 
     The bases come from LAPACK factorizations with fixed column signs, so on a
     fixed numpy/LAPACK build their orientation is reproducible. Inside each
-    subspace the orientation is otherwise arbitrary: the solvers' objective
-    and gradient-norm traces, block choices and scaled tensors do not depend
-    on it, only the working coordinates of the iterates do.
+    subspace the orientation is otherwise arbitrary, and nothing the solvers
+    report or store depends on it: their iterates are ambient exponent
+    blocks, and only norms of basis coordinates and congruences Q^T H Q enter
+    the traces and the rate certificate. The mode bases serve only to build
+    the other bases.
     """
 
     def __init__(self, targets, mode_bases, working_basis, support_kernel_basis,
@@ -70,10 +69,6 @@ class SubspaceFrame:
         self.gauge_basis = gauge_basis
         self.reduced_basis = reduced_basis
         self.projected_mode_bases = tuple(projected_mode_bases)
-        n = self.ambient_dim
-        self.support_complement_projector = (
-            np.eye(n) - support_kernel_basis @ support_kernel_basis.T
-        )
         self.reduced_projector = reduced_basis @ reduced_basis.T
 
     @property
@@ -99,24 +94,6 @@ class SubspaceFrame:
         """Split an ambient vector into per-mode blocks."""
         vec = np.asarray(vec, dtype=float)
         return [vec[self.block_slice(j)] for j in range(self.d)]
-
-    def embed_block(self, j, block):
-        """Ambient vector equal to ``block`` in mode j and zero elsewhere."""
-        out = np.zeros(self.ambient_dim)
-        out[self.block_slice(j)] = block
-        return out
-
-    def working_coords(self, x):
-        """Per-mode hyperplane coordinates of an ambient block vector."""
-        return BlockVector(
-            [self.mode_bases[j].T @ x.blocks[j] for j in range(self.d)]
-        )
-
-    def ambient_from_coords(self, y):
-        """Ambient block vector from per-mode hyperplane coordinates."""
-        return BlockVector(
-            [self.mode_bases[j] @ y.blocks[j] for j in range(self.d)]
-        )
 
     def reduced_residual(self, x):
         """Sup-norm distance of an ambient block vector from the reduced space."""
@@ -185,8 +162,10 @@ def build_frame(tensor, targets):
         working[offsets[j]:offsets[j + 1], col:col + dims[j] - 1] = mode_bases[j]
         col += dims[j] - 1
 
-    gram = ambient_second_moments(tensor.support.astype(float))
-    support_kernel = numerics.null_space(gram).matrix
+    # the Gram matrix is not kept: the loop below would hold it as a third
+    # N x N array next to the working basis and the projected images
+    support_kernel = numerics.null_space(
+        ambient_second_moments(tensor.support.astype(float))).matrix
 
     target_rows = np.zeros((d, ambient))
     for j in range(d):
@@ -209,10 +188,11 @@ def build_frame(tensor, targets):
     if not frame_dims_ok:
         raise ValueError("zero slice or invalid tensor")
 
-    reduced_projector = reduced @ reduced.T
     projected = []
     for j in range(d):
-        image = reduced_projector[:, offsets[j]:offsets[j + 1]] @ mode_bases[j]
+        # columns of the reduced projector R R^T in block j, times Q_j,
+        # without forming the N x N projector
+        image = reduced @ (reduced[offsets[j]:offsets[j + 1]].T @ mode_bases[j])
         basis = numerics.orthonormalize(image.T)
         if basis.size != dims[j] - 1:
             raise ValueError("zero slice or invalid tensor")
@@ -283,13 +263,17 @@ class ScalingProblem:
         return np.concatenate([slice_sums(t, j) for j in range(self.d)])
 
     def restricted_gradient(self, x, j, scaled=None):
-        """Block-j gradient in the mode-j hyperplane basis.
+        """Block-j gradient projected onto the mode-j target hyperplane.
 
-        Zero exactly when the mode-j slice sums of the rescaled tensor are
-        parallel to the mode-j target.
+        With sigma the mode-j slice sums of the rescaled tensor and s the
+        mode-j target this is sigma - (sigma.s / s.s) s, an ambient vector of
+        length m_j with the norm of the gradient in any orthonormal basis of
+        the hyperplane. Zero exactly when sigma is parallel to s.
         """
         t = self.scaled(x) if scaled is None else scaled
-        return self.frame.mode_bases[j].T @ slice_sums(t, j)
+        sigma = slice_sums(t, j)
+        s = self.targets.vectors[j]
+        return sigma - (float(sigma @ s) / float(s @ s)) * s
 
     def w_gradient(self, x, j, scaled=None):
         """Directional derivatives along the projected mode-j basis."""

@@ -6,6 +6,13 @@ through the projected variant, which applies the same closed-form block
 update and then projects each iterate back onto the reduced working space.
 Either way a converged run yields slice sums proportional to the targets,
 and a final normalization makes them exact.
+
+Iterates and starting points ``x0`` are ambient exponent blocks (block j has
+length m_j), and the block updates and standard-path gradients are computed
+in that ambient form. The frame's bases enter only through the projected
+path's gradients and projection and through the Hessians of the rate
+certificate, so nothing a solve reports or stores depends on how those bases
+are oriented.
 """
 
 import math
@@ -25,7 +32,6 @@ __all__ = [
     "solve_positive_case",
     "solve_modified",
     "normalize",
-    "sinkhorn_reference",
     "random_reduced_point",
     "StandardScalingBlockProblem",
     "ProjectedScalingBlockProblem",
@@ -66,44 +72,40 @@ def closed_form_block_update(problem, x, j, scaled=None):
 class _ScalingBlockProblemBase(BlockProblem):
     """Shared plumbing for engine-facing scaling problems.
 
-    The engine state is a BlockVector of per-mode hyperplane coordinates
-    (block j has length m_j - 1); ambient blocks are recovered through the
-    frame's mode bases.
+    The engine state is a BlockVector of ambient exponent blocks: block j has
+    length m_j and lies in the hyperplane orthogonal to target s_j.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.frame = problem.frame
-        self._dims = tuple(m - 1 for m in problem.tensor.dims)
 
     @property
     def block_dims(self):
-        return self._dims
+        return self.problem.tensor.dims
 
-    def to_ambient(self, y):
-        return self.frame.ambient_from_coords(y)
+    def objective(self, x):
+        return self.problem.objective(x)
 
-    def from_ambient(self, x):
-        return self.frame.working_coords(x)
+    def partial_minimizer(self, x, j):
+        return closed_form_block_update(self.problem, x, j)
 
-    def objective(self, y):
-        return self.problem.objective(self.to_ambient(y))
-
-    def partial_minimizer(self, y, j):
-        x = self.to_ambient(y)
-        update = closed_form_block_update(self.problem, x, j)
-        return self.frame.mode_bases[j].T @ update
-
-    def objective_decrease(self, y_old, y_new, j):
+    def objective_decrease(self, x_old, x_new, j):
         # f(new) = sum_e B_e(old) * exp(sum_k delta_k[i_k]) over the support.
-        # The coordinate difference of the stored iterates is exact, so the
-        # per-entry exponent changes carry errors proportional to the step
-        # itself and the expm1 form keeps the drop's sign reliable far below
-        # the resolution of the objective values.
-        scaled = self.problem.scaled(self.to_ambient(y_old))
+        # Each stored block lies in its target hyperplane only up to rounding
+        # of order eps * |x|, and a drift along the target s_k rescales the
+        # mass by about that much whatever the step. The drift is not part
+        # of the step, so each difference of the stored blocks is projected
+        # onto the hyperplane, where it lies in exact arithmetic. The
+        # exponent changes then carry errors proportional to the step itself,
+        # and the expm1 form keeps the drop's sign reliable far below the
+        # resolution of the objective values.
+        scaled = self.problem.scaled(x_old)
         expo = np.zeros(scaled.dims)
         for k in range(self.d):
-            delta = self.frame.mode_bases[k] @ (y_new.blocks[k] - y_old.blocks[k])
+            s = self.problem.targets.vectors[k]
+            delta = x_new.blocks[k] - x_old.blocks[k]
+            delta = delta - (float(delta @ s) / float(s @ s)) * s
             shape = [1] * self.d
             shape[k] = scaled.dims[k]
             expo += delta.reshape(shape)
@@ -111,15 +113,11 @@ class _ScalingBlockProblemBase(BlockProblem):
         terms = scaled.array[support] * np.expm1(expo[support])
         return -math.fsum(terms)
 
-    def hessian(self, y):
-        raise NotImplementedError
-
 
 class StandardScalingBlockProblem(_ScalingBlockProblemBase):
     """Engine problem for tensors without gauge directions."""
 
-    def evaluate(self, y):
-        x = self.to_ambient(y)
+    def evaluate(self, x):
         scaled = self.problem.scaled(x)
         grads = [
             self.problem.restricted_gradient(x, j, scaled=scaled)
@@ -127,11 +125,10 @@ class StandardScalingBlockProblem(_ScalingBlockProblemBase):
         ]
         return scaled.total, grads
 
-    def block_gradient(self, y, j):
-        return self.problem.restricted_gradient(self.to_ambient(y), j)
+    def block_gradient(self, x, j):
+        return self.problem.restricted_gradient(x, j)
 
-    def hessian(self, y):
-        x = self.to_ambient(y)
+    def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.working_basis)
 
 
@@ -143,8 +140,7 @@ class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
     never leave it.
     """
 
-    def evaluate(self, y):
-        x = self.to_ambient(y)
+    def evaluate(self, x):
         scaled = self.problem.scaled(x)
         ghat = self.problem.ambient_gradient(x, scaled=scaled)
         grads = [
@@ -152,20 +148,16 @@ class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
         ]
         return scaled.total, grads
 
-    def block_gradient(self, y, j):
-        return self.problem.w_gradient(self.to_ambient(y), j)
+    def block_gradient(self, x, j):
+        return self.problem.w_gradient(x, j)
 
-    def apply_update(self, y, j, new_block):
-        x = self.to_ambient(y).with_block(
-            j, self.frame.mode_bases[j] @ np.asarray(new_block, dtype=float)
-        )
-        projected = self.frame.reduced_projector @ x.concat()
-        return self.from_ambient(
-            BlockVector(self.frame.split(projected))
+    def apply_update(self, x, j, new_block):
+        updated = x.with_block(j, new_block)
+        return BlockVector(
+            self.frame.split(self.frame.reduced_projector @ updated.concat())
         )
 
-    def hessian(self, y):
-        x = self.to_ambient(y)
+    def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.reduced_basis)
 
 
@@ -215,19 +207,15 @@ def normalize(problem, x):
     return out, factor, residuals
 
 
-def _coerce_start(frame, x0, working_problem):
+def _coerce_start(problem, x0, require_reduced=False):
     if x0 is None:
-        return BlockVector.zeros(working_problem.block_dims)
-    if x0.dims == frame.dims:
-        ScalingPoint(frame, x0)  # each block must lie in its target hyperplane
-        return working_problem.from_ambient(x0)
-    if x0.dims == tuple(working_problem.block_dims):
-        return x0
-    raise ValueError("starting point dims match neither ambient nor working blocks")
+        return BlockVector.zeros(problem.tensor.dims)
+    # dims must match and each block must lie in its target hyperplane
+    ScalingPoint(problem.frame, x0, require_reduced)
+    return x0
 
 
-def _finish(problem, working, y, trace, status, method):
-    x = working.to_ambient(y)
+def _finish(problem, working, x, trace, status, method):
     point = ScalingPoint(problem.frame, x)
     if status == blockmin.CONVERGED:
         scaled, factor, residuals = normalize(problem, x)
@@ -242,37 +230,34 @@ def solve_positive_case(problem, x0=None, tol=1e-10, max_iters=10000,
     """Greedy scaling on the product of target hyperplanes.
 
     Requires a trivial gauge space (always true for strictly positive
-    tensors). ``x0`` may be None (zero start), an ambient block vector with
-    each block orthogonal to its target, or working coordinates.
+    tensors). ``x0`` may be None (zero start) or an ambient block vector with
+    each block orthogonal to its target.
     """
     if problem.frame.gauge_dim != 0:
         raise ValueError("tensor has gauge directions; use solve_modified")
     working = StandardScalingBlockProblem(problem)
-    y0 = _coerce_start(problem.frame, x0, working)
+    x0 = _coerce_start(problem, x0)
     guard = divergence_guard if divergence_guard is not None else default_divergence_guard(problem.d)
-    y, trace, status = blockmin.run(working, y0, tol, max_iters, guard,
+    x, trace, status = blockmin.run(working, x0, tol, max_iters, guard,
                                     record_iterates)
-    return _finish(problem, working, y, trace, status, "greedy-standard")
+    return _finish(problem, working, x, trace, status, "greedy-standard")
 
 
 def solve_modified(problem, x0=None, tol=1e-10, max_iters=10000,
                    divergence_guard=None, record_iterates=True):
     """Projected greedy scaling on the reduced working space.
 
-    Requires a nontrivial gauge space; the start must lie in the reduced
-    space (the zero default always does).
+    Requires a nontrivial gauge space; the ambient start must lie in the
+    reduced space (the zero default always does).
     """
     if problem.frame.gauge_dim == 0:
         raise ValueError("tensor has no gauge directions; use solve_positive_case")
     working = ProjectedScalingBlockProblem(problem)
-    y0 = _coerce_start(problem.frame, x0, working)
-    resid = problem.frame.reduced_residual(working.to_ambient(y0))
-    if resid > 1e-10 * max(1.0, working.to_ambient(y0).norm_inf()):
-        raise ValueError("starting point lies outside the reduced working space")
+    x0 = _coerce_start(problem, x0, require_reduced=True)
     guard = divergence_guard if divergence_guard is not None else default_divergence_guard(problem.d)
-    y, trace, status = blockmin.run(working, y0, tol, max_iters, guard,
+    x, trace, status = blockmin.run(working, x0, tol, max_iters, guard,
                                     record_iterates)
-    return _finish(problem, working, y, trace, status, "greedy-projected")
+    return _finish(problem, working, x, trace, status, "greedy-projected")
 
 
 def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
@@ -291,22 +276,3 @@ def random_reduced_point(frame, rng, radius=1.0):
     coeffs = rng.uniform(-radius, radius, frame.reduced_dim)
     vec = frame.reduced_basis @ coeffs
     return BlockVector(frame.split(vec))
-
-
-def sinkhorn_reference(matrix, row_targets, col_targets, rounds):
-    """Classical alternating row/column scaling, for test comparison only.
-
-    Each round scales rows to hit ``row_targets`` exactly, then columns to
-    hit ``col_targets`` exactly. Returns (final matrix, list of matrices
-    after every half step).
-    """
-    M = np.array(matrix, dtype=float)
-    r = np.asarray(row_targets, dtype=float)
-    c = np.asarray(col_targets, dtype=float)
-    iterates = []
-    for _ in range(rounds):
-        M = M * (r / M.sum(axis=1))[:, None]
-        iterates.append(M.copy())
-        M = M * (c / M.sum(axis=0))[None, :]
-        iterates.append(M.copy())
-    return M, iterates

@@ -1,13 +1,10 @@
 """Dense nonnegative multi-mode arrays with slice sums and exponent scaling."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "DenseTensor",
     "SliceTargets",
-    "ZeroPattern",
     "ScalingOverflowError",
     "slice_sums",
     "scale",
@@ -82,25 +79,11 @@ class DenseTensor:
         """Boolean mask, True where the entry is positive."""
         return self.array > 0
 
-    def pattern(self):
-        return ZeroPattern(self.dims, self.support)
-
     def same_pattern(self, other):
         return self.dims == other.dims and bool(np.all(self.support == other.support))
 
     def __repr__(self):
         return f"DenseTensor(dims={self.dims}, total={self.total:.6g})"
-
-
-@dataclass(frozen=True)
-class ZeroPattern:
-    """Support mask of a tensor: True where the entry is strictly positive."""
-
-    dims: tuple
-    mask: np.ndarray
-
-    def __eq__(self, other):
-        return self.dims == other.dims and bool(np.all(self.mask == other.mask))
 
 
 def check_compatibility(vectors, rtol=1e-10):

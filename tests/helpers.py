@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and random instance generators."""
+"""Shared test oracles: finite differences, alternating scaling and random
+instance generators."""
 
 import numpy as np
 
@@ -74,3 +75,22 @@ def alternating_scaling(matrix, r, c, rounds):
         M *= (r / M.sum(axis=1))[:, None]
         M *= (c / M.sum(axis=0))[None, :]
     return M
+
+
+def sinkhorn_reference(matrix, row_targets, col_targets, rounds):
+    """Classical alternating row/column scaling that keeps every half step.
+
+    Each round scales rows to hit ``row_targets`` exactly, then columns to
+    hit ``col_targets`` exactly. Returns (final matrix, list of matrices
+    after every half step).
+    """
+    M = np.array(matrix, dtype=float)
+    r = np.asarray(row_targets, dtype=float)
+    c = np.asarray(col_targets, dtype=float)
+    iterates = []
+    for _ in range(rounds):
+        M = M * (r / M.sum(axis=1))[:, None]
+        iterates.append(M.copy())
+        M = M * (c / M.sum(axis=0))[None, :]
+        iterates.append(M.copy())
+    return M, iterates

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, fd_hessian
+from helpers import fd_gradient, fd_hessian, sinkhorn_reference
 from slicescale import blockmin
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  QuadraticBlockProblem, estimate_alpha_beta,
@@ -17,8 +17,8 @@ from slicescale.bridge import BridgeProblem, reduce_to_scaling, solve_bridge
 from slicescale.feasibility import NOT_SCALABLE, SCALABLE, check_scalable, verify_witness
 from slicescale.numerics import symmetric_eigs
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import (random_reduced_point, sinkhorn_reference, solve,
-                               solve_modified, solve_positive_case)
+from slicescale.scaler import (random_reduced_point, solve, solve_modified,
+                               solve_positive_case)
 from slicescale.tensor import DenseTensor, SliceTargets
 
 RUN_TOL = 1e-12
@@ -177,10 +177,14 @@ def test_criterion_3_sinkhorn_equivalence():
                              SliceTargets.uniform((2, 2)))
     sol = solve_positive_case(problem, tol=1e-300, max_iters=20)
     _, oracle = sinkhorn_reference([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 10)
-    wp = sol.working_problem
     violations = []
+    if sol.trace.n_steps < 20 and sol.status != blockmin.CONVERGED:
+        violations.append(f"stopped after {sol.trace.n_steps} steps: {sol.status}")
     for k in range(1, 21):
-        scaled = problem.scaled(wp.to_ambient(sol.trace.iterates[k])).array
+        # a run whose gradient reaches exactly zero stops early at a point
+        # that the later half steps of alternating scaling keep fixed
+        x = sol.trace.iterates[min(k, sol.trace.n_steps)]
+        scaled = problem.scaled(x).array
         ratio = scaled / oracle[k - 1]
         spread = ratio.max() / ratio.min() - 1.0
         if spread > 1e-10:
@@ -265,9 +269,8 @@ def test_criterion_8_degenerate_patterns(pattern_runs):
         if sol.status != blockmin.CONVERGED:
             violations.append(f"pattern[{i}] status {sol.status}")
             continue
-        wp = sol.working_problem
-        for k, y in enumerate(sol.trace.iterates):
-            if frame.reduced_residual(wp.to_ambient(y)) > 1e-12:
+        for k, x in enumerate(sol.trace.iterates):
+            if frame.reduced_residual(x) > 1e-12:
                 violations.append(f"pattern[{i}] iterate {k} left the reduced space")
         for j, m in enumerate(problem.tensor.dims):
             if frame.projected_mode_bases[j].shape[1] != m - 1:

@@ -8,8 +8,7 @@ from slicescale import blockmin
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  NumericalOverflowError, QuadraticBlockProblem,
                                  distance_bound_sq, estimate_alpha_beta,
-                                 midpoint_convexity_ok, run, select_block,
-                                 step, theoretical_bound)
+                                 midpoint_convexity_ok, run, theoretical_bound)
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import StandardScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -87,41 +86,52 @@ class TestBlockVector:
         assert BlockVector.zeros((1, 4)).norm_inf() == 0.0
 
 
+def one_step(problem, x0):
+    """A single greedy step of ``run``: (iterate, trace)."""
+    x, trace, _ = run(problem, x0, 1e-12, max_iters=1)
+    return x, trace
+
+
 class TestSelectBlock:
     def test_argmax(self):
         p = FixedGradientProblem([0.5, 1.2, 0.3])
-        assert select_block(p, BlockVector.zeros(p.block_dims)) == 1
+        _, trace = one_step(p, BlockVector.zeros(p.block_dims))
+        assert trace.chosen_blocks[0] == 1
 
     def test_tie_goes_to_first(self):
         p = FixedGradientProblem([0.7, 0.7])
-        assert select_block(p, BlockVector.zeros(p.block_dims)) == 0
+        _, trace = one_step(p, BlockVector.zeros(p.block_dims))
+        assert trace.chosen_blocks[0] == 0
 
     def test_all_zero_degenerate(self):
+        # a zero gradient is stationary: no block is chosen
         p = FixedGradientProblem([0.0, 0.0])
-        assert select_block(p, BlockVector.zeros(p.block_dims)) == 0
+        _, trace = one_step(p, BlockVector.zeros(p.block_dims))
+        assert trace.chosen_blocks == []
 
 
 class TestStep:
     def test_separable_quadratic(self):
         # f = x1^2 + 4 x2^2, gradient (2, 8) at (1, 1): update block 2
         p = QuadraticBlockProblem(np.diag([2.0, 8.0]), np.zeros(2))
-        x = step(p, BlockVector([[1.0], [1.0]]))
+        x, trace = one_step(p, BlockVector([[1.0], [1.0]]))
+        assert trace.chosen_blocks[0] == 1
         np.testing.assert_allclose(x.concat(), [1.0, 0.0], atol=1e-15)
 
     def test_already_optimal_unchanged(self):
         p = QuadraticBlockProblem(np.diag([2.0, 8.0]), np.zeros(2))
-        x = step(p, BlockVector([[0.0], [0.0]]))
+        x, trace = one_step(p, BlockVector([[0.0], [0.0]]))
+        assert trace.chosen_blocks == []
         np.testing.assert_allclose(x.concat(), [0.0, 0.0], atol=1e-15)
 
     def test_ones_matrix_closed_form(self):
         # one block update from u = (ln 2, -ln 2), v = 0 recenters u to zero
         wp = ones_scaling_problem()
         u = np.array([np.log(2.0), -np.log(2.0)])
-        y = wp.from_ambient(BlockVector([u, np.zeros(2)]))
-        y2 = step(wp, y)
-        ambient = wp.to_ambient(y2)
-        np.testing.assert_allclose(ambient.blocks[0], [0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(ambient.blocks[1], [0.0, 0.0], atol=1e-14)
+        x, trace = one_step(wp, BlockVector([u, np.zeros(2)]))
+        assert trace.chosen_blocks[0] == 0
+        np.testing.assert_allclose(x.blocks[0], [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(x.blocks[1], [0.0, 0.0], atol=1e-14)
 
 
 class TestRun:
@@ -143,9 +153,9 @@ class TestRun:
         targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
         problem = ScalingProblem(tensor, targets)
         wp = StandardScalingBlockProblem(problem)
-        y, trace, status = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500)
+        x, trace, status = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500)
         assert status == blockmin.CONVERGED
-        scaled = problem.scaled(wp.to_ambient(y))
+        scaled = problem.scaled(x)
         final = scaled.array / (scaled.total / targets.total)
         oracle = alternating_scaling([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 200)
         np.testing.assert_allclose(final, oracle, atol=1e-8)

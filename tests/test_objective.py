@@ -51,10 +51,9 @@ class TestBuildFrame:
 
     def test_projectors_symmetric_idempotent(self):
         for problem in (ones_problem(), identity_pattern_problem()):
-            for P in (problem.frame.reduced_projector,
-                      problem.frame.support_complement_projector):
-                assert np.abs(P - P.T).max() <= 1e-12
-                assert np.abs(P @ P - P).max() <= 1e-12
+            P = problem.frame.reduced_projector
+            assert np.abs(P - P.T).max() <= 1e-12
+            assert np.abs(P @ P - P).max() <= 1e-12
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
@@ -179,7 +178,9 @@ class TestFrameKernelOracle:
 
     def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
         # The incidence matrix R of a dense 150 x 150 input alone would take
-        # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2).
+        # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2). The
+        # measured peak is 6 N^2 doubles: the working basis, the mode bases,
+        # the projected images and the copies orthonormalize makes of one.
         rng = np.random.default_rng(1300)
         dims = (150, 150)
         tensor = random_positive_tensor(rng, dims)
@@ -191,7 +192,7 @@ class TestFrameKernelOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * N * N * 8
+        assert peak < 6.5 * N * N * 8
 
 
 class TestObjective:
@@ -260,7 +261,7 @@ class TestGradients:
         p = ones_problem()
         x = BlockVector([[np.log(2.0), -np.log(2.0)], [0.0, 0.0]])
         g = p.restricted_gradient(x, 0)
-        assert abs(g).max() == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
+        assert np.linalg.norm(g) == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_norm_pythagoras(self, seed):
@@ -282,7 +283,8 @@ class TestWGradient:
         for j in range(3):
             a = p.w_gradient(x, j)
             b = p.restricted_gradient(x, j)
-            np.testing.assert_allclose(np.abs(a), np.abs(b), atol=1e-12)
+            assert np.linalg.norm(a) == pytest.approx(np.linalg.norm(b),
+                                                      rel=0, abs=1e-12)
 
     def test_identity_pattern_zero_at_origin(self):
         p = identity_pattern_problem()

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import (alternating_scaling, random_compatible_targets,
-                     random_positive_tensor)
+                     random_positive_tensor, sinkhorn_reference)
 from slicescale import blockmin
 from slicescale.blockmin import BlockVector
 from slicescale.objective import ScalingProblem, SubspaceFrame
 from slicescale.scaler import (ProjectedScalingBlockProblem,
-                               StandardScalingBlockProblem,
                                closed_form_block_update, normalize,
-                               random_reduced_point, sinkhorn_reference, solve,
-                               solve_modified, solve_positive_case)
+                               random_reduced_point, solve, solve_modified,
+                               solve_positive_case)
 from slicescale.tensor import (DenseTensor, SliceTargets, rank_one_target,
                                slice_sums)
 
@@ -90,6 +89,30 @@ class TestSolvePositive:
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="dims"):
             solve_positive_case(p, x0=BlockVector.zeros((3, 3)))
+        # starts are ambient blocks; hyperplane coordinates are refused
+        with pytest.raises(ValueError, match="dims"):
+            solve_positive_case(p, x0=BlockVector.zeros((1, 1)))
+
+    def test_guard_reads_ambient_exponents(self):
+        # Block 0 of the start is Q_0 z, with Q_0 the frame's 6 x 5 basis of
+        # the hyperplane orthogonal to the all-ones target and z = +-10
+        # following the signs of the row of Q_0 with the largest 1-norm. Its
+        # coordinates have sup norm 10; its entry in that row is 10 times the
+        # row's 1-norm. Each column of Q_0 is a zero-sum unit vector, with
+        # 1-norm at least sqrt(2), so that row's 1-norm is at least
+        # 5 sqrt(2) / 6 > 1. A guard between the two sup norms stops the run
+        # before its first step only if it reads the exponents.
+        p = problem_of(np.random.default_rng(1500).uniform(0.5, 1.5, (6, 6)))
+        Q = p.frame.mode_bases[0]
+        row = int(np.abs(Q).sum(axis=1).argmax())
+        z = 10.0 * np.where(Q[row] < 0, -1.0, 1.0)
+        x0 = BlockVector([Q @ z, np.zeros(6)])
+        coords_sup = float(np.abs(Q.T @ x0.blocks[0]).max())
+        assert coords_sup < x0.norm_inf()
+        guard = 0.5 * (coords_sup + x0.norm_inf())
+        sol = solve_positive_case(p, x0=x0, divergence_guard=guard)
+        assert sol.status == blockmin.DIVERGING
+        assert sol.trace.n_steps == 0
 
 
 class TestSolveModified:
@@ -119,9 +142,8 @@ class TestSolveModified:
         rng = np.random.default_rng(5)
         x0 = random_reduced_point(p.frame, rng)
         sol = solve_modified(p, x0=x0, tol=1e-12)
-        wp = sol.working_problem
-        for y in sol.trace.iterates:
-            assert p.frame.reduced_residual(wp.to_ambient(y)) <= 1e-12
+        for x in sol.trace.iterates:
+            assert p.frame.reduced_residual(x) <= 1e-12
 
     def test_rejects_positive_instances(self):
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
@@ -207,9 +229,12 @@ class TestSinkhornReference:
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
         sol = solve_positive_case(p, tol=1e-300, max_iters=20)
         _, oracle = sinkhorn_reference([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 10)
-        wp = sol.working_problem
+        assert sol.trace.n_steps == 20 or sol.status == blockmin.CONVERGED
         for k in range(1, 21):
-            Bk = p.scaled(wp.to_ambient(sol.trace.iterates[k])).array
+            # a run whose gradient reaches exactly zero stops early at a
+            # point that the later half steps of the oracle keep fixed
+            x = sol.trace.iterates[min(k, sol.trace.n_steps)]
+            Bk = p.scaled(x).array
             ratio = Bk / oracle[k - 1]
             assert ratio.max() / ratio.min() - 1.0 <= 1e-10
 
@@ -232,21 +257,13 @@ class TestProportionality:
 
 
 class TestWorkingProblems:
-    def test_standard_coordinates_roundtrip(self):
-        p = problem_of([[1.0, 2.0], [3.0, 4.0]])
-        wp = StandardScalingBlockProblem(p)
-        x = BlockVector([[0.4, -0.4], [-0.2, 0.2]])
-        np.testing.assert_allclose(
-            wp.to_ambient(wp.from_ambient(x)).concat(), x.concat(), atol=1e-14
-        )
-
     def test_projected_update_projects(self):
         p = problem_of(np.diag([2.0, 3.0, 5.0]))
         wp = ProjectedScalingBlockProblem(p)
-        y = BlockVector.zeros(wp.block_dims)
-        v = wp.partial_minimizer(y, 0)
-        y2 = wp.apply_update(y, 0, v)
-        assert p.frame.reduced_residual(wp.to_ambient(y2)) <= 1e-12
+        x = BlockVector.zeros(wp.block_dims)
+        v = wp.partial_minimizer(x, 0)
+        x2 = wp.apply_update(x, 0, v)
+        assert p.frame.reduced_residual(x2) <= 1e-12
 
 
 def random_orthogonal(rng, k):
@@ -310,6 +327,7 @@ class TestOrientationInvariance:
             atol=1e-12 * a.trace.full_grad_norms[0])
         np.testing.assert_allclose(b.scaled.array, a.scaled.array,
                                    rtol=1e-12, atol=0)
-        # the working coordinates themselves do differ
-        assert not np.allclose(a.trace.iterates[-1].concat(),
-                               b.trace.iterates[-1].concat())
+        # the iterates are ambient exponents, so they agree as well
+        xa, xb = a.trace.iterates[-1], b.trace.iterates[-1]
+        np.testing.assert_allclose(xb.concat(), xa.concat(), rtol=0,
+                                   atol=1e-12 * max(1.0, xa.norm_inf()))

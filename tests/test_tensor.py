@@ -44,7 +44,6 @@ class TestDenseTensor:
     def test_pattern_and_support(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 0.0]])
         np.testing.assert_array_equal(t.support, [[True, True], [True, False]])
-        assert t.pattern() == t.pattern()
         assert t.same_pattern(DenseTensor([[5.0, 5.0], [5.0, 0.0]]))
         assert not t.same_pattern(DenseTensor([[1.0, 1.0], [1.0, 1.0]]))
 
