@@ -138,6 +138,12 @@ class BlockProblem(abc.ABC):
     stochastically, see :func:`midpoint_convexity_ok`) and must implement the
     partial minimizer exactly: after replacing block j by its output, the
     block-j gradient norm must not exceed ``partial_min_tol``.
+
+    :func:`run` calls ``evaluate(x)`` before ``partial_minimizer(x, j)`` and
+    ``objective_decrease(x, x_new, j)`` on the same object ``x``, so a
+    problem may keep work from ``evaluate`` for those calls (the scaling
+    problems keep the rescaled tensor). Results must not depend on that
+    order: a call at any other point recomputes.
     """
 
     # Accuracy the partial minimizer is held to.

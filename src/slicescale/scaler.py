@@ -74,11 +74,23 @@ class _ScalingBlockProblemBase(BlockProblem):
 
     The engine state is a BlockVector of ambient exponent blocks: block j has
     length m_j and lies in the hyperplane orthogonal to target s_j.
+
+    The rescaled tensor of the last point seen is kept, keyed on the identity
+    of its BlockVector (whose arrays are read-only), so evaluate,
+    partial_minimizer and objective_decrease at one iterate share a single
+    rescale. Any other point is rescaled afresh.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.frame = problem.frame
+        self._memo = None
+
+    def _scaled(self, x):
+        if self._memo is None or self._memo[0] is not x:
+            self._memo = None  # release the old tensor before the new rescale
+            self._memo = (x, self.problem.scaled(x))
+        return self._memo[1]
 
     @property
     def block_dims(self):
@@ -88,37 +100,49 @@ class _ScalingBlockProblemBase(BlockProblem):
         return self.problem.objective(x)
 
     def partial_minimizer(self, x, j):
-        return closed_form_block_update(self.problem, x, j)
+        return closed_form_block_update(self.problem, x, j,
+                                        scaled=self._scaled(x))
 
     def objective_decrease(self, x_old, x_new, j):
-        # f(new) = sum_e B_e(old) * exp(sum_k delta_k[i_k]) over the support.
-        # Each stored block lies in its target hyperplane only up to rounding
-        # of order eps * |x|, and a drift along the target s_k rescales the
-        # mass by about that much whatever the step. The drift is not part
-        # of the step, so each difference of the stored blocks is projected
-        # onto the hyperplane, where it lies in exact arithmetic. The
-        # exponent changes then carry errors proportional to the step itself,
-        # and the expm1 form keeps the drop's sign reliable far below the
-        # resolution of the objective values.
-        scaled = self.problem.scaled(x_old)
-        expo = np.zeros(scaled.dims)
+        # f(new) - f(old) = sum_e B_e(old) * expm1(sum_k delta_k[i_k]) over
+        # the support. Each stored block lies in its target hyperplane only
+        # up to rounding of order eps * |x|, and a drift along the target s_k
+        # rescales the mass by about that much whatever the step. The drift
+        # is not part of the step, so each difference of the stored blocks is
+        # projected onto the hyperplane, where it lies in exact arithmetic;
+        # the exponent changes then carry errors proportional to the step
+        # itself, and the expm1 form keeps the drop's sign reliable far below
+        # the resolution of the objective values. The exponent change does
+        # not depend on the modes that did not move, so B(old) is first
+        # summed over them: a single-block step costs one set of slice sums
+        # and m_j terms, and when every block moves the marginal is B(old)
+        # itself.
+        scaled = self._scaled(x_old)
+        deltas = {}
         for k in range(self.d):
             s = self.problem.targets.vectors[k]
             delta = x_new.blocks[k] - x_old.blocks[k]
             delta = delta - (float(delta @ s) / float(s @ s)) * s
+            if np.any(delta):
+                deltas[k] = delta
+        still = tuple(k for k in range(self.d) if k not in deltas)
+        marginal = scaled.array
+        if still:
+            marginal = marginal.sum(axis=still, keepdims=True)
+        expo = np.zeros(marginal.shape)
+        for k, delta in deltas.items():
             shape = [1] * self.d
-            shape[k] = scaled.dims[k]
+            shape[k] = delta.size
             expo += delta.reshape(shape)
-        support = scaled.support
-        terms = scaled.array[support] * np.expm1(expo[support])
-        return -math.fsum(terms)
+        positive = marginal > 0
+        return -math.fsum(marginal[positive] * np.expm1(expo[positive]))
 
 
 class StandardScalingBlockProblem(_ScalingBlockProblemBase):
     """Engine problem for tensors without gauge directions."""
 
     def evaluate(self, x):
-        scaled = self.problem.scaled(x)
+        scaled = self._scaled(x)
         grads = [
             self.problem.restricted_gradient(x, j, scaled=scaled)
             for j in range(self.d)
@@ -141,7 +165,7 @@ class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
     """
 
     def evaluate(self, x):
-        scaled = self.problem.scaled(x)
+        scaled = self._scaled(x)
         ghat = self.problem.ambient_gradient(x, scaled=scaled)
         grads = [
             self.frame.projected_mode_bases[j].T @ ghat for j in range(self.d)

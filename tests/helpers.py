@@ -1,5 +1,7 @@
-"""Shared test oracles: finite differences, alternating scaling and random
-instance generators."""
+"""Shared test oracles: finite differences, alternating scaling, the
+entrywise objective drop and random instance generators."""
+
+import math
 
 import numpy as np
 
@@ -94,3 +96,23 @@ def sinkhorn_reference(matrix, row_targets, col_targets, rounds):
         M = M * (c / M.sum(axis=0))[None, :]
         iterates.append(M.copy())
     return M, iterates
+
+
+def objective_decrease_reference(problem, x_old, x_new):
+    """Entrywise objective drop between two scaling iterates.
+
+    Returns (-fsum(B_e(old) * expm1(delta_e)), sum |terms|) over the support,
+    where B(old) is the rescaled tensor at ``x_old`` and delta_e sums the
+    per-mode exponent changes, each projected onto its target hyperplane.
+    """
+    old = problem.scaled(x_old).array
+    expo = np.zeros(old.shape)
+    for k, s in enumerate(problem.targets.vectors):
+        delta = x_new.blocks[k] - x_old.blocks[k]
+        delta = delta - (float(delta @ s) / float(s @ s)) * s
+        shape = [1] * old.ndim
+        shape[k] = delta.size
+        expo += delta.reshape(shape)
+    support = old > 0
+    terms = old[support] * np.expm1(expo[support])
+    return -math.fsum(terms), float(np.abs(terms).sum())

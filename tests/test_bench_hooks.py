@@ -1,18 +1,50 @@
 """The benchmark's layer timers wrap package bindings by name; a refactor
-that removes one of them breaks ``bench/tracing.py`` at install time."""
+that removes one of them breaks ``bench/tracing.py`` at install time, and one
+that rescales around the wrapped binding makes ``tensor.scale_calls`` miss
+real rescales."""
 
+import json
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+TRACED_SOLVE = """
+import json
+import numpy as np
+import tracing
+tracer = tracing.install()
+from slicescale import scaler
+from slicescale.objective import ScalingProblem
+from slicescale.tensor import DenseTensor, SliceTargets
+rng = np.random.default_rng(2000)
+problem = ScalingProblem(DenseTensor(rng.uniform(0.1, 1.0, (12, 12))),
+                         SliceTargets.uniform((12, 12)))
+assert scaler.solve(problem).status == "converged"
+print(json.dumps(tracer.totals()))
+"""
 
-def test_tracing_install_finds_every_hook():
+
+def run_traced(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")])
     proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install()"],
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_tracing_install_finds_every_hook():
+    run_traced("import tracing; tracing.install()")
+
+
+def test_traced_scale_calls_count_every_rescale():
+    totals = json.loads(run_traced(TRACED_SOLVE).splitlines()[-1])
+    steps = totals["counts"]["blockmin.steps"]
+    assert steps > 10
+    # the start, one rescale per step and normalize
+    assert totals["calls"]["tensor.scale"] <= steps + 2
+    assert totals["calls"]["tensor.scale"] >= steps + 1

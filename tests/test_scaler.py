@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import (alternating_scaling, random_compatible_targets,
-                     random_positive_tensor, sinkhorn_reference)
-from slicescale import blockmin
+from helpers import (alternating_scaling, objective_decrease_reference,
+                     random_compatible_targets, random_positive_tensor,
+                     sinkhorn_reference)
+from slicescale import blockmin, objective
 from slicescale.blockmin import BlockVector
 from slicescale.objective import ScalingProblem, SubspaceFrame
 from slicescale.scaler import (ProjectedScalingBlockProblem,
+                               StandardScalingBlockProblem,
                                closed_form_block_update, normalize,
                                random_reduced_point, solve, solve_modified,
                                solve_positive_case)
@@ -331,3 +333,123 @@ class TestOrientationInvariance:
         xa, xb = a.trace.iterates[-1], b.trace.iterates[-1]
         np.testing.assert_allclose(xb.concat(), xa.concat(), rtol=0,
                                    atol=1e-12 * max(1.0, xa.norm_inf()))
+
+
+def seeded_case(case, rng):
+    """A positive matrix, a positive 3-mode cube or a block-diagonal gauge
+    instance, with random compatible targets for the positive ones."""
+    if case == "gauge":
+        return ScalingProblem(*gauge_instance(rng))
+    dims = {"matrix": (12, 12), "cube": (5, 4, 6)}[case]
+    return ScalingProblem(random_positive_tensor(rng, dims),
+                          random_compatible_targets(rng, dims))
+
+
+def working_problem(problem):
+    if problem.frame.gauge_dim:
+        return ProjectedScalingBlockProblem(problem)
+    return StandardScalingBlockProblem(problem)
+
+
+class TestOneRescalePerStep:
+    """A solve rescales the tensor once at the start, once per greedy step
+    and once in normalize."""
+
+    @pytest.mark.parametrize("case", ["matrix", "gauge"])
+    def test_scale_call_budget(self, case, monkeypatch):
+        problem = seeded_case(case, np.random.default_rng(1500))
+        calls = []
+        real_scale = objective.scale
+
+        def counting_scale(tensor, x):
+            calls.append(x)
+            return real_scale(tensor, x)
+
+        monkeypatch.setattr(objective, "scale", counting_scale)
+        sol = solve(problem, tol=1e-10)
+        assert sol.status == blockmin.CONVERGED
+        assert sol.method == ("greedy-projected" if case == "gauge"
+                              else "greedy-standard")
+        assert sol.trace.n_steps > 10
+        assert len(calls) <= sol.trace.n_steps + 2
+
+
+class TestObjectiveDecrease:
+    """The recorded drop against the entrywise oracle in tests/helpers.py."""
+
+    @pytest.mark.parametrize("case", ["matrix", "cube", "gauge"])
+    def test_matches_entrywise_reference(self, case):
+        problem = seeded_case(case, np.random.default_rng(1600))
+        wp = working_problem(problem)
+        x0 = random_reduced_point(problem.frame, np.random.default_rng(1601))
+        _, trace, _ = blockmin.run(wp, x0, 1e-10, 400, record_iterates=True)
+        assert trace.n_steps > 10
+        eps = np.finfo(float).eps
+        for k in range(trace.n_steps):
+            ref, mass = objective_decrease_reference(
+                problem, trace.iterates[k], trace.iterates[k + 1])
+            got = trace.objective_decreases[k]
+            if case == "gauge":
+                # every block moves under the projection, so the marginal
+                # is the rescaled tensor itself and the sums coincide
+                assert got == ref
+            else:
+                assert abs(got - ref) <= 8 * eps * mass
+
+    def test_strict_descent_on_steep_kernel(self):
+        rng = np.random.default_rng(1700)
+        n = 20
+        grid = np.linspace(0.0, 1.0, n)
+        x = grid + rng.uniform(-0.3, 0.3, n) / n
+        y = grid + rng.uniform(-0.3, 0.3, n) / n
+        cost = (x[:, None] - y[None, :]) ** 2
+        kernel = np.exp(-cost / cost.max() / 0.005)
+        problem = ScalingProblem(DenseTensor(kernel), SliceTargets.uniform((n, n)))
+        tol = 1e-10
+        _, trace, _ = blockmin.run(StandardScalingBlockProblem(problem),
+                                   BlockVector.zeros((n, n)), tol, 10000)
+        assert trace.n_steps > 100
+        for k in range(trace.n_steps):
+            if trace.full_grad_norms[k] > tol:
+                assert trace.objective_decreases[k] > 0.0, k
+
+
+class TestRescaleMemo:
+    """Reusing a working problem gives exactly what a fresh one gives."""
+
+    @staticmethod
+    def run_from(wp, x0):
+        x, trace, status = blockmin.run(wp, x0, 1e-10, 300, record_iterates=True)
+        return (status, trace.chosen_blocks, trace.objectives,
+                trace.full_grad_norms, trace.objective_decreases,
+                [v.concat().tolist() for v in trace.iterates])
+
+    @pytest.mark.parametrize("case", ["matrix", "gauge"])
+    def test_reused_problem_matches_fresh(self, case):
+        problem = seeded_case(case, np.random.default_rng(1800))
+        rng = np.random.default_rng(1801)
+        starts = [random_reduced_point(problem.frame, rng) for _ in range(2)]
+        reused = working_problem(problem)
+        for x0 in starts:
+            assert self.run_from(reused, x0) == self.run_from(
+                working_problem(problem), x0)
+
+    @pytest.mark.parametrize("case", ["matrix", "gauge"])
+    def test_calls_off_the_cached_point(self, case):
+        problem = seeded_case(case, np.random.default_rng(1900))
+        rng = np.random.default_rng(1901)
+        cached, other = (random_reduced_point(problem.frame, rng)
+                         for _ in range(2))
+        twin = BlockVector(cached.blocks)
+        assert twin is not cached
+        wp = working_problem(problem)
+        wp.evaluate(cached)
+        for j in range(problem.d):
+            for x in (other, twin, cached):
+                fresh = working_problem(problem)
+                np.testing.assert_array_equal(wp.partial_minimizer(x, j),
+                                              fresh.partial_minimizer(x, j))
+            x_new = wp.apply_update(other, j, wp.partial_minimizer(other, j))
+            wp.evaluate(cached)
+            assert wp.objective_decrease(other, x_new, j) == \
+                working_problem(problem).objective_decrease(other, x_new, j)
