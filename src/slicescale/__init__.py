@@ -16,10 +16,9 @@ from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)
 from .numerics import (OrthonormalBasis, null_space, orthonormalize,
-                       projector_onto, symmetric_eigs)
+                       symmetric_eigs)
 from .objective import ScalingPoint, ScalingProblem, SubspaceFrame, build_frame
-from .scaler import (ScalingSolution, closed_form_block_update, normalize,
-                     solve, solve_modified, solve_positive_case)
+from .scaler import ScalingSolution, closed_form_block_update, normalize, solve
 from .tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
                      check_compatibility, rank_one_target, scale, slice_sums)
 

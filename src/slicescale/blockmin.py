@@ -1,9 +1,10 @@
 """Greedy block partial-minimization engine with convergence certificates.
 
 The engine repeatedly replaces the block whose gradient norm is largest by
-that block's exact partial minimizer. Problems supply the objective, the
-per-block gradients, and the partial minimizer; the engine owns block
-selection, stopping, the divergence guard, and the iterate trace.
+that block's exact partial minimizer. Problems supply the objective with the
+per-block gradients (one ``evaluate`` call) and the partial minimizer; the
+engine owns block selection, stopping, the divergence guard, and the iterate
+trace.
 
 Immediately after a step on block j the partial-minimization contract makes
 that block's gradient vanish, so the engine carries an exact zero for it in
@@ -36,7 +37,6 @@ __all__ = [
     "distance_bound_sq",
     "estimate_alpha_beta",
     "sample_convex_combinations",
-    "midpoint_convexity_ok",
 ]
 
 logger = logging.getLogger("slicescale")
@@ -134,10 +134,9 @@ class BlockVector:
 class BlockProblem(abc.ABC):
     """Contract for problems driven by the greedy engine.
 
-    Subclasses must be strictly convex on their working space (checked only
-    stochastically, see :func:`midpoint_convexity_ok`) and must implement the
-    partial minimizer exactly: after replacing block j by its output, the
-    block-j gradient norm must not exceed ``partial_min_tol``.
+    Subclasses must be strictly convex on their working space and must
+    implement the partial minimizer exactly: after replacing block j by its
+    output, the block-j gradient norm must not exceed ``partial_min_tol``.
 
     :func:`run` calls ``evaluate(x)`` before ``partial_minimizer(x, j)`` and
     ``objective_decrease(x, x_new, j)`` on the same object ``x``, so a
@@ -159,16 +158,13 @@ class BlockProblem(abc.ABC):
         return len(self.block_dims)
 
     @abc.abstractmethod
-    def objective(self, x):
-        """Objective value at ``x``."""
+    def evaluate(self, x):
+        """Objective at ``x`` and the list of its d block gradients.
 
-    @abc.abstractmethod
-    def block_gradient(self, x, j):
-        """Gradient with respect to block j.
-
-        The engine uses only its Euclidean norm, so any vector with that norm
-        will do: the projected scaling problem returns coordinates along its
-        projected mode basis, of length m_j - 1 rather than block_dims[j].
+        The engine uses only the Euclidean norm of each block gradient, so
+        any vector with that norm will do: the projected scaling problem
+        returns coordinates along its projected mode basis, of length
+        m_j - 1 rather than block_dims[j].
         """
 
     @abc.abstractmethod
@@ -178,10 +174,6 @@ class BlockProblem(abc.ABC):
     def apply_update(self, x, j, new_block):
         """Produce the next iterate from a block-j update (default: replace block j)."""
         return x.with_block(j, new_block)
-
-    def evaluate(self, x):
-        """Objective and all block gradients at ``x`` (override to share work)."""
-        return self.objective(x), [self.block_gradient(x, j) for j in range(self.d)]
 
     def objective_decrease(self, x_old, x_new, j):
         """Objective drop between consecutive stored iterates, or None.
@@ -223,16 +215,6 @@ class QuadraticBlockProblem(BlockProblem):
     @property
     def block_dims(self):
         return self._dims
-
-    def objective(self, x):
-        v = x.concat()
-        return float(0.5 * v @ self.matrix @ v + self.linear @ v)
-
-    def _gradient(self, x):
-        return self.matrix @ x.concat() + self.linear
-
-    def block_gradient(self, x, j):
-        return self._gradient(x)[self._slices[j]]
 
     def evaluate(self, x):
         v = x.concat()
@@ -387,25 +369,6 @@ def sample_convex_combinations(points, count, rng):
     return out
 
 
-def midpoint_convexity_ok(problem, center, rng, trials=16, radius=1.0):
-    """Stochastic midpoint-convexity check around ``center``.
-
-    Draws random pairs within ``radius`` of the center and verifies
-    f((x+y)/2) <= (f(x)+f(y))/2 up to rounding slack. Returns bool.
-    """
-    dims = center.dims
-    for _ in range(trials):
-        dx = BlockVector([rng.uniform(-radius, radius, m) for m in dims])
-        dy = BlockVector([rng.uniform(-radius, radius, m) for m in dims])
-        x = center + dx
-        y = center + dy
-        fx, fy = problem.objective(x), problem.objective(y)
-        fm = problem.objective(0.5 * (x + y))
-        if fm > 0.5 * (fx + fy) + 1e-9 * (abs(fx) + abs(fy) + 1.0):
-            return False
-    return True
-
-
 def _norms(grads):
     return [float(math.sqrt(float(g @ g))) for g in grads]
 
@@ -424,15 +387,18 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     smallest index) by its partial minimizer. Stops with status
     ``converged`` when the working full-gradient norm drops to ``tol``, with
     ``diverging`` when the sup norm of the iterate exceeds
-    ``divergence_guard`` (pass None to disable), and with
-    ``max_iters_reached`` otherwise. Returns (x_final, trace, status).
-    Non-finite objective or gradient values raise NumericalOverflowError.
+    ``divergence_guard`` (pass None or inf to disable; otherwise it must be
+    positive), and with ``max_iters_reached`` otherwise. Returns (x_final,
+    trace, status). Non-finite objective or gradient values raise
+    NumericalOverflowError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     guard = math.inf if divergence_guard is None else float(divergence_guard)
+    if not guard > 0:
+        raise ValueError("divergence guard must be positive")
     x = x0
     obj, grads = problem.evaluate(x)
     norms = _norms(grads)

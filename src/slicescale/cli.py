@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,31 +34,11 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str = None
-    targets_path: str = None
-    csv: bool = False
-    row_targets: str = None
-    col_targets: str = None
-    tol: float = 1e-10
-    max_iters: int = 10000
-    seed: int = 0
-    force: bool = False
-    random_start: bool = False
-    guard: float = None
-    output: str = None
-    record_iterates: bool = True
-    stochastic: bool = False
-    dim: int = 4
-    diagonal: bool = False
-
-    def validate(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+def _check_run_limits(args):
+    if not args.tol > 0:
+        raise ValueError("tol must be positive")
+    if args.max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
 
 
 def _setup_logging():
@@ -92,20 +71,20 @@ def save_tensor_file(path, tensor, targets=None):
         json.dump(data, fh)
 
 
-def load_problem(config):
-    """Tensor plus targets from the configured input flags."""
-    if config.csv:
-        matrix = np.loadtxt(config.input_path, delimiter=",", ndmin=2)
+def load_problem(args):
+    """Tensor plus targets from the parsed input flags."""
+    if args.csv:
+        matrix = np.loadtxt(args.input, delimiter=",", ndmin=2)
         tensor = DenseTensor(matrix)
-        if not (config.row_targets and config.col_targets):
+        if not (args.row_targets and args.col_targets):
             raise ValueError("CSV input needs --row-targets and --col-targets")
         targets = SliceTargets(
-            [_parse_vector(config.row_targets), _parse_vector(config.col_targets)]
+            [_parse_vector(args.row_targets), _parse_vector(args.col_targets)]
         )
         return tensor, targets
-    tensor, inline_targets = load_tensor_file(config.input_path)
-    if config.targets_path:
-        with open(config.targets_path) as fh:
+    tensor, inline_targets = load_tensor_file(args.input)
+    if args.targets_path:
+        with open(args.targets_path) as fh:
             data = json.load(fh)
         vectors = data["targets"] if isinstance(data, dict) else data
         return tensor, SliceTargets(vectors)
@@ -153,11 +132,11 @@ def _witness_payload(report):
     }
 
 
-def emit(report, config):
+def emit(report, args):
     report["timestamp"] = time.time()
     text = json.dumps(report, indent=2)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -172,29 +151,29 @@ def _trace_payload(trace):
     }
 
 
-def cmd_scale(config):
-    tensor, targets = load_problem(config)
+def cmd_scale(args):
+    tensor, targets = load_problem(args)
     problem = ScalingProblem(tensor, targets)
     report = {
         "command": "scale",
-        "config": {"tol": config.tol, "max_iters": config.max_iters,
-                   "seed": config.seed, "force": config.force},
+        "config": {"tol": args.tol, "max_iters": args.max_iters,
+                   "seed": args.seed, "force": args.force},
     }
-    if not config.force:
+    if not args.force:
         feas = check_scalable(tensor, targets)
         report["feasibility"] = _witness_payload(feas)
         if not feas.scalable:
             report["status"] = "not_scalable"
-            emit(report, config)
+            emit(report, args)
             return EXIT_INFEASIBLE
     x0 = None
-    if config.random_start:
-        rng = np.random.default_rng(config.seed)
+    if args.random_start:
+        rng = np.random.default_rng(args.seed)
         x0 = scaler.random_reduced_point(problem.frame, rng)
-    solution = scaler.solve(problem, x0=x0, tol=config.tol,
-                            max_iters=config.max_iters,
-                            divergence_guard=config.guard,
-                            record_iterates=config.record_iterates)
+    solution = scaler.solve(problem, x0=x0, tol=args.tol,
+                            max_iters=args.max_iters,
+                            divergence_guard=args.guard,
+                            record_iterates=args.record_iterates)
     report["status"] = solution.status
     report["method"] = solution.method
     report["iterations"] = solution.trace.n_steps
@@ -207,21 +186,21 @@ def cmd_scale(config):
             "values": [float(v) for v in solution.scaled.values],
         }
         certificate = bound_certificate(solution.working_problem,
-                                        solution.trace, config.seed)
+                                        solution.trace, args.seed)
         if certificate is not None:
             report["certificate"] = certificate
-        emit(report, config)
+        emit(report, args)
         return EXIT_OK
-    emit(report, config)
+    emit(report, args)
     return EXIT_NUMERICAL
 
 
-def cmd_feasible(config):
-    tensor, targets = load_problem(config)
+def cmd_feasible(args):
+    tensor, targets = load_problem(args)
     feas = check_scalable(tensor, targets)
     report = {"command": "feasible"}
     report.update(_witness_payload(feas))
-    emit(report, config)
+    emit(report, args)
     return EXIT_OK if feas.scalable else EXIT_INFEASIBLE
 
 
@@ -238,17 +217,17 @@ def load_bridge_file(path, stochastic):
     return BridgeProblem(A, a, b, c)
 
 
-def cmd_bridge(config):
-    problem = load_bridge_file(config.input_path, config.stochastic)
+def cmd_bridge(args):
+    problem = load_bridge_file(args.input, args.stochastic)
     report = {"command": "bridge",
-              "config": {"tol": config.tol, "max_iters": config.max_iters,
-                         "stochastic": config.stochastic}}
+              "config": {"tol": args.tol, "max_iters": args.max_iters,
+                         "stochastic": args.stochastic}}
     try:
-        result = solve_bridge(problem, tol=config.tol, max_iters=config.max_iters)
+        result = solve_bridge(problem, tol=args.tol, max_iters=args.max_iters)
     except InfeasibleScalingError as err:
         report["status"] = "not_scalable"
         report["feasibility"] = _witness_payload(err.report)
-        emit(report, config)
+        emit(report, args)
         return EXIT_INFEASIBLE
     report["status"] = result.status
     report["iterations"] = result.trace.n_steps
@@ -256,19 +235,19 @@ def cmd_bridge(config):
         report["matrix"] = [[float(v) for v in row] for row in result.matrix]
         report["source_residual"] = result.source_residual
         report["column_residual"] = result.column_residual
-        emit(report, config)
+        emit(report, args)
         return EXIT_OK
-    emit(report, config)
+    emit(report, args)
     return EXIT_NUMERICAL
 
 
-def cmd_demo_quadratic(config):
+def cmd_demo_quadratic(args):
     """Greedy coordinate minimization on a seeded random SPD quadratic."""
-    if config.dim < 2:
+    if args.dim < 2:
         raise ValueError("--dim must be at least 2")
-    rng = np.random.default_rng(config.seed)
-    n = config.dim
-    if config.diagonal:
+    rng = np.random.default_rng(args.seed)
+    n = args.dim
+    if args.diagonal:
         A = np.diag(rng.uniform(0.5, 4.0, n))
     else:
         M = rng.standard_normal((n, n))
@@ -276,7 +255,7 @@ def cmd_demo_quadratic(config):
     b = rng.standard_normal(n)
     problem = QuadraticBlockProblem(A, b)
     x0 = BlockVector([[v] for v in rng.uniform(-2.0, 2.0, n)])
-    x, trace, status = blockmin.run(problem, x0, config.tol, config.max_iters,
+    x, trace, status = blockmin.run(problem, x0, args.tol, args.max_iters,
                                     divergence_guard=None, record_iterates=True)
     alpha, beta = blockmin.estimate_alpha_beta(problem, [x0])
     bound = ConvergenceBound(d=n, alpha=alpha, beta=beta,
@@ -285,8 +264,8 @@ def cmd_demo_quadratic(config):
              for k in range(1, trace.n_steps + 1)]
     report = {
         "command": "demo-quadratic",
-        "config": {"dim": n, "seed": config.seed, "diagonal": config.diagonal,
-                   "tol": config.tol},
+        "config": {"dim": n, "seed": args.seed, "diagonal": args.diagonal,
+                   "tol": args.tol},
         "status": status,
         "iterations": trace.n_steps,
         "alpha": alpha,
@@ -297,7 +276,7 @@ def cmd_demo_quadratic(config):
         "solution": [float(v) for v in x.concat()],
         "trace": _trace_payload(trace),
     }
-    emit(report, config)
+    emit(report, args)
     return EXIT_OK if status == blockmin.CONVERGED else EXIT_NUMERICAL
 
 
@@ -354,20 +333,10 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    fields = RunConfig.__dataclass_fields__
-    values = {k: v for k, v in vars(args).items() if k in fields}
-    values["command"] = args.command
-    if getattr(args, "input", None) is not None:
-        values["input_path"] = args.input
-    return RunConfig(**values)
-
-
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     dispatch = {
         "scale": cmd_scale,
         "feasible": cmd_feasible,
@@ -375,12 +344,12 @@ def main(argv=None):
         "demo-quadratic": cmd_demo_quadratic,
     }
     try:
-        config.validate()
-        return dispatch[config.command](config)
+        _check_run_limits(args)
+        return dispatch[args.command](args)
     except InfeasibleScalingError as err:
-        report = {"command": config.command, "status": "not_scalable"}
+        report = {"command": args.command, "status": "not_scalable"}
         report["feasibility"] = _witness_payload(err.report)
-        emit(report, config)
+        emit(report, args)
         return EXIT_INFEASIBLE
     except (ScalingOverflowError, NumericalOverflowError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

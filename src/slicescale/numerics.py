@@ -17,7 +17,6 @@ __all__ = [
     "OrthonormalBasis",
     "orthonormalize",
     "null_space",
-    "projector_onto",
     "symmetric_eigs",
     "solve_linear",
 ]
@@ -56,55 +55,43 @@ class OrthonormalBasis:
         """Number of basis vectors."""
         return self.matrix.shape[1]
 
-    @property
-    def vectors(self):
-        """Basis vectors as a list of 1-d arrays."""
-        return [self.matrix[:, i] for i in range(self.size)]
-
-    def coords(self, vec):
-        """Coordinates of ``vec`` in this basis (orthogonal projection coefficients)."""
-        return self.matrix.T @ np.asarray(vec, dtype=float)
-
-    def project(self, vec):
-        """Orthogonal projection of ``vec`` onto the span."""
-        return self.matrix @ self.coords(vec)
-
-    def projector(self):
-        return projector_onto(self)
-
     def __repr__(self):
         return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, size={self.size})"
 
 
 def _fix_signs(Q):
-    """Flip columns so that each one's entry of largest magnitude is positive."""
+    """Flip columns in place so that each one's entry of largest magnitude is
+    positive; returns Q."""
     if Q.shape[1]:
         cols = np.arange(Q.shape[1])
         lead = Q[np.abs(Q).argmax(axis=0), cols]
-        Q = Q * np.where(lead < 0, -1.0, 1.0)
+        Q *= np.where(lead < 0, -1.0, 1.0)
     return Q
 
 
 def orthonormalize(vectors):
     """Orthonormal basis of the span of the given vectors.
 
-    Linearly independent inputs give the Gram-Schmidt basis (QR with a
-    positive diagonal): basis vector i has a positive coefficient on input i.
+    ``vectors`` is a sequence of equal-length vectors or a 2-d array with one
+    vector per row; an array is used as it is, without a copy. Linearly
+    independent inputs give the Gram-Schmidt basis (QR with a positive
+    diagonal): basis vector i has a positive coefficient on input i.
     Rank-deficient inputs yield fewer output vectors than inputs.
     """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vecs:
+    A = np.asarray(vectors, dtype=float)
+    if not len(A):
         raise ValueError("no vectors")
-    n = vecs[0].size
-    if n < 1 or any(v.size != n for v in vecs):
+    if A.ndim != 2 or A.shape[1] < 1:
         raise ValueError("vectors must share a common positive length")
-    A = np.column_stack(vecs)
+    A = A.T
+    n = A.shape[0]
     tol = RANK_RTOL * float(np.sqrt((A * A).sum(axis=0).max()))
     if A.shape[1] <= n:
         Q, R = np.linalg.qr(A)
         diag = np.diag(R)
         if np.abs(diag).min() > tol:
-            return OrthonormalBasis(n, Q * np.sign(diag))
+            Q *= np.sign(diag)
+            return OrthonormalBasis(n, Q)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
 
@@ -119,12 +106,6 @@ def null_space(A):
     _, s, vt = np.linalg.svd(A, full_matrices=m < n)
     rank = int((s > RANK_RTOL * s[0]).sum()) if s.size else 0
     return OrthonormalBasis(n, _fix_signs(vt[rank:].T))
-
-
-def projector_onto(basis):
-    """Symmetric idempotent matrix projecting onto the span of ``basis``."""
-    M = basis.matrix
-    return M @ M.T
 
 
 def symmetric_eigs(M):

@@ -242,9 +242,6 @@ class ScalingProblem:
     def d(self):
         return self.tensor.d
 
-    def point(self, blocks, require_reduced=False):
-        return ScalingPoint(self.frame, blocks, require_reduced)
-
     def scaled(self, x):
         """The rescaled tensor at ambient blocks ``x``."""
         return scale(self.tensor, x)
@@ -252,10 +249,6 @@ class ScalingProblem:
     def objective(self, x):
         """Total mass of the rescaled tensor (strictly positive)."""
         return self.scaled(x).total
-
-    def block_gradient_ambient(self, x, j):
-        """Ambient block-j gradient: the mode-j slice sums of the rescaled tensor."""
-        return slice_sums(self.scaled(x), j)
 
     def ambient_gradient(self, x, scaled=None):
         """All slice sums concatenated in mode order."""
@@ -274,11 +267,6 @@ class ScalingProblem:
         sigma = slice_sums(t, j)
         s = self.targets.vectors[j]
         return sigma - (float(sigma @ s) / float(s @ s)) * s
-
-    def w_gradient(self, x, j, scaled=None):
-        """Directional derivatives along the projected mode-j basis."""
-        ghat = self.ambient_gradient(x, scaled)
-        return self.frame.projected_mode_bases[j].T @ ghat
 
     def hessian_ambient(self, x, scaled=None):
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal

@@ -1,9 +1,10 @@
 """End-to-end slice-sum scaling solvers built on the greedy block engine.
 
-Positive tensors (no gauge directions) are solved directly on the product of
-per-mode target hyperplanes; patterned tensors with gauge directions go
-through the projected variant, which applies the same closed-form block
-update and then projects each iterate back onto the reduced working space.
+:func:`solve` is the one entry point. It solves tensors without gauge
+directions (positive tensors among them) directly on the product of per-mode
+target hyperplanes; patterned tensors with gauge directions go through the
+projected variant, which applies the same closed-form block update and then
+projects each iterate back onto the reduced working space.
 Either way a converged run yields slice sums proportional to the targets,
 and a final normalization makes them exact.
 
@@ -29,8 +30,6 @@ __all__ = [
     "ScalingSolution",
     "closed_form_block_update",
     "solve",
-    "solve_positive_case",
-    "solve_modified",
     "normalize",
     "random_reduced_point",
     "StandardScalingBlockProblem",
@@ -96,9 +95,6 @@ class _ScalingBlockProblemBase(BlockProblem):
     def block_dims(self):
         return self.problem.tensor.dims
 
-    def objective(self, x):
-        return self.problem.objective(x)
-
     def partial_minimizer(self, x, j):
         return closed_form_block_update(self.problem, x, j,
                                         scaled=self._scaled(x))
@@ -149,9 +145,6 @@ class StandardScalingBlockProblem(_ScalingBlockProblemBase):
         ]
         return scaled.total, grads
 
-    def block_gradient(self, x, j):
-        return self.problem.restricted_gradient(x, j)
-
     def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.working_basis)
 
@@ -171,9 +164,6 @@ class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
             self.frame.projected_mode_bases[j].T @ ghat for j in range(self.d)
         ]
         return scaled.total, grads
-
-    def block_gradient(self, x, j):
-        return self.problem.w_gradient(x, j)
 
     def apply_update(self, x, j, new_block):
         updated = x.with_block(j, new_block)
@@ -231,68 +221,37 @@ def normalize(problem, x):
     return out, factor, residuals
 
 
-def _coerce_start(problem, x0, require_reduced=False):
-    if x0 is None:
-        return BlockVector.zeros(problem.tensor.dims)
-    # dims must match and each block must lie in its target hyperplane
-    ScalingPoint(problem.frame, x0, require_reduced)
-    return x0
-
-
-def _finish(problem, working, x, trace, status, method):
-    point = ScalingPoint(problem.frame, x)
-    if status == blockmin.CONVERGED:
-        scaled, factor, residuals = normalize(problem, x)
-    else:
-        scaled, factor, residuals = None, None, None
-    return ScalingSolution(point, scaled, factor, trace, status, residuals,
-                           method, working)
-
-
-def solve_positive_case(problem, x0=None, tol=1e-10, max_iters=10000,
-                        divergence_guard=None, record_iterates=True):
-    """Greedy scaling on the product of target hyperplanes.
-
-    Requires a trivial gauge space (always true for strictly positive
-    tensors). ``x0`` may be None (zero start) or an ambient block vector with
-    each block orthogonal to its target.
-    """
-    if problem.frame.gauge_dim != 0:
-        raise ValueError("tensor has gauge directions; use solve_modified")
-    working = StandardScalingBlockProblem(problem)
-    x0 = _coerce_start(problem, x0)
-    guard = divergence_guard if divergence_guard is not None else default_divergence_guard(problem.d)
-    x, trace, status = blockmin.run(working, x0, tol, max_iters, guard,
-                                    record_iterates)
-    return _finish(problem, working, x, trace, status, "greedy-standard")
-
-
-def solve_modified(problem, x0=None, tol=1e-10, max_iters=10000,
-                   divergence_guard=None, record_iterates=True):
-    """Projected greedy scaling on the reduced working space.
-
-    Requires a nontrivial gauge space; the ambient start must lie in the
-    reduced space (the zero default always does).
-    """
-    if problem.frame.gauge_dim == 0:
-        raise ValueError("tensor has no gauge directions; use solve_positive_case")
-    working = ProjectedScalingBlockProblem(problem)
-    x0 = _coerce_start(problem, x0, require_reduced=True)
-    guard = divergence_guard if divergence_guard is not None else default_divergence_guard(problem.d)
-    x, trace, status = blockmin.run(working, x0, tol, max_iters, guard,
-                                    record_iterates)
-    return _finish(problem, working, x, trace, status, "greedy-projected")
-
-
 def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
           record_iterates=True):
-    """Dispatch on the gauge dimension: standard path when it is zero,
-    projected path otherwise."""
-    if problem.frame.gauge_dim == 0:
-        return solve_positive_case(problem, x0, tol, max_iters,
-                                   divergence_guard, record_iterates)
-    return solve_modified(problem, x0, tol, max_iters, divergence_guard,
-                          record_iterates)
+    """Greedy scaling, on the path the gauge dimension picks.
+
+    Without gauge directions (always the case for strictly positive tensors)
+    the engine runs on the product of target hyperplanes
+    (``"greedy-standard"``). Otherwise it runs on the reduced working space
+    (``"greedy-projected"``), and the start must lie in that space. ``x0``
+    may be None (the zero start, valid on both paths) or an ambient block
+    vector with each block orthogonal to its target.
+    """
+    projected = problem.frame.gauge_dim != 0
+    if projected:
+        working, method = ProjectedScalingBlockProblem(problem), "greedy-projected"
+    else:
+        working, method = StandardScalingBlockProblem(problem), "greedy-standard"
+    if x0 is None:
+        x0 = BlockVector.zeros(problem.tensor.dims)
+    else:
+        # dims must match and each block must lie in its target hyperplane
+        ScalingPoint(problem.frame, x0, require_reduced=projected)
+    if divergence_guard is None:
+        divergence_guard = default_divergence_guard(problem.d)
+    x, trace, status = blockmin.run(working, x0, tol, max_iters,
+                                    divergence_guard, record_iterates)
+    point = ScalingPoint(problem.frame, x)
+    scaled = factor = residuals = None
+    if status == blockmin.CONVERGED:
+        scaled, factor, residuals = normalize(problem, x)
+    return ScalingSolution(point, scaled, factor, trace, status, residuals,
+                           method, working)
 
 
 def random_reduced_point(frame, rng, radius=1.0):

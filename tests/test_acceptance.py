@@ -17,8 +17,7 @@ from slicescale.bridge import BridgeProblem, reduce_to_scaling, solve_bridge
 from slicescale.feasibility import NOT_SCALABLE, SCALABLE, check_scalable, verify_witness
 from slicescale.numerics import symmetric_eigs
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import (random_reduced_point, solve, solve_modified,
-                               solve_positive_case)
+from slicescale.scaler import random_reduced_point, solve
 from slicescale.tensor import DenseTensor, SliceTargets
 
 RUN_TOL = 1e-12
@@ -80,8 +79,9 @@ def matrix_corpus():
         tensor = DenseTensor(rng.uniform(0.1, 1.0, (5, 5)))
         problem = ScalingProblem(tensor, SliceTargets.uniform((5, 5)))
         start = time.perf_counter()
-        sol = solve_positive_case(problem, tol=RUN_TOL)
+        sol = solve(problem, tol=RUN_TOL)
         elapsed = time.perf_counter() - start
+        assert sol.method == "greedy-standard"
         runs.append((problem, sol, elapsed))
     return runs
 
@@ -93,7 +93,8 @@ def cube_corpus():
         rng = np.random.default_rng(2000 + i)
         tensor = DenseTensor(rng.uniform(0.1, 1.0, (3, 3, 3)))
         problem = ScalingProblem(tensor, SliceTargets.uniform((3, 3, 3)))
-        sol = solve_positive_case(problem, tol=RUN_TOL)
+        sol = solve(problem, tol=RUN_TOL)
+        assert sol.method == "greedy-standard"
         runs.append((problem, sol, 0.0))
     return runs
 
@@ -104,7 +105,9 @@ def pattern_runs():
     for array in (np.diag([2.0, 5.0]), np.diag([2.0, 3.0, 5.0])):
         problem = ScalingProblem(DenseTensor(array),
                                  SliceTargets.uniform(array.shape))
-        runs.append((problem, solve_modified(problem, tol=RUN_TOL)))
+        sol = solve(problem, tol=RUN_TOL)
+        assert sol.method == "greedy-projected"
+        runs.append((problem, sol))
     return runs
 
 
@@ -175,7 +178,8 @@ def test_criterion_2_tensor_scaling(cube_corpus):
 def test_criterion_3_sinkhorn_equivalence():
     problem = ScalingProblem(DenseTensor([[1.0, 2.0], [3.0, 4.0]]),
                              SliceTargets.uniform((2, 2)))
-    sol = solve_positive_case(problem, tol=1e-300, max_iters=20)
+    sol = solve(problem, tol=1e-300, max_iters=20)
+    assert sol.method == "greedy-standard"
     _, oracle = sinkhorn_reference([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 10)
     violations = []
     if sol.trace.n_steps < 20 and sol.status != blockmin.CONVERGED:

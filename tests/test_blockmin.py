@@ -7,8 +7,8 @@ from helpers import alternating_scaling
 from slicescale import blockmin
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  NumericalOverflowError, QuadraticBlockProblem,
-                                 distance_bound_sq, estimate_alpha_beta,
-                                 midpoint_convexity_ok, run, theoretical_bound)
+                                 distance_bound_sq, estimate_alpha_beta, run,
+                                 theoretical_bound)
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import StandardScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -24,11 +24,8 @@ class FixedGradientProblem(blockmin.BlockProblem):
     def block_dims(self):
         return tuple(1 for _ in self._norms)
 
-    def objective(self, x):
-        return 0.0
-
-    def block_gradient(self, x, j):
-        return np.array([self._norms[j]])
+    def evaluate(self, x):
+        return 0.0, [np.array([v]) for v in self._norms]
 
     def partial_minimizer(self, x, j):
         return x.blocks[j]
@@ -39,11 +36,8 @@ class DriftProblem(blockmin.BlockProblem):
 
     block_dims = (1, 1)
 
-    def objective(self, x):
-        return -(x.blocks[0][0] + x.blocks[1][0])
-
-    def block_gradient(self, x, j):
-        return np.array([1.0])
+    def evaluate(self, x):
+        return -(x.blocks[0][0] + x.blocks[1][0]), [np.array([1.0])] * 2
 
     def partial_minimizer(self, x, j):
         return x.blocks[j] + 100.0
@@ -54,12 +48,9 @@ class BlowUpProblem(blockmin.BlockProblem):
 
     block_dims = (1, 1)
 
-    def objective(self, x):
+    def evaluate(self, x):
         v = x.blocks[0][0]
-        return math.inf if v > 500 else -v
-
-    def block_gradient(self, x, j):
-        return np.array([1.0])
+        return math.inf if v > 500 else -v, [np.array([1.0])] * 2
 
     def partial_minimizer(self, x, j):
         return x.blocks[j] + 400.0
@@ -167,6 +158,19 @@ class TestRun:
             run(p, x0, 0.0, 10)
         with pytest.raises(ValueError, match="max_iters"):
             run(p, x0, 1e-8, 0)
+
+    @pytest.mark.parametrize("guard", [float("nan"), 0.0, -1.0])
+    def test_invalid_guard_rejected(self, guard):
+        p = QuadraticBlockProblem(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="guard"):
+            run(p, BlockVector([[1.0], [1.0]]), 1e-8, 10, divergence_guard=guard)
+
+    @pytest.mark.parametrize("guard", [None, math.inf])
+    def test_guard_disabled(self, guard):
+        _, trace, status = run(DriftProblem(), BlockVector.zeros((1, 1)),
+                               1e-12, 50, divergence_guard=guard)
+        assert status == blockmin.MAX_ITERS_REACHED
+        assert trace.n_steps == 50
 
     def test_divergence_guard(self):
         x, trace, status = run(DriftProblem(), BlockVector.zeros((1, 1)),
@@ -317,6 +321,25 @@ class TestEstimateAlphaBeta:
         wp = ProjectedScalingBlockProblem(p)
         alpha, beta = estimate_alpha_beta(wp, [BlockVector.zeros(wp.block_dims)])
         assert 0 < alpha <= beta
+
+
+def midpoint_convexity_ok(problem, center, rng, trials=16, radius=1.0):
+    """Stochastic midpoint-convexity check of ``evaluate``'s objective.
+
+    Draws random pairs within ``radius`` of the center and verifies
+    f((x+y)/2) <= (f(x)+f(y))/2 up to rounding slack.
+    """
+    def f(x):
+        return problem.evaluate(x)[0]
+
+    dims = center.dims
+    for _ in range(trials):
+        x = center + BlockVector([rng.uniform(-radius, radius, m) for m in dims])
+        y = center + BlockVector([rng.uniform(-radius, radius, m) for m in dims])
+        fx, fy = f(x), f(y)
+        if f(0.5 * (x + y)) > 0.5 * (fx + fy) + 1e-9 * (abs(fx) + abs(fy) + 1.0):
+            return False
+    return True
 
 
 class TestConvexityCheck:

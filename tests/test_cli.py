@@ -90,6 +90,12 @@ class TestScaleCommand:
     def test_validation_exit_one(self, tensor_file):
         assert cli.main(["scale", tensor_file, "--tol", "-1"]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("guard", ["nan", "-1", "0"])
+    def test_invalid_guard_exit_one(self, tensor_file, guard, capsys):
+        rc = cli.main(["scale", tensor_file, "--force", "--guard", guard])
+        assert rc == cli.EXIT_INVALID
+        assert "guard" in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, tmp_path):
         assert cli.main(["scale", str(tmp_path / "nope.json")]) == cli.EXIT_INVALID
 

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from slicescale.numerics import (OrthonormalBasis, null_space, orthonormalize,
-                                 projector_onto, solve_linear, symmetric_eigs)
+                                 solve_linear, symmetric_eigs)
+
+
+def projector(basis):
+    M = basis.matrix
+    return M @ M.T
 
 
 def span_projector(vectors):
@@ -31,9 +36,21 @@ class TestOrthonormalize:
             np.array([1.0, 1.0, 0.0]) / np.sqrt(2),
             np.array([1.0, -1.0, 2.0]) / np.sqrt(6),
         ])
-        P = projector_onto(basis)
+        P = projector(basis)
         np.testing.assert_allclose(P, hand @ hand.T, atol=1e-12)
         np.testing.assert_allclose(P @ P, P, atol=1e-12)
+
+    def test_array_input_used_unchanged(self):
+        # rows of a 2-d array are the vectors; the signs are fixed on the
+        # factor, never on the caller's array
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((3, 6))
+        before = A.copy()
+        basis = orthonormalize(A)
+        np.testing.assert_array_equal(A, before)
+        np.testing.assert_array_equal(basis.matrix,
+                                      orthonormalize(A.tolist()).matrix)
+        assert np.all(np.diag(basis.matrix.T @ A.T) > 0)
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="no vectors"):
@@ -47,7 +64,7 @@ class TestOrthonormalize:
         rng = np.random.default_rng(7)
         basis = orthonormalize(rng.standard_normal((5, 3)))
         assert basis.size == 3
-        np.testing.assert_allclose(projector_onto(basis), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(projector(basis), np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_spans(self, seed):
@@ -57,7 +74,7 @@ class TestOrthonormalize:
         basis = orthonormalize(A.T)
         assert basis.size == k
         np.testing.assert_allclose(
-            projector_onto(basis), span_projector(A.T.tolist()), atol=1e-10
+            projector(basis), span_projector(A.T.tolist()), atol=1e-10
         )
 
 
@@ -111,17 +128,17 @@ class TestProjector:
     def test_single_axis(self):
         basis = orthonormalize([[1.0, 0.0]])
         np.testing.assert_allclose(
-            projector_onto(basis), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15
+            projector(basis), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15
         )
 
     def test_empty_basis(self):
         basis = OrthonormalBasis(2)
-        np.testing.assert_allclose(projector_onto(basis), np.zeros((2, 2)))
+        np.testing.assert_allclose(projector(basis), np.zeros((2, 2)))
 
     def test_hand_projection_dim4(self):
         w = np.array([1.0, -1.0, -1.0, 1.0]) / 2
         basis = OrthonormalBasis(4, w.reshape(-1, 1))
-        P = projector_onto(basis)
+        P = projector(basis)
         x = np.array([1.0, -1.0, 0.0, 0.0])
         np.testing.assert_allclose(P @ x, [0.5, -0.5, -0.5, 0.5], atol=1e-14)
         np.testing.assert_allclose(
@@ -132,7 +149,7 @@ class TestProjector:
     def test_symmetric_idempotent(self, seed):
         rng = np.random.default_rng(200 + seed)
         A = rng.standard_normal((6, 3))
-        P = projector_onto(orthonormalize(A.T))
+        P = projector(orthonormalize(A.T))
         assert np.abs(P @ P - P).max() <= 1e-10
         assert np.abs(P - P.T).max() <= 1e-10
 
@@ -205,7 +222,9 @@ class TestOrthonormalBasis:
             OrthonormalBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_coords_and_project(self):
+        # coordinates are M^T v and the projection is M M^T v
         basis = orthonormalize([[1.0, 1.0, 0.0]])
         v = np.array([2.0, 0.0, 7.0])
-        np.testing.assert_allclose(basis.coords(v), [np.sqrt(2)], atol=1e-12)
-        np.testing.assert_allclose(basis.project(v), [1.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(basis.matrix.T @ v, [np.sqrt(2)], atol=1e-12)
+        np.testing.assert_allclose(projector(basis) @ v, [1.0, 1.0, 0.0],
+                                   atol=1e-12)

@@ -10,8 +10,7 @@ from slicescale.objective import ScalingProblem, SubspaceFrame
 from slicescale.scaler import (ProjectedScalingBlockProblem,
                                StandardScalingBlockProblem,
                                closed_form_block_update, normalize,
-                               random_reduced_point, solve, solve_modified,
-                               solve_positive_case)
+                               random_reduced_point, solve)
 from slicescale.tensor import (DenseTensor, SliceTargets, rank_one_target,
                                slice_sums)
 
@@ -54,14 +53,15 @@ class TestClosedFormUpdate:
 class TestSolvePositive:
     def test_rank_one_converges_immediately(self):
         tg = SliceTargets([[1.5, 0.5], [0.7, 1.3]])
-        sol = solve_positive_case(ScalingProblem(rank_one_target(tg), tg))
+        sol = solve(ScalingProblem(rank_one_target(tg), tg))
+        assert sol.method == "greedy-standard"
         assert sol.status == blockmin.CONVERGED
         assert sol.trace.n_steps == 0
         assert sol.proportionality == pytest.approx(1.0)
 
     def test_matches_alternating_oracle(self):
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
-        sol = solve_positive_case(p, tol=1e-12)
+        sol = solve(p, tol=1e-12)
         oracle = alternating_scaling([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 200)
         np.testing.assert_allclose(sol.scaled.array, oracle, atol=1e-8)
         assert sol.method == "greedy-standard"
@@ -71,29 +71,26 @@ class TestSolvePositive:
         rng = np.random.default_rng(1200 + seed)
         p = ScalingProblem(random_positive_tensor(rng, (3, 3, 3)),
                            SliceTargets.uniform((3, 3, 3)))
-        sol = solve_positive_case(p, tol=1e-10)
+        sol = solve(p, tol=1e-10)
+        assert sol.method == "greedy-standard"
         assert sol.status == blockmin.CONVERGED
         for k in range(3):
             assert sol.residuals[k] <= 1e-8
 
-    def test_rejects_gauge_instances(self):
-        p = problem_of(np.diag([1.0, 1.0]))
-        with pytest.raises(ValueError, match="gauge"):
-            solve_positive_case(p)
-
     def test_ambient_start_accepted(self):
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
         x0 = BlockVector([[0.3, -0.3], [-0.1, 0.1]])
-        sol = solve_positive_case(p, x0=x0, tol=1e-12)
+        sol = solve(p, x0=x0, tol=1e-12)
+        assert sol.method == "greedy-standard"
         assert sol.status == blockmin.CONVERGED
 
     def test_bad_start_dims(self):
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError, match="dims"):
-            solve_positive_case(p, x0=BlockVector.zeros((3, 3)))
+            solve(p, x0=BlockVector.zeros((3, 3)))
         # starts are ambient blocks; hyperplane coordinates are refused
         with pytest.raises(ValueError, match="dims"):
-            solve_positive_case(p, x0=BlockVector.zeros((1, 1)))
+            solve(p, x0=BlockVector.zeros((1, 1)))
 
     def test_guard_reads_ambient_exponents(self):
         # Block 0 of the start is Q_0 z, with Q_0 the frame's 6 x 5 basis of
@@ -112,7 +109,8 @@ class TestSolvePositive:
         coords_sup = float(np.abs(Q.T @ x0.blocks[0]).max())
         assert coords_sup < x0.norm_inf()
         guard = 0.5 * (coords_sup + x0.norm_inf())
-        sol = solve_positive_case(p, x0=x0, divergence_guard=guard)
+        sol = solve(p, x0=x0, divergence_guard=guard)
+        assert sol.method == "greedy-standard"
         assert sol.status == blockmin.DIVERGING
         assert sol.trace.n_steps == 0
 
@@ -120,21 +118,23 @@ class TestSolvePositive:
 class TestSolveModified:
     def test_identity_pattern_immediate(self):
         p = problem_of(np.eye(2))
-        sol = solve_modified(p, tol=1e-12)
+        sol = solve(p, tol=1e-12)
+        assert sol.method == "greedy-projected"
         assert sol.status == blockmin.CONVERGED
         assert sol.trace.n_steps == 0
         np.testing.assert_allclose(sol.scaled.array, np.eye(2), atol=1e-12)
 
     def test_unequal_diagonal_3x3(self):
         p = problem_of(np.diag([2.0, 3.0, 5.0]))
-        sol = solve_modified(p, tol=1e-12)
+        sol = solve(p, tol=1e-12)
         assert sol.status == blockmin.CONVERGED
         np.testing.assert_allclose(sol.scaled.array, np.eye(3), atol=1e-8)
         assert sol.method == "greedy-projected"
 
     def test_anti_diagonal(self):
         p = problem_of([[0.0, 3.0], [7.0, 0.0]])
-        sol = solve_modified(p, tol=1e-12)
+        sol = solve(p, tol=1e-12)
+        assert sol.method == "greedy-projected"
         assert sol.status == blockmin.CONVERGED
         np.testing.assert_allclose(sol.scaled.array, [[0.0, 1.0], [1.0, 0.0]],
                                    atol=1e-10)
@@ -143,20 +143,16 @@ class TestSolveModified:
         p = problem_of(np.diag([2.0, 3.0, 5.0]))
         rng = np.random.default_rng(5)
         x0 = random_reduced_point(p.frame, rng)
-        sol = solve_modified(p, x0=x0, tol=1e-12)
+        sol = solve(p, x0=x0, tol=1e-12)
+        assert sol.method == "greedy-projected"
         for x in sol.trace.iterates:
             assert p.frame.reduced_residual(x) <= 1e-12
-
-    def test_rejects_positive_instances(self):
-        p = problem_of([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="no gauge"):
-            solve_modified(p)
 
     def test_rejects_start_outside_reduced_space(self):
         p = problem_of(np.eye(2))
         z = BlockVector(p.frame.split(2.0 * p.frame.gauge_basis[:, 0]))
         with pytest.raises(ValueError, match="reduced"):
-            solve_modified(p, x0=z)
+            solve(p, x0=z)
 
 
 class TestSolveDispatch:
@@ -229,7 +225,8 @@ class TestSinkhornReference:
     def test_iterate_equivalence_to_greedy(self):
         # scaled greedy iterates match oracle half-steps up to one global factor
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
-        sol = solve_positive_case(p, tol=1e-300, max_iters=20)
+        sol = solve(p, tol=1e-300, max_iters=20)
+        assert sol.method == "greedy-standard"
         _, oracle = sinkhorn_reference([[1.0, 2.0], [3.0, 4.0]], [1, 1], [1, 1], 10)
         assert sol.trace.n_steps == 20 or sol.status == blockmin.CONVERGED
         for k in range(1, 21):
