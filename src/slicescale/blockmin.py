@@ -103,12 +103,17 @@ class BlockVector:
         return max(float(np.abs(b).max()) if b.size else 0.0 for b in self.blocks)
 
     def with_block(self, j, new_block):
-        new_block = np.asarray(new_block, dtype=float).ravel()
+        """Block j replaced by a read-only copy of ``new_block``; the other
+        blocks are already read-only and are shared, not copied."""
+        new_block = np.array(new_block, dtype=float).ravel()
         if new_block.size != self.blocks[j].size:
             raise ValueError("replacement block has the wrong length")
+        new_block.setflags(write=False)
         blocks = list(self.blocks)
         blocks[j] = new_block
-        return BlockVector(blocks)
+        out = object.__new__(BlockVector)
+        out.blocks = tuple(blocks)
+        return out
 
     def _binary(self, other, op):
         if self.dims != other.dims:
@@ -138,11 +143,14 @@ class BlockProblem(abc.ABC):
     implement the partial minimizer exactly: after replacing block j by its
     output, the block-j gradient norm must not exceed ``partial_min_tol``.
 
-    :func:`run` calls ``evaluate(x)`` before ``partial_minimizer(x, j)`` and
-    ``objective_decrease(x, x_new, j)`` on the same object ``x``, so a
-    problem may keep work from ``evaluate`` for those calls (the scaling
-    problems keep the rescaled tensor). Results must not depend on that
-    order: a call at any other point recomputes.
+    :func:`run` calls ``evaluate(x)`` before ``partial_minimizer(x, j)``,
+    ``apply_update(x, j, ·)`` and ``objective_decrease(x, x_new, j)`` on the
+    same object ``x``, and then ``evaluate(x_new)`` on the object
+    ``apply_update`` returned. A problem may keep work from one call for the
+    next: the scaling problems keep the slice sums at ``x`` and advance them
+    to ``x_new`` from the moved block, and the quadratic keeps its gradient
+    and block factors. Results must not depend on that order: a call at any
+    other point recomputes from scratch.
     """
 
     # Accuracy the partial minimizer is held to.
@@ -211,6 +219,10 @@ class QuadraticBlockProblem(BlockProblem):
         for m in dims:
             self._slices.append(slice(pos, pos + m))
             pos += m
+        # QR factors of the diagonal blocks, made on first use
+        self._factors = [None] * len(dims)
+        # (x, gradient) of the last evaluate, for objective_decrease
+        self._last_gradient = None
 
     @property
     def block_dims(self):
@@ -220,6 +232,7 @@ class QuadraticBlockProblem(BlockProblem):
         v = x.concat()
         g = self.matrix @ v + self.linear
         obj = float(0.5 * v @ self.matrix @ v + self.linear @ v)
+        self._last_gradient = (x, g)
         return obj, [g[s] for s in self._slices]
 
     def partial_minimizer(self, x, j):
@@ -228,14 +241,19 @@ class QuadraticBlockProblem(BlockProblem):
         rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
         if self._dims[j] == 1:
             return rhs / self.matrix[s, s].ravel()
-        return numerics.solve_linear(self.matrix[s, s], rhs)
+        if self._factors[j] is None:
+            self._factors[j] = numerics.factor_linear(self.matrix[s, s])
+        return numerics.solve_factored(self._factors[j], rhs)
 
     def objective_decrease(self, x_old, x_new, j):
         # f(old) - f(new) = -(g^T delta + 0.5 delta^T A delta); the stored
         # iterate difference is exact, so this stays accurate far below the
         # resolution of the objective values themselves.
         delta = x_new.concat() - x_old.concat()
-        g = self.matrix @ x_old.concat() + self.linear
+        if self._last_gradient is not None and self._last_gradient[0] is x_old:
+            g = self._last_gradient[1]
+        else:
+            g = self.matrix @ x_old.concat() + self.linear
         return float(-(g @ delta) - 0.5 * delta @ self.matrix @ delta)
 
     def hessian(self, x):

@@ -18,6 +18,8 @@ __all__ = [
     "orthonormalize",
     "null_space",
     "symmetric_eigs",
+    "factor_linear",
+    "solve_factored",
     "solve_linear",
 ]
 
@@ -125,15 +127,26 @@ def symmetric_eigs(M):
     return vals, OrthonormalBasis(A.shape[0], _fix_signs(vecs))
 
 
-def solve_linear(A, b):
-    """Solve A x = b for square nonsingular A via QR."""
+def factor_linear(A):
+    """QR factors (Q, R) of a square nonsingular A, for :func:`solve_factored`."""
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     Q, R = np.linalg.qr(A)
     diag = np.abs(np.diag(R))
     if diag.size and diag.min() <= 1e-13 * max(diag.max(), np.finfo(float).tiny):
         raise ValueError("matrix is singular to working precision")
+    return Q, R
+
+
+def solve_factored(factors, b):
+    """Solve A x = b from the factors ``factor_linear(A)`` returned."""
+    Q, R = factors
     # R is upper triangular, so LU with partial pivoting is back substitution.
-    return np.linalg.solve(R, Q.T @ b)
+    return np.linalg.solve(R, Q.T @ np.asarray(b, dtype=float))
+
+
+def solve_linear(A, b):
+    """Solve A x = b for square nonsingular A via QR."""
+    b = np.asarray(b, dtype=float)
+    return solve_factored(factor_linear(A), b)

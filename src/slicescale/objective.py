@@ -250,12 +250,12 @@ class ScalingProblem:
         """Total mass of the rescaled tensor (strictly positive)."""
         return self.scaled(x).total
 
-    def ambient_gradient(self, x, scaled=None):
+    def ambient_gradient(self, x):
         """All slice sums concatenated in mode order."""
-        t = self.scaled(x) if scaled is None else scaled
+        t = self.scaled(x)
         return np.concatenate([slice_sums(t, j) for j in range(self.d)])
 
-    def restricted_gradient(self, x, j, scaled=None):
+    def restricted_gradient(self, x, j):
         """Block-j gradient projected onto the mode-j target hyperplane.
 
         With sigma the mode-j slice sums of the rescaled tensor and s the
@@ -263,19 +263,17 @@ class ScalingProblem:
         length m_j with the norm of the gradient in any orthonormal basis of
         the hyperplane. Zero exactly when sigma is parallel to s.
         """
-        t = self.scaled(x) if scaled is None else scaled
-        sigma = slice_sums(t, j)
+        sigma = slice_sums(self.scaled(x), j)
         s = self.targets.vectors[j]
         return sigma - (float(sigma @ s) / float(s @ s)) * s
 
-    def hessian_ambient(self, x, scaled=None):
+    def hessian_ambient(self, x):
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal
         blocks are two-mode marginals of the rescaled tensor."""
-        t = self.scaled(x) if scaled is None else scaled
-        return ambient_second_moments(t.array)
+        return ambient_second_moments(self.scaled(x).array)
 
-    def hessian_restricted(self, x, basis, scaled=None):
+    def hessian_restricted(self, x, basis):
         """Hessian restricted to an ambient orthonormal basis (congruence Q^T H Q)."""
         Q = basis.matrix if isinstance(basis, numerics.OrthonormalBasis) else np.asarray(basis, dtype=float)
-        H = self.hessian_ambient(x, scaled)
+        H = self.hessian_ambient(x)
         return Q.T @ H @ Q

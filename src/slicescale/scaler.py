@@ -14,6 +14,16 @@ in that ambient form. The frame's bases enter only through the projected
 path's gradients and projection and through the Hessians of the rate
 certificate, so nothing a solve reports or stores depends on how those bases
 are oriented.
+
+The loop never rescales the tensor per step. Its working problem keeps a
+factored state: a kernel (the tensor rescaled at a base point), per-mode
+factors exp(x_k - base_k), and the slice sums they give by contraction, two
+matrix-vector products for a matrix. The kernel is rebuilt through
+``ScalingProblem.scaled`` at the start, when the iterate has moved
+``REBASE_DISTANCE`` from the base, and wherever a rescale of the iterate
+could pass ``EXP_LIMIT``, so overflow is refused exactly where a per-step
+rescale would refuse it. The projected path still rescales once per step,
+for its entrywise objective drop.
 """
 
 import math
@@ -24,7 +34,8 @@ import numpy as np
 from . import blockmin
 from .blockmin import BlockProblem, BlockVector
 from .objective import ScalingPoint, ScalingProblem
-from .tensor import DenseTensor, slice_sums
+from .tensor import (EXP_LIMIT, DenseTensor, cofactor_sums, slice_sums,
+                     support_exponent)
 
 __all__ = [
     "ScalingSolution",
@@ -44,23 +55,29 @@ GUARD_EXP_BUDGET = 560.0
 # before normalization is allowed.
 PROPORTIONALITY_RTOL = 1e-6
 
+# The factored state of the working problems rebases once the exponents
+# have moved this far from its base point, summed over modes in sup norm;
+# its factors then stay within exp(+-16) (about 1e7) of one.
+REBASE_DISTANCE = 16.0
+
 
 def default_divergence_guard(d):
     return min(1e3, GUARD_EXP_BUDGET / d)
 
 
-def closed_form_block_update(problem, x, j, scaled=None):
+def closed_form_block_update(problem, x, j, sigma=None):
     """Exact minimizer of the objective over mode-j exponents.
 
     With the other blocks held fixed, the update is log(target) minus
     log(slice sums with block j removed), shifted along the all-ones vector
     so the result is orthogonal to the target. It is evaluated from the
-    currently scaled tensor (subtracting the old block in log domain), which
-    avoids overflowing intermediates. Returns the ambient block (length m_j).
+    mode-j slice sums ``sigma`` at ``x`` (by default those of the rescaled
+    tensor), subtracting the old block in log domain, which avoids
+    overflowing intermediates. Returns the ambient block (length m_j).
     """
-    t = problem.scaled(x) if scaled is None else scaled
-    sigma = slice_sums(t, j)
-    if np.any(sigma <= 0):
+    if sigma is None:
+        sigma = slice_sums(problem.scaled(x), j)
+    if (sigma <= 0).any():
         raise ValueError("zero slice encountered")
     s = problem.targets.vectors[j]
     tilde = x.blocks[j] + np.log(s) - np.log(sigma)
@@ -74,30 +91,102 @@ class _ScalingBlockProblemBase(BlockProblem):
     The engine state is a BlockVector of ambient exponent blocks: block j has
     length m_j and lies in the hyperplane orthogonal to target s_j.
 
-    The rescaled tensor of the last point seen is kept, keyed on the identity
-    of its BlockVector (whose arrays are read-only), so evaluate,
-    partial_minimizer and objective_decrease at one iterate share a single
-    rescale. Any other point is rescaled afresh.
+    Slice sums come from a factored state, not from a rescaled tensor. The
+    state holds a kernel K, the tensor rescaled at a base point xb (through
+    ``ScalingProblem.scaled``), the factors u_k = exp(x_k - xb_k) of its
+    current point x, and the slice sums sigma_k = u_k * w_k at x, where w_k
+    contracts K with every factor but u_k (``tensor.cofactor_sums``). A step
+    on block j recomputes u_j and the w_k with k != j: one matrix-vector
+    product for a matrix, and no exp over the support.
+
+    evaluate, partial_minimizer and objective_decrease read the state when
+    called at its point. A call at the output of the last apply_update from
+    that point advances the state; a call at any other point rebases there,
+    so a reused problem gives exactly what a fresh one gives. An advance
+    rebases instead once sum_k ||x_k - xb_k||_inf passes REBASE_DISTANCE, or
+    once that distance plus the largest support exponent at xb could pass
+    EXP_LIMIT. The second rule makes the rebase's rescale raise
+    ScalingOverflowError at exactly the iterate where rescaling every step
+    would, and keeps every partial product of K and the factors inside the
+    range of that rescale. ``rebases`` counts the rescales.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.frame = problem.frame
-        self._memo = None
-
-    def _scaled(self, x):
-        if self._memo is None or self._memo[0] is not x:
-            self._memo = None  # release the old tensor before the new rescale
-            self._memo = (x, self.problem.scaled(x))
-        return self._memo[1]
+        self._targets = [(s, float(s @ s)) for s in problem.targets.vectors]
+        self._rebases = 0
+        self._point = self._successor = self._kernel = None
 
     @property
     def block_dims(self):
         return self.problem.tensor.dims
 
+    @property
+    def rebases(self):
+        """Rescales of the tensor made so far to (re)build the state."""
+        return self._rebases
+
+    def _in_plane(self, v, k):
+        """The component of ``v`` orthogonal to the mode-k target."""
+        s, ss = self._targets[k]
+        return v - (float(v @ s) / ss) * s
+
+    def _slice_sums(self, x):
+        """The slice sums of every mode at ``x``."""
+        if x is not self._point:
+            if x is self._successor:
+                self._advance(x)
+            else:
+                self._rebase(x)
+        return self._sigmas
+
+    def _rebase(self, x):
+        self._point = self._successor = self._kernel = None
+        self._rebases += 1
+        kernel = self.problem.scaled(x).array
+        self._kernel, self._base = kernel, x
+        self._base_exponent = support_exponent(self.problem.tensor, x)
+        self._distances = [0.0] * self.d
+        self._factors = [np.ones(m) for m in kernel.shape]
+        self._cofactors = cofactor_sums(kernel, self._factors, range(self.d))
+        self._settle(x)
+
+    def _advance(self, x):
+        moved = [k for k in range(self.d)
+                 if x.blocks[k] is not self._point.blocks[k]]
+        for k in moved:
+            delta = x.blocks[k] - self._base.blocks[k]
+            self._distances[k] = float(np.abs(delta).max())
+            self._factors[k] = np.exp(delta)
+        distance = sum(self._distances)
+        # the margin covers rounding in the bound on the exponents at x
+        if (distance > REBASE_DISTANCE or self._base_exponent + distance
+                > EXP_LIMIT * (1.0 - 1e-12)):
+            self._rebase(x)
+            return
+        # w_j does not depend on u_j, so a step on block j alone keeps it
+        stale = [k for k in range(self.d) if moved != [k]]
+        self._cofactors.update(cofactor_sums(self._kernel, self._factors, stale))
+        self._settle(x)
+
+    def _settle(self, x):
+        self._sigmas = [u * self._cofactors[k]
+                        for k, u in enumerate(self._factors)]
+        self._point, self._successor = x, None
+
     def partial_minimizer(self, x, j):
         return closed_form_block_update(self.problem, x, j,
-                                        scaled=self._scaled(x))
+                                        sigma=self._slice_sums(x)[j])
+
+    def apply_update(self, x, j, new_block):
+        x_new = self._project(x.with_block(j, new_block))
+        if x is self._point:
+            self._successor = x_new
+        return x_new
+
+    def _project(self, x):
+        return x
 
     def objective_decrease(self, x_old, x_new, j):
         # f(new) - f(old) = sum_e B_e(old) * expm1(sum_k delta_k[i_k]) over
@@ -110,26 +199,31 @@ class _ScalingBlockProblemBase(BlockProblem):
         # itself, and the expm1 form keeps the drop's sign reliable far below
         # the resolution of the objective values. The exponent change does
         # not depend on the modes that did not move, so B(old) is first
-        # summed over them: a single-block step costs one set of slice sums
-        # and m_j terms, and when every block moves the marginal is B(old)
-        # itself.
-        scaled = self._scaled(x_old)
+        # summed over them: when one block moved that marginal is its slice
+        # sums, m_j terms from the state; when every block moved (the
+        # projected path) it is B(old) itself.
         deltas = {}
-        for k in range(self.d):
-            s = self.problem.targets.vectors[k]
-            delta = x_new.blocks[k] - x_old.blocks[k]
-            delta = delta - (float(delta @ s) / float(s @ s)) * s
-            if np.any(delta):
+        for k, (new, old) in enumerate(zip(x_new.blocks, x_old.blocks)):
+            if new is old:
+                continue  # a shared block has moved by exactly zero
+            delta = self._in_plane(new - old, k)
+            if delta.any():
                 deltas[k] = delta
-        still = tuple(k for k in range(self.d) if k not in deltas)
-        marginal = scaled.array
-        if still:
-            marginal = marginal.sum(axis=still, keepdims=True)
-        expo = np.zeros(marginal.shape)
-        for k, delta in deltas.items():
-            shape = [1] * self.d
-            shape[k] = delta.size
-            expo += delta.reshape(shape)
+        if not deltas:
+            return 0.0
+        if len(deltas) == 1:
+            (k, expo), = deltas.items()
+            marginal = self._slice_sums(x_old)[k]
+        else:
+            marginal = self.problem.scaled(x_old).array
+            still = tuple(k for k in range(self.d) if k not in deltas)
+            if still:
+                marginal = marginal.sum(axis=still, keepdims=True)
+            expo = np.zeros(marginal.shape)
+            for k, delta in deltas.items():
+                shape = [1] * self.d
+                shape[k] = delta.size
+                expo += delta.reshape(shape)
         positive = marginal > 0
         return -math.fsum(marginal[positive] * np.expm1(expo[positive]))
 
@@ -138,12 +232,9 @@ class StandardScalingBlockProblem(_ScalingBlockProblemBase):
     """Engine problem for tensors without gauge directions."""
 
     def evaluate(self, x):
-        scaled = self._scaled(x)
-        grads = [
-            self.problem.restricted_gradient(x, j, scaled=scaled)
-            for j in range(self.d)
-        ]
-        return scaled.total, grads
+        sigmas = self._slice_sums(x)
+        grads = [self._in_plane(sigma, k) for k, sigma in enumerate(sigmas)]
+        return float(sigmas[0].sum()), grads
 
     def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.working_basis)
@@ -158,18 +249,15 @@ class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
     """
 
     def evaluate(self, x):
-        scaled = self._scaled(x)
-        ghat = self.problem.ambient_gradient(x, scaled=scaled)
+        sigmas = self._slice_sums(x)
+        ghat = np.concatenate(sigmas)
         grads = [
             self.frame.projected_mode_bases[j].T @ ghat for j in range(self.d)
         ]
-        return scaled.total, grads
+        return float(sigmas[0].sum()), grads
 
-    def apply_update(self, x, j, new_block):
-        updated = x.with_block(j, new_block)
-        return BlockVector(
-            self.frame.split(self.frame.reduced_projector @ updated.concat())
-        )
+    def _project(self, x):
+        return BlockVector(self.frame.split(self.frame.reduced_projector @ x.concat()))
 
     def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.reduced_basis)

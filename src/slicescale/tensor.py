@@ -7,6 +7,8 @@ __all__ = [
     "SliceTargets",
     "ScalingOverflowError",
     "slice_sums",
+    "cofactor_sums",
+    "support_exponent",
     "scale",
     "check_compatibility",
     "rank_one_target",
@@ -150,15 +152,49 @@ def slice_sums(t, mode):
     return t.array.sum(axis=axes)
 
 
-def scale(t, x):
-    """Entrywise rescaling by exp of per-mode exponent vectors.
+def _contract(array, u, axis):
+    """Sum ``array`` along ``axis`` weighted by the vector ``u``."""
+    if axis == array.ndim - 1:
+        return array @ u
+    if axis == 0:
+        return (u @ array.reshape(u.size, -1)).reshape(array.shape[1:])
+    return np.tensordot(array, u, axes=([axis], [0]))
 
-    ``x`` provides one exponent vector per mode (a BlockVector or a sequence
-    of arrays with lengths matching the dims); entry (i_1, ..., i_d) is
-    multiplied by exp(x_1[i_1] + ... + x_d[i_d]). Zero entries stay exactly
-    zero regardless of the exponent. Exponents above 700 in magnitude on the
-    support raise ScalingOverflowError.
+
+def cofactor_sums(array, factors, modes):
+    """Slice sums of a factored rescaling with one factor left out.
+
+    ``array`` is a plain d-mode array K and ``factors`` one vector u_l per
+    mode. For each mode k in ``modes`` the result maps k to w_k, the mode-k
+    slice sums of K with every other mode l weighted by u_l. The mode-k slice
+    sums of K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the rescaled tensor
+    is never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0. Modes not
+    asked for are contracted first, so leaving out one mode saves a pass over
+    K; asking for every mode costs two passes plus passes over smaller
+    arrays.
     """
+    wanted = set(modes)
+    spare = [c for c in range(array.ndim) if c not in wanted]
+    c = spare[-1] if spare else array.ndim - 1
+    out = {}
+    if wanted - {c}:
+        rest = [k for k in range(array.ndim) if k != c]
+        sub = _contract(array, factors[c], c)
+        if sub.ndim == 1:
+            out[rest[0]] = sub
+        else:
+            part = cofactor_sums(sub, [factors[k] for k in rest],
+                                 [rest.index(k) for k in wanted if k != c])
+            out.update((rest[i], w) for i, w in part.items())
+    if c in wanted:
+        # no spare mode: mode c itself needs a pass that keeps it
+        sub = _contract(array, factors[0], 0)
+        out[c] = sub if sub.ndim == 1 else cofactor_sums(
+            sub, factors[1:], [c - 1])[c - 1]
+    return out
+
+
+def _exponents(t, x):
     blocks = getattr(x, "blocks", x)
     if len(blocks) != t.d:
         raise ValueError("block count does not match tensor modes")
@@ -170,6 +206,25 @@ def scale(t, x):
         shape = [1] * t.d
         shape[j] = t.dims[j]
         expo += b.reshape(shape)
+    return expo
+
+
+def support_exponent(t, x):
+    """Largest |x_1[i_1] + ... + x_d[i_d]| over the support of ``t``: the
+    magnitude that :func:`scale` holds to 700."""
+    return float(np.abs(_exponents(t, x)[t.support]).max())
+
+
+def scale(t, x):
+    """Entrywise rescaling by exp of per-mode exponent vectors.
+
+    ``x`` provides one exponent vector per mode (a BlockVector or a sequence
+    of arrays with lengths matching the dims); entry (i_1, ..., i_d) is
+    multiplied by exp(x_1[i_1] + ... + x_d[i_d]). Zero entries stay exactly
+    zero regardless of the exponent. Exponents above 700 in magnitude on the
+    support raise ScalingOverflowError.
+    """
+    expo = _exponents(t, x)
     support = t.support
     sup_expo = expo[support]
     if sup_expo.size and float(np.abs(sup_expo).max()) > EXP_LIMIT:

@@ -1,12 +1,15 @@
 """Shared test oracles: finite differences, alternating scaling, the
-entrywise objective drop and random instance generators."""
+entrywise objective drop, a greedy scaler that rescales the tensor at every
+step, and random instance generators."""
 
 import math
 
 import numpy as np
 
-from slicescale.blockmin import BlockVector
-from slicescale.tensor import DenseTensor, SliceTargets
+from slicescale import blockmin
+from slicescale.blockmin import BlockProblem, BlockVector
+from slicescale.scaler import closed_form_block_update
+from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -116,3 +119,63 @@ def objective_decrease_reference(problem, x_old, x_new):
     support = old > 0
     terms = old[support] * np.expm1(expo[support])
     return -math.fsum(terms), float(np.abs(terms).sum())
+
+
+class PerStepRescaleProblem(BlockProblem):
+    """Greedy scaling problem that rescales the tensor at every iterate.
+
+    Every evaluate, block update and gradient reads the slice sums of
+    ``tensor.scale`` at the iterate itself (one rescale per iterate, kept
+    for the calls at that iterate), and the objective drop is the entrywise
+    reference above. Patterned tensors with gauge directions take the
+    projected path: gradients along the projected mode bases, updates
+    projected onto the reduced working space.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.frame = problem.frame
+        self.projected = problem.frame.gauge_dim != 0
+        self._memo = None
+
+    @property
+    def block_dims(self):
+        return self.problem.tensor.dims
+
+    def _scaled(self, x):
+        if self._memo is None or self._memo[0] is not x:
+            self._memo = (x, scale(self.problem.tensor, x))
+        return self._memo[1]
+
+    def evaluate(self, x):
+        scaled = self._scaled(x)
+        sigmas = [slice_sums(scaled, j) for j in range(self.d)]
+        if self.projected:
+            ghat = np.concatenate(sigmas)
+            grads = [b.T @ ghat for b in self.frame.projected_mode_bases]
+        else:
+            grads = [sigma - (float(sigma @ s) / float(s @ s)) * s
+                     for sigma, s in zip(sigmas, self.problem.targets.vectors)]
+        return scaled.total, grads
+
+    def partial_minimizer(self, x, j):
+        return closed_form_block_update(
+            self.problem, x, j, sigma=slice_sums(self._scaled(x), j))
+
+    def apply_update(self, x, j, new_block):
+        updated = x.with_block(j, new_block)
+        if not self.projected:
+            return updated
+        return BlockVector(
+            self.frame.split(self.frame.reduced_projector @ updated.concat()))
+
+    def objective_decrease(self, x_old, x_new, j):
+        return objective_decrease_reference(self.problem, x_old, x_new)[0]
+
+
+def per_step_rescale_reference(problem, x0, tol=1e-10, max_iters=10000,
+                               divergence_guard=None):
+    """The greedy scaling loop on :class:`PerStepRescaleProblem`; returns
+    what ``blockmin.run`` returns, with every iterate recorded."""
+    return blockmin.run(PerStepRescaleProblem(problem), x0, tol, max_iters,
+                        divergence_guard, record_iterates=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import alternating_scaling
-from slicescale import blockmin
+from slicescale import blockmin, numerics
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  NumericalOverflowError, QuadraticBlockProblem,
                                  distance_bound_sq, estimate_alpha_beta, run,
@@ -75,6 +75,22 @@ class TestBlockVector:
 
     def test_zeros(self):
         assert BlockVector.zeros((1, 4)).norm_inf() == 0.0
+
+    def test_with_block_shares_untouched_blocks(self):
+        x = BlockVector([[1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0]])
+        source = np.array([8.0, 9.0, 10.0])
+        y = x.with_block(1, source)
+        assert y.blocks[0] is x.blocks[0] and y.blocks[2] is x.blocks[2]
+        # the new block is a copy, so later writes to the source miss it
+        source[0] = -1.0
+        np.testing.assert_array_equal(y.concat(), [1, 2, 8, 9, 10, 6, 7])
+        np.testing.assert_array_equal(x.concat(), [1, 2, 3, 4, 5, 6, 7])
+        for b in y.blocks:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+        with pytest.raises(ValueError, match="wrong length"):
+            x.with_block(0, [1.0, 2.0, 3.0])
 
 
 def one_step(problem, x0):
@@ -352,3 +368,71 @@ class TestConvexityCheck:
         wp = ones_scaling_problem()
         rng = np.random.default_rng(1)
         assert midpoint_convexity_ok(wp, BlockVector.zeros(wp.block_dims), rng)
+
+
+class UncachedQuadratic(QuadraticBlockProblem):
+    """Refactors the diagonal block at every partial minimization and
+    recomputes the gradient for every objective drop."""
+
+    def partial_minimizer(self, x, j):
+        start = sum(self.block_dims[:j])
+        s = slice(start, start + self.block_dims[j])
+        v = x.concat()
+        rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
+        return numerics.solve_linear(self.matrix[s, s], rhs)
+
+    def objective_decrease(self, x_old, x_new, j):
+        delta = x_new.concat() - x_old.concat()
+        g = self.matrix @ x_old.concat() + self.linear
+        return float(-(g @ delta) - 0.5 * delta @ self.matrix @ delta)
+
+
+class TestQuadraticCaches:
+    """Cached block factors and the kept gradient change no bit of a run."""
+
+    @staticmethod
+    def spd_instance(seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((30, 30))
+        return m.T @ m + 0.5 * np.eye(30), rng.standard_normal(30)
+
+    def test_trace_equals_uncached_reference(self):
+        A, b = self.spd_instance(2300)
+        runs = []
+        for cls in (QuadraticBlockProblem, UncachedQuadratic):
+            p = cls(A, b, (10, 10, 10))
+            x, trace, status = run(p, BlockVector.zeros((10, 10, 10)), 1e-10,
+                                   100000, divergence_guard=None)
+            assert status == blockmin.CONVERGED
+            runs.append((x.concat().tolist(), trace.chosen_blocks,
+                         trace.objectives, trace.full_grad_norms,
+                         trace.block_grad_norms, trace.post_step_block_norms,
+                         trace.objective_decreases))
+        assert len(runs[0][1]) > 100
+        assert runs[0] == runs[1]
+
+    def test_calls_off_the_evaluated_point(self):
+        A, b = self.spd_instance(2301)
+        rng = np.random.default_rng(2302)
+        p = QuadraticBlockProblem(A, b, (10, 10, 10))
+        ref = UncachedQuadratic(A, b, (10, 10, 10))
+        evaluated, other = (BlockVector(rng.standard_normal((3, 10)))
+                            for _ in range(2))
+        p.evaluate(evaluated)
+        for j in (2, 0, 2):
+            for x in (other, evaluated):
+                new = x.with_block(j, p.partial_minimizer(x, j))
+                assert p.objective_decrease(x, new, j) == \
+                    ref.objective_decrease(x, new, j)
+                np.testing.assert_array_equal(new.blocks[j],
+                                              ref.partial_minimizer(x, j))
+
+    def test_singular_block_refused_at_first_use(self):
+        A = np.eye(4)
+        A[2:, 2:] = [[1.0, 1.0], [1.0, 1.0]]
+        p = QuadraticBlockProblem(A, np.ones(4), (2, 2))
+        x = BlockVector.zeros((2, 2))
+        p.partial_minimizer(x, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular"):
+                p.partial_minimizer(x, 1)

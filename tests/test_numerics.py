@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from slicescale.numerics import (OrthonormalBasis, null_space, orthonormalize,
-                                 solve_linear, symmetric_eigs)
+from slicescale.numerics import (OrthonormalBasis, factor_linear, null_space,
+                                 orthonormalize, solve_factored, solve_linear,
+                                 symmetric_eigs)
 
 
 def projector(basis):
@@ -214,6 +215,21 @@ class TestQrSolve:
     def test_singular_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="singular"):
+            factor_linear(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_factors_serve_many_right_hand_sides(self):
+        rng = np.random.default_rng(43)
+        A = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        factors = factor_linear(A)
+        Q, R = np.linalg.qr(A)
+        for _ in range(3):
+            b = rng.standard_normal(5)
+            got = solve_factored(factors, b)
+            # the QR back substitution of solve_linear, bit for bit
+            np.testing.assert_array_equal(got, np.linalg.solve(R, Q.T @ b))
+            np.testing.assert_array_equal(got, solve_linear(A, b))
+            np.testing.assert_allclose(got, np.linalg.solve(A, b), atol=1e-10)
 
 
 class TestOrthonormalBasis:

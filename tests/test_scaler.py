@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (alternating_scaling, objective_decrease_reference,
+from helpers import (PerStepRescaleProblem, alternating_scaling,
+                     objective_decrease_reference, per_step_rescale_reference,
                      random_compatible_targets, random_positive_tensor,
                      sinkhorn_reference)
 from slicescale import blockmin, objective
@@ -11,8 +12,8 @@ from slicescale.scaler import (ProjectedScalingBlockProblem,
                                StandardScalingBlockProblem,
                                closed_form_block_update, normalize,
                                random_reduced_point, solve)
-from slicescale.tensor import (DenseTensor, SliceTargets, rank_one_target,
-                               slice_sums)
+from slicescale.tensor import (DenseTensor, ScalingOverflowError,
+                               SliceTargets, rank_one_target, slice_sums)
 
 
 def problem_of(array, targets=None):
@@ -348,8 +349,23 @@ def working_problem(problem):
     return StandardScalingBlockProblem(problem)
 
 
+def steep_kernel_problem():
+    """Unnormalized 20 x 20 Gibbs kernel exp(-C/0.005) of jittered grids,
+    unit targets: the kernel of
+    ``TestObjectiveDecrease.test_strict_descent_on_steep_kernel``."""
+    rng = np.random.default_rng(1700)
+    n = 20
+    grid = np.linspace(0.0, 1.0, n)
+    x = grid + rng.uniform(-0.3, 0.3, n) / n
+    y = grid + rng.uniform(-0.3, 0.3, n) / n
+    cost = (x[:, None] - y[None, :]) ** 2
+    kernel = np.exp(-cost / cost.max() / 0.005)
+    return ScalingProblem(DenseTensor(kernel), SliceTargets.uniform((n, n)))
+
+
 class TestOneRescalePerStep:
-    """A solve rescales the tensor once at the start, once per greedy step
+    """A solve rescales the tensor once per rebase of the working problem's
+    factored state, once per projected-path step (for the objective drop)
     and once in normalize."""
 
     @pytest.mark.parametrize("case", ["matrix", "gauge"])
@@ -368,7 +384,12 @@ class TestOneRescalePerStep:
         assert sol.method == ("greedy-projected" if case == "gauge"
                               else "greedy-standard")
         assert sol.trace.n_steps > 10
-        assert len(calls) <= sol.trace.n_steps + 2
+        rebases = sol.working_problem.rebases
+        assert rebases == 1
+        if case == "gauge":
+            assert len(calls) <= sol.trace.n_steps + rebases + 2
+        else:
+            assert len(calls) <= rebases + 2
 
 
 class TestObjectiveDecrease:
@@ -450,3 +471,73 @@ class TestRescaleMemo:
             wp.evaluate(cached)
             assert wp.objective_decrease(other, x_new, j) == \
                 working_problem(problem).objective_decrease(other, x_new, j)
+
+
+class TestFactoredState:
+    """Runs on the factored state against the loop that rescales the tensor
+    at every step (tests/helpers.per_step_rescale_reference)."""
+
+    @staticmethod
+    def assert_parity(problem, x0, tol=1e-10):
+        wp = working_problem(problem)
+        _, trace, status = blockmin.run(wp, x0, tol, 10000, None)
+        _, ref, ref_status = per_step_rescale_reference(problem, x0, tol, 10000)
+        assert status == ref_status == blockmin.CONVERGED
+        assert trace.n_steps == ref.n_steps > 10
+        assert trace.chosen_blocks == ref.chosen_blocks
+        np.testing.assert_allclose(trace.objectives, ref.objectives,
+                                   rtol=1e-12, atol=0)
+        # a gradient norm carries rounding of order eps times the mass, which
+        # near convergence is a large part of the norm itself
+        mass = np.asarray(ref.objectives)
+        gap = np.abs(np.subtract(trace.full_grad_norms, ref.full_grad_norms))
+        assert np.all(gap <= 1e-12 * mass)
+        gap = np.abs(np.subtract(trace.objective_decreases,
+                                 ref.objective_decreases))
+        assert np.all(gap <= 1e-12 * mass[:-1])
+        for k, drop in enumerate(trace.objective_decreases):
+            if trace.full_grad_norms[k] > tol:
+                assert drop > 0.0, k
+        return wp
+
+    @pytest.mark.parametrize("case", ["matrix", "cube", "gauge"])
+    def test_matches_per_step_rescale(self, case):
+        problem = seeded_case(case, np.random.default_rng(2000))
+        x0 = random_reduced_point(problem.frame, np.random.default_rng(2001))
+        wp = self.assert_parity(problem, x0)
+        assert wp.rebases == 1
+
+    def test_steep_kernel_across_rebases(self):
+        problem = steep_kernel_problem()
+        # a far start, so the exponents travel well past the rebase distance
+        x0 = random_reduced_point(problem.frame, np.random.default_rng(2200),
+                                  radius=20.0)
+        wp = self.assert_parity(problem, x0)
+        assert wp.rebases >= 2
+
+    def test_overflow_at_the_same_step(self):
+        # No scaling gives this support unit row and column sums (rows 1 and
+        # 2 hold mass only in column 0), so the exponents drift until one on
+        # the support passes EXP_LIMIT.
+        problem = problem_of([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+                              [1.0, 0.0, 0.0]])
+        assert problem.frame.gauge_dim == 0
+
+        def steps_to_overflow(wp):
+            steps = []
+            update = wp.apply_update
+
+            def counted(x, j, new_block):
+                steps.append(j)
+                return update(x, j, new_block)
+
+            wp.apply_update = counted
+            with pytest.raises(ScalingOverflowError):
+                blockmin.run(wp, BlockVector.zeros((3, 3)), 1e-300, 10000, None)
+            return steps
+
+        ref = steps_to_overflow(PerStepRescaleProblem(problem))
+        assert len(ref) >= 1
+        wp = StandardScalingBlockProblem(problem)
+        assert steps_to_overflow(wp) == ref
+        assert wp.rebases < len(ref)

@@ -3,8 +3,9 @@ import pytest
 
 from helpers import random_compatible_targets, random_positive_tensor
 from slicescale.tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
-                               check_compatibility, rank_one_target, scale,
-                               slice_sums)
+                               check_compatibility, cofactor_sums,
+                               rank_one_target, scale, slice_sums,
+                               support_exponent)
 
 
 class TestDenseTensor:
@@ -125,6 +126,40 @@ class TestScale:
         t = DenseTensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
             scale(t, [np.zeros(3), np.zeros(2)])
+
+
+class TestCofactorSums:
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4), (2, 3, 2, 3)])
+    def test_slice_sums_of_the_factored_rescaling(self, dims):
+        rng = np.random.default_rng(800 + len(dims))
+        kernel = random_positive_tensor(rng, dims).array
+        x = [rng.uniform(-2.0, 2.0, m) for m in dims]
+        factors = [np.exp(b) for b in x]
+        scaled = scale(DenseTensor(kernel), x)
+        subsets = [range(len(dims)), [0], [len(dims) - 1], [1, len(dims) - 1],
+                   []]
+        for modes in subsets:
+            got = cofactor_sums(kernel, factors, modes)
+            assert sorted(got) == sorted(set(modes))
+            for k in modes:
+                np.testing.assert_allclose(factors[k] * got[k],
+                                           slice_sums(scaled, k), rtol=1e-13)
+
+    def test_matrix_is_two_matvecs(self):
+        kernel = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
+        u = [np.array([1.0, 10.0]), np.array([1.0, 2.0, 3.0])]
+        got = cofactor_sums(kernel, u, [0, 1])
+        np.testing.assert_array_equal(got[0], kernel @ u[1])
+        np.testing.assert_array_equal(got[1], u[0] @ kernel)
+
+
+class TestSupportExponent:
+    def test_reads_the_support_only(self):
+        t = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
+        x = [np.array([0.0, 400.0]), np.array([400.0, -450.0])]
+        # the entry (1, 0) carries 800 but is not on the support
+        assert support_exponent(t, x) == 450.0
+        scale(t, x)
 
 
 class TestCompatibility:
