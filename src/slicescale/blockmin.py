@@ -55,6 +55,10 @@ class NumericalOverflowError(ArithmeticError):
         self.at_step = at_step
 
 
+def _sup_norm(block):
+    return float(np.abs(block).max()) if block.size else 0.0
+
+
 class BlockVector:
     """A vector split into d blocks, treated as immutable.
 
@@ -100,7 +104,7 @@ class BlockVector:
         return np.concatenate(self.blocks)
 
     def norm_inf(self):
-        return max(float(np.abs(b).max()) if b.size else 0.0 for b in self.blocks)
+        return max(_sup_norm(b) for b in self.blocks)
 
     def with_block(self, j, new_block):
         """Block j replaced by a read-only copy of ``new_block``; the other
@@ -147,8 +151,8 @@ class BlockProblem(abc.ABC):
     ``apply_update(x, j, ·)`` and ``objective_decrease(x, x_new, j)`` on the
     same object ``x``, and then ``evaluate(x_new)`` on the object
     ``apply_update`` returned. A problem may keep work from one call for the
-    next: the scaling problems keep the slice sums at ``x`` and advance them
-    to ``x_new`` from the moved block, and the quadratic keeps its gradient
+    next: the scaling problem keeps the slice sums at ``x`` and advances them
+    to ``x_new`` from the moved blocks, and the quadratic keeps its gradient
     and block factors. Results must not depend on that order: a call at any
     other point recomputes from scratch.
     """
@@ -170,9 +174,9 @@ class BlockProblem(abc.ABC):
         """Objective at ``x`` and the list of its d block gradients.
 
         The engine uses only the Euclidean norm of each block gradient, so
-        any vector with that norm will do: the projected scaling problem
-        returns coordinates along its projected mode basis, of length
-        m_j - 1 rather than block_dims[j].
+        any vector with that norm will do: on an instance with a g-dimensional
+        gauge the scaling problem appends g correction entries to the
+        in-plane gradient, a vector of length block_dims[j] + g.
         """
 
     @abc.abstractmethod
@@ -418,6 +422,9 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     if not guard > 0:
         raise ValueError("divergence guard must be positive")
     x = x0
+    # per-block sup norms for the guard; a step recomputes only the blocks
+    # whose array changed
+    sups = [_sup_norm(b) for b in x.blocks]
     obj, grads = problem.evaluate(x)
     norms = _norms(grads)
     _check_finite(obj, norms, x, 0)
@@ -433,7 +440,7 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
         if full <= tol:
             status = CONVERGED
             break
-        if x.norm_inf() > guard:
+        if max(sups) > guard:
             status = DIVERGING
             break
         if k == max_iters:
@@ -443,6 +450,9 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
         new_block = np.asarray(problem.partial_minimizer(x, j), dtype=float)
         x_old = x
         x = problem.apply_update(x, j, new_block)
+        for i, (new, old) in enumerate(zip(x.blocks, x_old.blocks)):
+            if new is not old:
+                sups[i] = _sup_norm(new)
         decrease = problem.objective_decrease(x_old, x, j)
         prev_obj = obj
         obj, grads = problem.evaluate(x)

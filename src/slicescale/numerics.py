@@ -1,21 +1,19 @@
 """Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
-Null spaces come from the SVD, orthonormalization from QR (SVD for
-rank-deficient input), symmetric eigendecompositions from ``eigh`` and linear
-solves from QR. Each returned basis has its column signs fixed (the entry of
-largest magnitude is positive), so the same input gives the same basis on a
-fixed numpy/LAPACK build. Inside a multi-dimensional subspace the orientation
-is whatever LAPACK returns. Nothing the solvers report or store depends on
-it: their iterates are ambient exponent blocks, and bases enter only through
-coordinate norms and Hessian congruences. Everything operates on plain
-float64 numpy arrays.
+Null spaces come from the SVD, symmetric eigendecompositions from ``eigh``
+and linear solves from QR. Each returned basis has its column signs fixed
+(the entry of largest magnitude is positive), so the same input gives the
+same basis on a fixed numpy/LAPACK build. Inside a multi-dimensional
+subspace the orientation is whatever LAPACK returns. Nothing the solvers
+report or store depends on it: their iterates are ambient exponent blocks,
+and bases enter only through coordinate norms, projectors and Hessian
+congruences. Everything operates on plain float64 numpy arrays.
 """
 
 import numpy as np
 
 __all__ = [
     "OrthonormalBasis",
-    "orthonormalize",
     "null_space",
     "symmetric_eigs",
     "factor_linear",
@@ -23,8 +21,7 @@ __all__ = [
     "solve_linear",
 ]
 
-# Singular values (or QR diagonal entries) at or below this fraction of the
-# largest singular value (or input column norm) count as zero.
+# Singular values at or below this fraction of the largest one count as zero.
 RANK_RTOL = 1e-10
 
 
@@ -69,33 +66,6 @@ def _fix_signs(Q):
         lead = Q[np.abs(Q).argmax(axis=0), cols]
         Q *= np.where(lead < 0, -1.0, 1.0)
     return Q
-
-
-def orthonormalize(vectors):
-    """Orthonormal basis of the span of the given vectors.
-
-    ``vectors`` is a sequence of equal-length vectors or a 2-d array with one
-    vector per row; an array is used as it is, without a copy. Linearly
-    independent inputs give the Gram-Schmidt basis (QR with a positive
-    diagonal): basis vector i has a positive coefficient on input i.
-    Rank-deficient inputs yield fewer output vectors than inputs.
-    """
-    A = np.asarray(vectors, dtype=float)
-    if not len(A):
-        raise ValueError("no vectors")
-    if A.ndim != 2 or A.shape[1] < 1:
-        raise ValueError("vectors must share a common positive length")
-    A = A.T
-    n = A.shape[0]
-    tol = RANK_RTOL * float(np.sqrt((A * A).sum(axis=0).max()))
-    if A.shape[1] <= n:
-        Q, R = np.linalg.qr(A)
-        diag = np.diag(R)
-        if np.abs(diag).min() > tol:
-            Q *= np.sign(diag)
-            return OrthonormalBasis(n, Q)
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
 
 
 def null_space(A):

@@ -7,8 +7,8 @@ stationary points over the space where each block is orthogonal to its
 target vector are exactly the scalings whose slice sums are proportional to
 the targets. When the tensor has zeros, some directions inside that space
 leave every supported entry unchanged (gauge directions); the objective is
-strictly convex only on their orthogonal complement, which is where the
-projected solver operates.
+strictly convex only on their orthogonal complement, the reduced space where
+the solver keeps its iterates.
 """
 
 import numpy as np
@@ -40,22 +40,21 @@ class SubspaceFrame:
     - ``gauge_basis``: support kernel intersected with the working space,
       the flat directions of the objective;
     - ``reduced_basis``: complement of the gauge inside the working space,
-      where the objective is strictly convex;
-    - ``reduced_projector``: orthogonal projector onto the reduced space;
-    - ``projected_mode_bases[j]``: basis of the image of embedded mode block
-      j under the reduced projector, shape (N, m_j - 1).
+      where the objective is strictly convex; the working basis itself when
+      there is no gauge.
 
     The bases come from LAPACK factorizations with fixed column signs, so on a
     fixed numpy/LAPACK build their orientation is reproducible. Inside each
     subspace the orientation is otherwise arbitrary, and nothing the solvers
     report or store depends on it: their iterates are ambient exponent
-    blocks, and only norms of basis coordinates and congruences Q^T H Q enter
-    the traces and the rate certificate. The mode bases serve only to build
-    the other bases.
+    blocks, the solver's loop reads only the gauge basis G, in forms where
+    its orientation cancels (the projector G G^T and the norms of the block
+    gradients), and the rate certificate only congruences Q^T H Q. The mode
+    bases serve only to build the other bases. No projector is kept.
     """
 
     def __init__(self, targets, mode_bases, working_basis, support_kernel_basis,
-                 gauge_basis, reduced_basis, projected_mode_bases):
+                 gauge_basis, reduced_basis):
         self.targets = targets
         self.dims = targets.dims
         self.ambient_dim = sum(self.dims)
@@ -68,8 +67,6 @@ class SubspaceFrame:
         self.support_kernel_basis = support_kernel_basis
         self.gauge_basis = gauge_basis
         self.reduced_basis = reduced_basis
-        self.projected_mode_bases = tuple(projected_mode_bases)
-        self.reduced_projector = reduced_basis @ reduced_basis.T
 
     @property
     def d(self):
@@ -96,10 +93,17 @@ class SubspaceFrame:
         return [vec[self.block_slice(j)] for j in range(self.d)]
 
     def reduced_residual(self, x):
-        """Sup-norm distance of an ambient block vector from the reduced space."""
-        vec = x.concat()
-        resid = vec - self.reduced_projector @ vec
-        return float(np.abs(resid).max()) if resid.size else 0.0
+        """Sup-norm distance of an ambient block vector from the reduced space.
+
+        The reduced space is the product of the target hyperplanes minus the
+        gauge, so the residual is each block's component along its target
+        plus the gauge component G (G^T x).
+        """
+        resid = np.concatenate([(float(b @ s) / float(s @ s)) * s for b, s in
+                                zip(x.blocks, self.targets.vectors)])
+        if self.gauge_dim:
+            resid += self.gauge_basis @ (self.gauge_basis.T @ x.concat())
+        return float(np.abs(resid).max())
 
     def __repr__(self):
         return (
@@ -138,8 +142,7 @@ def build_frame(tensor, targets):
     The support kernel is ker R = ker R^T R, the null space of the N x N
     support Gram matrix, so the nnz x N incidence matrix R is never formed.
     The gauge space is the part of that kernel orthogonal to every per-mode
-    target row. A deficient projected mode basis (dimension below m_j - 1)
-    cannot occur for a valid tensor with no zero slice and raises an error.
+    target row.
     """
     dims = tensor.dims
     if targets.dims != dims:
@@ -162,8 +165,6 @@ def build_frame(tensor, targets):
         working[offsets[j]:offsets[j + 1], col:col + dims[j] - 1] = mode_bases[j]
         col += dims[j] - 1
 
-    # the Gram matrix is not kept: the loop below would hold it as a third
-    # N x N array next to the working basis and the projected images
     support_kernel = numerics.null_space(
         ambient_second_moments(tensor.support.astype(float))).matrix
 
@@ -188,18 +189,8 @@ def build_frame(tensor, targets):
     if not frame_dims_ok:
         raise ValueError("zero slice or invalid tensor")
 
-    projected = []
-    for j in range(d):
-        # columns of the reduced projector R R^T in block j, times Q_j,
-        # without forming the N x N projector
-        image = reduced @ (reduced[offsets[j]:offsets[j + 1]].T @ mode_bases[j])
-        basis = numerics.orthonormalize(image.T)
-        if basis.size != dims[j] - 1:
-            raise ValueError("zero slice or invalid tensor")
-        projected.append(basis.matrix)
-
     return SubspaceFrame(targets, mode_bases, working, support_kernel, gauge,
-                         reduced, projected)
+                         reduced)
 
 
 class ScalingPoint:

@@ -1,19 +1,20 @@
 """End-to-end slice-sum scaling solvers built on the greedy block engine.
 
-:func:`solve` is the one entry point. It solves tensors without gauge
-directions (positive tensors among them) directly on the product of per-mode
-target hyperplanes; patterned tensors with gauge directions go through the
-projected variant, which applies the same closed-form block update and then
-projects each iterate back onto the reduced working space.
+:func:`solve` is the one entry point, and :class:`ScalingBlockProblem` the
+one working problem. Tensors without gauge directions (positive tensors among
+them) are solved on the product of per-mode target hyperplanes; for patterned
+tensors with gauge directions the same closed-form block update is followed
+by removing the iterate's gauge component, a correction of rank g (the
+gauge dimension), so iterates stay in the reduced working space.
 Either way a converged run yields slice sums proportional to the targets,
 and a final normalization makes them exact.
 
 Iterates and starting points ``x0`` are ambient exponent blocks (block j has
-length m_j), and the block updates and standard-path gradients are computed
-in that ambient form. The frame's bases enter only through the projected
-path's gradients and projection and through the Hessians of the rate
-certificate, so nothing a solve reports or stores depends on how those bases
-are oriented.
+length m_j), and the block updates and gradients are computed in that
+ambient form. Of the frame's bases the loop reads only the gauge basis, whose
+orientation cancels in G G^T and in the gradient norms, and the rate
+certificate reads the reduced basis through Hessian congruences, so nothing
+a solve reports or stores depends on how those bases are oriented.
 
 The loop never rescales the tensor per step. Its working problem keeps a
 factored state: a kernel (the tensor rescaled at a base point), per-mode
@@ -22,8 +23,8 @@ matrix-vector products for a matrix. The kernel is rebuilt through
 ``ScalingProblem.scaled`` at the start, when the iterate has moved
 ``REBASE_DISTANCE`` from the base, and wherever a rescale of the iterate
 could pass ``EXP_LIMIT``, so overflow is refused exactly where a per-step
-rescale would refuse it. The projected path still rescales once per step,
-for its entrywise objective drop.
+rescale would refuse it. On a gauge instance the objective drop of a step is
+still read from the moved mode's slice sums, so no path rescales per step.
 """
 
 import math
@@ -43,8 +44,7 @@ __all__ = [
     "solve",
     "normalize",
     "random_reduced_point",
-    "StandardScalingBlockProblem",
-    "ProjectedScalingBlockProblem",
+    "ScalingBlockProblem",
 ]
 
 # Default iterate guard: exponent sums on the support stay at most
@@ -85,8 +85,8 @@ def closed_form_block_update(problem, x, j, sigma=None):
     return tilde - shift
 
 
-class _ScalingBlockProblemBase(BlockProblem):
-    """Shared plumbing for engine-facing scaling problems.
+class ScalingBlockProblem(BlockProblem):
+    """The greedy engine's scaling problem, for every instance.
 
     The engine state is a BlockVector of ambient exponent blocks: block j has
     length m_j and lies in the hyperplane orthogonal to target s_j.
@@ -109,6 +109,20 @@ class _ScalingBlockProblemBase(BlockProblem):
     ScalingOverflowError at exactly the iterate where rescaling every step
     would, and keeps every partial product of K and the factors inside the
     range of that rescale. ``rebases`` counts the rescales.
+
+    Gauge directions, the columns of the frame's N x g gauge basis G, leave
+    the objective unchanged. When g > 0 the iterates stay in the reduced
+    space, orthogonal to G: apply_update removes G (G^T x) from the updated
+    point. Write G_j for the rows of G in block j and S_j = I_g - G_j^T G_j.
+    S_j is positive definite: a gauge vector v zero off block j sums to
+    v_j[i_j] on a supported entry, so v_j vanishes at every index of mode j
+    that lies on a supported entry, which is every index since no slice is
+    zero. The block-j gradient of the reduced problem, taken
+    along the image of block j's hyperplane under that projection, has the
+    squared norm ||y||^2 + (G_j^T y)^T S_j^-1 (G_j^T y), with y the in-plane
+    gradient sigma_j - (sigma_j.s_j / s_j.s_j) s_j; evaluate returns y with
+    L_j^-1 G_j^T y appended (L_j L_j^T = S_j), a vector of length m_j + g
+    with that norm. With g = 0 nothing is appended or removed.
     """
 
     def __init__(self, problem):
@@ -117,6 +131,20 @@ class _ScalingBlockProblemBase(BlockProblem):
         self._targets = [(s, float(s @ s)) for s in problem.targets.vectors]
         self._rebases = 0
         self._point = self._successor = self._kernel = None
+        self._gauge_blocks = self.frame.split(self.frame.gauge_basis)
+        self._gradient_maps, self._drop_maps = [], []
+        if self.frame.gauge_dim:
+            for j, rows in enumerate(self._gauge_blocks):
+                # I - G_j^T G_j as the sum over the other blocks, which is
+                # the same for an orthonormal G but free of cancellation
+                S = sum(other.T @ other for k, other in
+                        enumerate(self._gauge_blocks) if k != j)
+                try:
+                    L = np.linalg.cholesky(S)
+                except np.linalg.LinAlgError:
+                    raise ValueError("zero slice or invalid tensor") from None
+                self._gradient_maps.append(np.linalg.solve(L, rows.T))
+                self._drop_maps.append(np.linalg.solve(S, rows.T).T)
 
     @property
     def block_dims(self):
@@ -175,18 +203,26 @@ class _ScalingBlockProblemBase(BlockProblem):
                         for k, u in enumerate(self._factors)]
         self._point, self._successor = x, None
 
+    def evaluate(self, x):
+        sigmas = self._slice_sums(x)
+        grads = [self._in_plane(sigma, k) for k, sigma in enumerate(sigmas)]
+        if self._gradient_maps:
+            grads = [np.concatenate([y, lift @ y])
+                     for y, lift in zip(grads, self._gradient_maps)]
+        return float(sigmas[0].sum()), grads
+
     def partial_minimizer(self, x, j):
         return closed_form_block_update(self.problem, x, j,
                                         sigma=self._slice_sums(x)[j])
 
     def apply_update(self, x, j, new_block):
-        x_new = self._project(x.with_block(j, new_block))
+        x_new = x.with_block(j, new_block)
+        if self.frame.gauge_dim:
+            G, vec = self.frame.gauge_basis, x_new.concat()
+            x_new = BlockVector(self.frame.split(vec - G @ (G.T @ vec)))
         if x is self._point:
             self._successor = x_new
         return x_new
-
-    def _project(self, x):
-        return x
 
     def objective_decrease(self, x_old, x_new, j):
         # f(new) - f(old) = sum_e B_e(old) * expm1(sum_k delta_k[i_k]) over
@@ -197,11 +233,16 @@ class _ScalingBlockProblemBase(BlockProblem):
         # projected onto the hyperplane, where it lies in exact arithmetic;
         # the exponent changes then carry errors proportional to the step
         # itself, and the expm1 form keeps the drop's sign reliable far below
-        # the resolution of the objective values. The exponent change does
-        # not depend on the modes that did not move, so B(old) is first
-        # summed over them: when one block moved that marginal is its slice
-        # sums, m_j terms from the state; when every block moved (the
-        # projected path) it is B(old) itself.
+        # the resolution of the objective values.
+        #
+        # x_new must come from apply_update(x_old, j, .), so blocks other
+        # than j moved only along the gauge. The objective is constant along
+        # the gauge, so adding G c to the step changes no drop, and
+        # c = -S_j^-1 sum_{k != j} G_k^T delta_k cancels every other block's
+        # move (sum_{k != j} G_k^T G_k = S_j). What is left is one move
+        # h = delta_j + G_j c of block j, and B(old) summed over the modes
+        # that no longer move is its mode-j slice sums, m_j terms from the
+        # state.
         deltas = {}
         for k, (new, old) in enumerate(zip(x_new.blocks, x_old.blocks)):
             if new is old:
@@ -211,53 +252,14 @@ class _ScalingBlockProblemBase(BlockProblem):
                 deltas[k] = delta
         if not deltas:
             return 0.0
-        if len(deltas) == 1:
-            (k, expo), = deltas.items()
-            marginal = self._slice_sums(x_old)[k]
-        else:
-            marginal = self.problem.scaled(x_old).array
-            still = tuple(k for k in range(self.d) if k not in deltas)
-            if still:
-                marginal = marginal.sum(axis=still, keepdims=True)
-            expo = np.zeros(marginal.shape)
-            for k, delta in deltas.items():
-                shape = [1] * self.d
-                shape[k] = delta.size
-                expo += delta.reshape(shape)
+        move = deltas.pop(j, 0.0)
+        if deltas:
+            coupling = sum(self._gauge_blocks[k].T @ delta
+                           for k, delta in deltas.items())
+            move = move - self._drop_maps[j] @ coupling
+        marginal = self._slice_sums(x_old)[j]
         positive = marginal > 0
-        return -math.fsum(marginal[positive] * np.expm1(expo[positive]))
-
-
-class StandardScalingBlockProblem(_ScalingBlockProblemBase):
-    """Engine problem for tensors without gauge directions."""
-
-    def evaluate(self, x):
-        sigmas = self._slice_sums(x)
-        grads = [self._in_plane(sigma, k) for k, sigma in enumerate(sigmas)]
-        return float(sigmas[0].sum()), grads
-
-    def hessian(self, x):
-        return self.problem.hessian_restricted(x, self.frame.working_basis)
-
-
-class ProjectedScalingBlockProblem(_ScalingBlockProblemBase):
-    """Engine problem for patterned tensors with gauge directions.
-
-    Gradients are taken along the projected mode bases and every block update
-    is followed by a projection onto the reduced working space, so iterates
-    never leave it.
-    """
-
-    def evaluate(self, x):
-        sigmas = self._slice_sums(x)
-        ghat = np.concatenate(sigmas)
-        grads = [
-            self.frame.projected_mode_bases[j].T @ ghat for j in range(self.d)
-        ]
-        return float(sigmas[0].sum()), grads
-
-    def _project(self, x):
-        return BlockVector(self.frame.split(self.frame.reduced_projector @ x.concat()))
+        return -math.fsum(marginal[positive] * np.expm1(move[positive]))
 
     def hessian(self, x):
         return self.problem.hessian_restricted(x, self.frame.reduced_basis)
@@ -316,15 +318,14 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     Without gauge directions (always the case for strictly positive tensors)
     the engine runs on the product of target hyperplanes
     (``"greedy-standard"``). Otherwise it runs on the reduced working space
-    (``"greedy-projected"``), and the start must lie in that space. ``x0``
-    may be None (the zero start, valid on both paths) or an ambient block
-    vector with each block orthogonal to its target.
+    (``"greedy-projected"``), and the start must lie in that space. Both
+    run :class:`ScalingBlockProblem`. ``x0`` may be None (the zero start,
+    valid on both paths) or an ambient block vector with each block
+    orthogonal to its target.
     """
     projected = problem.frame.gauge_dim != 0
-    if projected:
-        working, method = ProjectedScalingBlockProblem(problem), "greedy-projected"
-    else:
-        working, method = StandardScalingBlockProblem(problem), "greedy-standard"
+    method = "greedy-projected" if projected else "greedy-standard"
+    working = ScalingBlockProblem(problem)
     if x0 is None:
         x0 = BlockVector.zeros(problem.tensor.dims)
     else:

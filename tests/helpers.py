@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, alternating scaling, the
-entrywise objective drop, a greedy scaler that rescales the tensor at every
-step, and random instance generators."""
+entrywise objective drop, the reduced space's projector and projected mode
+bases built from explicit bases, a greedy scaler that rescales the tensor at
+every step, and random instance generators."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from slicescale import blockmin
 from slicescale.blockmin import BlockProblem, BlockVector
+from slicescale.numerics import RANK_RTOL, OrthonormalBasis, _fix_signs
 from slicescale.scaler import closed_form_block_update
 from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
 
@@ -121,6 +123,48 @@ def objective_decrease_reference(problem, x_old, x_new):
     return -math.fsum(terms), float(np.abs(terms).sum())
 
 
+def orthonormalize(vectors):
+    """Orthonormal basis of the span of the given vectors.
+
+    ``vectors`` is a sequence of equal-length vectors or a 2-d array with one
+    vector per row; an array is used as it is, without a copy. Linearly
+    independent inputs give the Gram-Schmidt basis (QR with a positive
+    diagonal): basis vector i has a positive coefficient on input i.
+    Rank-deficient inputs yield fewer output vectors than inputs.
+    """
+    A = np.asarray(vectors, dtype=float)
+    if not len(A):
+        raise ValueError("no vectors")
+    if A.ndim != 2 or A.shape[1] < 1:
+        raise ValueError("vectors must share a common positive length")
+    A = A.T
+    n = A.shape[0]
+    tol = RANK_RTOL * float(np.sqrt((A * A).sum(axis=0).max()))
+    if A.shape[1] <= n:
+        Q, R = np.linalg.qr(A)
+        diag = np.diag(R)
+        if np.abs(diag).min() > tol:
+            Q *= np.sign(diag)
+            return OrthonormalBasis(n, Q)
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
+
+
+def reduced_projector(frame):
+    """The N x N orthogonal projector onto the frame's reduced space."""
+    return frame.reduced_basis @ frame.reduced_basis.T
+
+
+def projected_mode_bases(frame):
+    """Per mode j, an orthonormal basis of the image of block j's target
+    hyperplane under the reduced projector, shape (N, rank). The rank is
+    m_j - 1 for every valid tensor."""
+    reduced = frame.reduced_basis
+    return [orthonormalize(
+        (reduced @ (reduced[frame.block_slice(j)].T @ q)).T).matrix
+        for j, q in enumerate(frame.mode_bases)]
+
+
 class PerStepRescaleProblem(BlockProblem):
     """Greedy scaling problem that rescales the tensor at every iterate.
 
@@ -129,13 +173,16 @@ class PerStepRescaleProblem(BlockProblem):
     for the calls at that iterate), and the objective drop is the entrywise
     reference above. Patterned tensors with gauge directions take the
     projected path: gradients along the projected mode bases, updates
-    projected onto the reduced working space.
+    projected onto the reduced working space, both built here from the
+    frame's reduced basis.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self.frame = problem.frame
         self.projected = problem.frame.gauge_dim != 0
+        if self.projected:
+            self._bases = projected_mode_bases(problem.frame)
+            self._projector = reduced_projector(problem.frame)
         self._memo = None
 
     @property
@@ -152,7 +199,7 @@ class PerStepRescaleProblem(BlockProblem):
         sigmas = [slice_sums(scaled, j) for j in range(self.d)]
         if self.projected:
             ghat = np.concatenate(sigmas)
-            grads = [b.T @ ghat for b in self.frame.projected_mode_bases]
+            grads = [b.T @ ghat for b in self._bases]
         else:
             grads = [sigma - (float(sigma @ s) / float(s @ s)) * s
                      for sigma, s in zip(sigmas, self.problem.targets.vectors)]
@@ -166,8 +213,8 @@ class PerStepRescaleProblem(BlockProblem):
         updated = x.with_block(j, new_block)
         if not self.projected:
             return updated
-        return BlockVector(
-            self.frame.split(self.frame.reduced_projector @ updated.concat()))
+        return BlockVector(self.problem.frame.split(
+            self._projector @ updated.concat()))
 
     def objective_decrease(self, x_old, x_new, j):
         return objective_decrease_reference(self.problem, x_old, x_new)[0]

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, fd_hessian, sinkhorn_reference
+from helpers import (fd_gradient, fd_hessian, projected_mode_bases,
+                     sinkhorn_reference)
 from slicescale import blockmin
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  QuadraticBlockProblem, estimate_alpha_beta,
@@ -276,8 +277,9 @@ def test_criterion_8_degenerate_patterns(pattern_runs):
         for k, x in enumerate(sol.trace.iterates):
             if frame.reduced_residual(x) > 1e-12:
                 violations.append(f"pattern[{i}] iterate {k} left the reduced space")
+        bases = projected_mode_bases(frame)
         for j, m in enumerate(problem.tensor.dims):
-            if frame.projected_mode_bases[j].shape[1] != m - 1:
+            if bases[j].shape[1] != m - 1:
                 violations.append(f"pattern[{i}] projected mode basis {j} deficient")
         expected = np.eye(problem.tensor.dims[0])
         if np.abs(sol.scaled.array - expected).max() > 1e-8:

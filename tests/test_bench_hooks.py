@@ -27,6 +27,21 @@ print(json.dumps(dict(tracer.totals(),
                       rebases=solution.working_problem.rebases)))
 """
 
+# A block-diagonal 7 x 7 support with equal row and column mass per block:
+# one gauge direction, so the solve runs with the gauge correction.
+TRACED_GAUGE_SOLVE = TRACED_SOLVE.replace("""
+problem = ScalingProblem(DenseTensor(rng.uniform(0.1, 1.0, (12, 12))),
+                         SliceTargets.uniform((12, 12)))
+""", """
+array = np.zeros((7, 7))
+array[:3, :4] = np.exp(rng.uniform(-2.0, 2.0, (3, 4)))
+array[3:, 4:] = np.exp(rng.uniform(-2.0, 2.0, (4, 3)))
+rows = np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)])
+cols = np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])
+problem = ScalingProblem(DenseTensor(array), SliceTargets([rows, cols]))
+assert problem.frame.gauge_dim == 1
+""")
+
 
 def run_traced(code):
     env = dict(os.environ)
@@ -48,4 +63,12 @@ def test_traced_scale_calls_count_every_rescale():
     assert totals["counts"]["blockmin.steps"] > 10
     assert totals["rebases"] >= 1
     # one rescale per rebase of the factored state, one in normalize
+    assert totals["calls"]["tensor.scale"] == totals["rebases"] + 1
+
+
+def test_traced_scale_calls_on_a_gauge_solve():
+    # the gauge correction adds no rescale per step
+    totals = json.loads(run_traced(TRACED_GAUGE_SOLVE).splitlines()[-1])
+    assert totals["counts"]["blockmin.steps"] > 10
+    assert totals["rebases"] >= 1
     assert totals["calls"]["tensor.scale"] == totals["rebases"] + 1

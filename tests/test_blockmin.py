@@ -10,7 +10,7 @@ from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  distance_bound_sq, estimate_alpha_beta, run,
                                  theoretical_bound)
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import StandardScalingBlockProblem
+from slicescale.scaler import ScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
 
@@ -59,7 +59,7 @@ class BlowUpProblem(blockmin.BlockProblem):
 def ones_scaling_problem():
     tensor = DenseTensor(np.ones((2, 2)))
     targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
-    return StandardScalingBlockProblem(ScalingProblem(tensor, targets))
+    return ScalingBlockProblem(ScalingProblem(tensor, targets))
 
 
 class TestBlockVector:
@@ -159,7 +159,7 @@ class TestRun:
         tensor = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
         problem = ScalingProblem(tensor, targets)
-        wp = StandardScalingBlockProblem(problem)
+        wp = ScalingBlockProblem(problem)
         x, trace, status = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500)
         assert status == blockmin.CONVERGED
         scaled = problem.scaled(x)
@@ -324,17 +324,17 @@ class TestEstimateAlphaBeta:
     def test_iterate_sampling_orders(self):
         tensor = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
-        wp = StandardScalingBlockProblem(ScalingProblem(tensor, targets))
+        wp = ScalingBlockProblem(ScalingProblem(tensor, targets))
         y, trace, _ = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500,
                           record_iterates=True)
         alpha, beta = estimate_alpha_beta(wp, trace.iterates)
         assert 0 < alpha <= beta
 
     def test_projected_problem_hessian(self):
-        from slicescale.scaler import ProjectedScalingBlockProblem
         p = ScalingProblem(DenseTensor(np.diag([2.0, 3.0, 5.0])),
                            SliceTargets.uniform((3, 3)))
-        wp = ProjectedScalingBlockProblem(p)
+        assert p.frame.gauge_dim > 0
+        wp = ScalingBlockProblem(p)
         alpha, beta = estimate_alpha_beta(wp, [BlockVector.zeros(wp.block_dims)])
         assert 0 < alpha <= beta
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import orthonormalize
 from slicescale.numerics import (OrthonormalBasis, factor_linear, null_space,
-                                 orthonormalize, solve_factored, solve_linear,
-                                 symmetric_eigs)
+                                 solve_factored, solve_linear, symmetric_eigs)
 
 
 def projector(basis):

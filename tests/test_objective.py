@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import (ambient_point, fd_gradient, fd_hessian,
-                     random_compatible_targets, random_pattern_tensor,
-                     random_positive_tensor)
+                     projected_mode_bases, random_compatible_targets,
+                     random_pattern_tensor, random_positive_tensor,
+                     reduced_projector)
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import symmetric_eigs
 from slicescale.objective import (ScalingPoint, ScalingProblem,
                                   ambient_second_moments, build_frame)
-from slicescale.scaler import ProjectedScalingBlockProblem
+from slicescale.scaler import ScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets, rank_one_target
 
 
@@ -51,8 +52,9 @@ class TestBuildFrame:
                                    np.outer(expected, expected), atol=1e-12)
 
     def test_projectors_symmetric_idempotent(self):
+        # the projector is built in the test: the frame keeps none
         for problem in (ones_problem(), identity_pattern_problem()):
-            P = problem.frame.reduced_projector
+            P = reduced_projector(problem.frame)
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.abs(P @ P - P).max() <= 1e-12
 
@@ -67,8 +69,9 @@ class TestBuildFrame:
         tensor = random_pattern_tensor(rng, dims)
         targets = random_compatible_targets(rng, dims)
         frame = build_frame(tensor, targets)
+        bases = projected_mode_bases(frame)
         for j, m in enumerate(dims):
-            assert frame.projected_mode_bases[j].shape == (sum(dims), m - 1)
+            assert bases[j].shape == (sum(dims), m - 1)
         assert frame.reduced_dim == frame.working_dim - frame.gauge_dim
 
     def test_working_basis_block_structure(self):
@@ -177,24 +180,37 @@ class TestFrameKernelOracle:
         assert frame.support_kernel_basis.shape[1] == 3
         assert frame.gauge_dim == 2
 
-    def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
-        # The incidence matrix R of a dense 150 x 150 input alone would take
-        # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2). The
-        # measured peak is 4.5 N^2 doubles: the working basis, the mode
-        # bases, the projected images and the QR factors orthonormalize
-        # computes from one of them.
+    @staticmethod
+    def traced_dense_frame():
+        """Build the frame of a dense 150 x 150 input under tracemalloc;
+        returns (bytes retained by the frame, peak bytes, N)."""
         rng = np.random.default_rng(1300)
         dims = (150, 150)
         tensor = random_positive_tensor(rng, dims)
         targets = random_compatible_targets(rng, dims)
-        N = sum(dims)
         tracemalloc.start()
         try:
-            build_frame(tensor, targets)
-            _, peak = tracemalloc.get_traced_memory()
+            frame = build_frame(tensor, targets)
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert frame.gauge_dim == 0
+        return retained, peak, sum(dims)
+
+    def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
+        # The incidence matrix R of a dense 150 x 150 input alone would take
+        # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2). The
+        # measured peak is 4.5 N^2 doubles: the working and mode bases
+        # (1.5 N^2) and the SVD of the Gram matrix (3 N^2).
+        _, peak, N = self.traced_dense_frame()
         assert peak < 5.0 * N * N * 8
+
+    def test_dense_frame_retains_no_projector(self):
+        # Without a gauge the reduced basis is the working basis, so the
+        # frame keeps the working basis (N x (N - 2)) and the two mode bases
+        # (m x (m - 1) each), 1.5 N^2 doubles, and no N x N projector.
+        retained, _, N = self.traced_dense_frame()
+        assert retained <= 2.0 * N * N * 8
 
 
 class TestObjective:
@@ -279,9 +295,9 @@ class TestGradients:
 
 
 def w_gradient(p, x, j):
-    """Block-j gradient of the projected path: coordinates along its
-    projected mode-j basis."""
-    return ProjectedScalingBlockProblem(p).evaluate(x)[1][j]
+    """Block-j gradient of the scaling working problem: on a gauge instance
+    its norm is that of the coordinates along the projected mode-j basis."""
+    return ScalingBlockProblem(p).evaluate(x)[1][j]
 
 
 class TestWGradient:
