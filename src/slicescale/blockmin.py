@@ -160,6 +160,10 @@ class BlockProblem(abc.ABC):
     # Accuracy the partial minimizer is held to.
     partial_min_tol = 1e-12
 
+    # Eigenvalues of ``hessian(x)`` that are zero by construction (directions
+    # outside the working space), skipped by ``estimate_alpha_beta``.
+    hessian_null_dim = 0
+
     @property
     @abc.abstractmethod
     def block_dims(self):
@@ -198,7 +202,9 @@ class BlockProblem(abc.ABC):
         return None
 
     def hessian(self, x):
-        """Hessian on the working space at ``x`` (needed for bound estimation)."""
+        """Hessian at ``x`` as a symmetric matrix whose spectrum is the
+        working-space spectrum plus ``hessian_null_dim`` zeros (needed for
+        bound estimation)."""
         raise NotImplementedError("problem does not expose a Hessian")
 
 
@@ -361,20 +367,22 @@ def distance_bound_sq(bound, k, alpha_k=None, f0_gap_bound=None, kappas=None):
 def estimate_alpha_beta(problem, points):
     """Extreme Hessian eigenvalues over sample points.
 
-    Returns (alpha, beta) = (min of smallest, max of largest) eigenvalue over
-    the samples. These are sample estimates of the sublevel-set extremes, not
-    guaranteed bounds.
+    Returns (alpha, beta) = (min of smallest, max of largest) working-space
+    eigenvalue over the samples; the smallest is the one after the problem's
+    ``hessian_null_dim`` structural zeros. These are sample estimates of the
+    sublevel-set extremes, not guaranteed bounds.
     """
     points = list(points)
     if not points:
         raise ValueError("points must be nonempty")
     alpha = math.inf
     beta = -math.inf
+    low = problem.hessian_null_dim
     for x in points:
         vals, _ = numerics.symmetric_eigs(problem.hessian(x))
-        if vals[0] <= 0:
+        if vals[low] <= 0:
             raise ValueError("not strictly convex at sample")
-        alpha = min(alpha, float(vals[0]))
+        alpha = min(alpha, float(vals[low]))
         beta = max(beta, float(vals[-1]))
     return alpha, beta
 

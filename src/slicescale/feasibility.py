@@ -184,9 +184,17 @@ def check_scalable(tensor, targets):
     Searches for a witness exponent vector (orthogonal to every target, all
     supported entry sums <= 0, total <= -1). No witness means scalable; a
     found witness is re-verified before being reported.
+
+    Full support needs no search (the report says the LP was skipped): a
+    block orthogonal to its positive target has a maximum >= 0, and all
+    entry sums <= 0 force those maxima to sum to <= 0, so every block is 0.
     """
     if targets.dims != tensor.dims:
         raise ValueError("target dims do not match tensor dims")
+    if tensor.support.all():
+        return FeasibilityReport(
+            SCALABLE, None, {"pivots": 0, "phase": 1,
+                             "skipped": "full support is always scalable"})
     A_ub, b_ub, A_eq, b_eq = _witness_system(tensor, targets)
     feasible, x, pivots = _phase_one(A_ub, b_ub, A_eq, b_eq)
     stats = {"pivots": pivots, "phase": 1}

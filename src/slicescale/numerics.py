@@ -1,13 +1,14 @@
 """Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
-Null spaces come from the SVD, symmetric eigendecompositions from ``eigh``
-and linear solves from QR. Each returned basis has its column signs fixed
-(the entry of largest magnitude is positive), so the same input gives the
-same basis on a fixed numpy/LAPACK build. Inside a multi-dimensional
-subspace the orientation is whatever LAPACK returns. Nothing the solvers
-report or store depends on it: their iterates are ambient exponent blocks,
-and bases enter only through coordinate norms, projectors and Hessian
-congruences. Everything operates on plain float64 numpy arrays.
+Null spaces come from ``eigh`` for symmetric input and from the SVD
+otherwise, symmetric eigendecompositions from ``eigh`` and linear solves
+from QR. Each returned basis has its column signs fixed (the entry of
+largest magnitude is positive), so the same input gives the same basis on a
+fixed numpy/LAPACK build. Inside a multi-dimensional subspace the
+orientation is whatever LAPACK returns. Nothing the solvers report or store
+depends on it: their iterates are ambient exponent blocks, and the frame's
+bases enter only through projectors and norms, where their orientation
+cancels. Everything operates on plain float64 numpy arrays.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ __all__ = [
     "solve_linear",
 ]
 
-# Singular values at or below this fraction of the largest one count as zero.
+# Singular values (eigenvalue magnitudes, for symmetric input) at or below
+# this fraction of the largest one count as zero.
 RANK_RTOL = 1e-10
 
 
@@ -69,11 +71,21 @@ def _fix_signs(Q):
 
 
 def null_space(A):
-    """Orthonormal basis of {x : A x = 0}; its size is n - rank(A)."""
+    """Orthonormal basis of {x : A x = 0}; its size is n - rank(A).
+
+    Exactly symmetric input (a Gram matrix) goes through ``eigh``, one n x n
+    factor instead of the SVD's two, with the same rank cut.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] < 1:
         raise ValueError("matrix must be 2-d with at least one column")
     m, n = A.shape
+    if m == n and np.array_equal(A, A.T):
+        vals, vecs = np.linalg.eigh(A)
+        size = np.abs(vals)
+        # boolean indexing copies, so the basis does not keep vecs alive
+        kernel = vecs[:, size <= RANK_RTOL * size.max()]
+        return OrthonormalBasis(n, _fix_signs(kernel))
     # Full V only when it is needed (m < n); U is never larger than m x n.
     _, s, vt = np.linalg.svd(A, full_matrices=m < n)
     rank = int((s > RANK_RTOL * s[0]).sum()) if s.size else 0

@@ -1,5 +1,5 @@
 """The convex mass objective of exponent scalings, with its gradients,
-Hessians, and the orthonormal frames of the constrained working spaces.
+Hessians, and the frames of the constrained working spaces.
 
 For a tensor B and exponent blocks x the objective is the total mass of the
 rescaled tensor, f(x) = sum_e B_e exp(x_1[i_1] + ... + x_d[i_d]). Its
@@ -26,35 +26,29 @@ __all__ = [
 
 
 class SubspaceFrame:
-    """Deterministic orthonormal bases for the scaling working spaces.
+    """The subspaces of the scaling working spaces, as ambient data.
 
     Ambient space is R^N with N = sum of the mode sizes, split into per-mode
-    blocks. The frame holds:
+    blocks. The working space is the product of the hyperplanes orthogonal
+    to the targets s_j, of dimension N - d. The frame holds:
 
-    - ``mode_bases[j]``: basis of the hyperplane orthogonal to target s_j,
-      shape (m_j, m_j - 1);
-    - ``working_basis``: block-diagonal embedding of the mode bases, the
-      product of those hyperplanes, shape (N, n) with n = sum (m_j - 1);
-    - ``support_kernel_basis``: exponent vectors whose sum vanishes on every
-      supported entry (they rescale nothing);
-    - ``gauge_basis``: support kernel intersected with the working space,
-      the flat directions of the objective;
-    - ``reduced_basis``: complement of the gauge inside the working space,
-      where the objective is strictly convex; the working basis itself when
-      there is no gauge.
+    - ``support_kernel_basis``: orthonormal basis of the exponent vectors
+      whose sum vanishes on every supported entry (they rescale nothing);
+    - ``gauge_basis``: orthonormal basis G of the support kernel intersected
+      with the working space, the flat directions of the objective.
 
-    The bases come from LAPACK factorizations with fixed column signs, so on a
-    fixed numpy/LAPACK build their orientation is reproducible. Inside each
-    subspace the orientation is otherwise arbitrary, and nothing the solvers
-    report or store depends on it: their iterates are ambient exponent
-    blocks, the solver's loop reads only the gauge basis G, in forms where
-    its orientation cancels (the projector G G^T and the norms of the block
-    gradients), and the rate certificate only congruences Q^T H Q. The mode
-    bases serve only to build the other bases. No projector is kept.
+    The reduced space, where the objective is strictly convex, is the
+    complement of the gauge inside the working space, of dimension
+    N - d - g; :meth:`project` is its orthogonal projector, applied in
+    ambient form. The bases come from LAPACK factorizations with fixed
+    column signs, so on a fixed numpy/LAPACK build their orientation is
+    reproducible. Inside each subspace the orientation is otherwise
+    arbitrary, and nothing the solvers report or store depends on it: the
+    iterates are ambient exponent blocks, and G enters only through the
+    projector G G^T and the norms of the block gradients.
     """
 
-    def __init__(self, targets, mode_bases, working_basis, support_kernel_basis,
-                 gauge_basis, reduced_basis):
+    def __init__(self, targets, support_kernel_basis, gauge_basis):
         self.targets = targets
         self.dims = targets.dims
         self.ambient_dim = sum(self.dims)
@@ -62,11 +56,8 @@ class SubspaceFrame:
         for m in self.dims:
             offsets.append(offsets[-1] + m)
         self.offsets = tuple(offsets)
-        self.mode_bases = tuple(mode_bases)
-        self.working_basis = working_basis
         self.support_kernel_basis = support_kernel_basis
         self.gauge_basis = gauge_basis
-        self.reduced_basis = reduced_basis
 
     @property
     def d(self):
@@ -74,7 +65,7 @@ class SubspaceFrame:
 
     @property
     def working_dim(self):
-        return self.working_basis.shape[1]
+        return self.ambient_dim - self.d
 
     @property
     def gauge_dim(self):
@@ -82,7 +73,7 @@ class SubspaceFrame:
 
     @property
     def reduced_dim(self):
-        return self.reduced_basis.shape[1]
+        return self.working_dim - self.gauge_dim
 
     def block_slice(self, j):
         return slice(self.offsets[j], self.offsets[j + 1])
@@ -92,18 +83,26 @@ class SubspaceFrame:
         vec = np.asarray(vec, dtype=float)
         return [vec[self.block_slice(j)] for j in range(self.d)]
 
-    def reduced_residual(self, x):
-        """Sup-norm distance of an ambient block vector from the reduced space.
+    def project(self, v):
+        """Orthogonal projection onto the reduced space of an ambient vector,
+        or of an N x k matrix column by column, as a new array.
 
-        The reduced space is the product of the target hyperplanes minus the
-        gauge, so the residual is each block's component along its target
-        plus the gauge component G (G^T x).
+        Each block loses its component along its target, then G (G^T v) is
+        removed; G lies in the working space, so the two projectors commute.
         """
-        resid = np.concatenate([(float(b @ s) / float(s @ s)) * s for b, s in
-                                zip(x.blocks, self.targets.vectors)])
+        out = np.array(v, dtype=float)
+        for j, s in enumerate(self.targets.vectors):
+            block = out[self.block_slice(j)]
+            block -= np.multiply.outer(s, (s @ block) / float(s @ s))
         if self.gauge_dim:
-            resid += self.gauge_basis @ (self.gauge_basis.T @ x.concat())
-        return float(np.abs(resid).max())
+            G = self.gauge_basis
+            out -= G @ (G.T @ out)
+        return out
+
+    def reduced_residual(self, x):
+        """Sup-norm distance of an ambient block vector from the reduced space."""
+        vec = x.concat()
+        return float(np.abs(vec - self.project(vec)).max())
 
     def __repr__(self):
         return (
@@ -142,7 +141,7 @@ def build_frame(tensor, targets):
     The support kernel is ker R = ker R^T R, the null space of the N x N
     support Gram matrix, so the nnz x N incidence matrix R is never formed.
     The gauge space is the part of that kernel orthogonal to every per-mode
-    target row.
+    target row. These two null spaces are the only factorizations made.
     """
     dims = tensor.dims
     if targets.dims != dims:
@@ -150,20 +149,6 @@ def build_frame(tensor, targets):
     d = len(dims)
     ambient = sum(dims)
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-
-    mode_bases = []
-    for j in range(d):
-        basis = numerics.null_space(targets.vectors[j].reshape(1, -1))
-        if basis.size != dims[j] - 1:
-            raise ValueError("zero slice or invalid tensor")
-        mode_bases.append(basis.matrix)
-
-    n = sum(m - 1 for m in dims)
-    working = np.zeros((ambient, n))
-    col = 0
-    for j in range(d):
-        working[offsets[j]:offsets[j + 1], col:col + dims[j] - 1] = mode_bases[j]
-        col += dims[j] - 1
 
     support_kernel = numerics.null_space(
         ambient_second_moments(tensor.support.astype(float))).matrix
@@ -177,20 +162,7 @@ def build_frame(tensor, targets):
         gauge = support_kernel @ coeffs
     else:
         gauge = support_kernel
-
-    if gauge.shape[1]:
-        gauge_in_working = working.T @ gauge
-        complement = numerics.null_space(gauge_in_working.T).matrix
-        reduced = working @ complement
-    else:
-        reduced = working
-
-    frame_dims_ok = reduced.shape[1] == n - gauge.shape[1]
-    if not frame_dims_ok:
-        raise ValueError("zero slice or invalid tensor")
-
-    return SubspaceFrame(targets, mode_bases, working, support_kernel, gauge,
-                         reduced)
+    return SubspaceFrame(targets, support_kernel, gauge)
 
 
 class ScalingPoint:
@@ -262,9 +234,3 @@ class ScalingProblem:
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal
         blocks are two-mode marginals of the rescaled tensor."""
         return ambient_second_moments(self.scaled(x).array)
-
-    def hessian_restricted(self, x, basis):
-        """Hessian restricted to an ambient orthonormal basis (congruence Q^T H Q)."""
-        Q = basis.matrix if isinstance(basis, numerics.OrthonormalBasis) else np.asarray(basis, dtype=float)
-        H = self.hessian_ambient(x)
-        return Q.T @ H @ Q

@@ -13,8 +13,8 @@ Iterates and starting points ``x0`` are ambient exponent blocks (block j has
 length m_j), and the block updates and gradients are computed in that
 ambient form. Of the frame's bases the loop reads only the gauge basis, whose
 orientation cancels in G G^T and in the gradient norms, and the rate
-certificate reads the reduced basis through Hessian congruences, so nothing
-a solve reports or stores depends on how those bases are oriented.
+certificate projects the ambient Hessian onto the reduced space, so nothing
+a solve reports or stores depends on how that basis is oriented.
 
 The loop never rescales the tensor per step. Its working problem keeps a
 factored state: a kernel (the tensor rescaled at a base point), per-mode
@@ -129,6 +129,7 @@ class ScalingBlockProblem(BlockProblem):
         self.problem = problem
         self.frame = problem.frame
         self._targets = [(s, float(s @ s)) for s in problem.targets.vectors]
+        self.hessian_null_dim = self.d + self.frame.gauge_dim
         self._rebases = 0
         self._point = self._successor = self._kernel = None
         self._gauge_blocks = self.frame.split(self.frame.gauge_basis)
@@ -262,7 +263,12 @@ class ScalingBlockProblem(BlockProblem):
         return -math.fsum(marginal[positive] * np.expm1(move[positive]))
 
     def hessian(self, x):
-        return self.problem.hessian_restricted(x, self.frame.reduced_basis)
+        """P H P, with H the ambient Hessian and P the projector onto the
+        reduced space: zero on the d + g dimensional complement and H's
+        (positive definite) compression on the reduced space, so its
+        spectrum is the reduced one plus ``hessian_null_dim`` zeros."""
+        project = self.frame.project
+        return project(project(self.problem.hessian_ambient(x)).T)
 
 
 @dataclass
@@ -344,7 +350,7 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
 
 
 def random_reduced_point(frame, rng, radius=1.0):
-    """Random ambient block vector in the reduced working space."""
-    coeffs = rng.uniform(-radius, radius, frame.reduced_dim)
-    vec = frame.reduced_basis @ coeffs
+    """Random ambient block vector in the reduced working space: a point
+    drawn from U(-radius, radius)^N, projected onto that space."""
+    vec = frame.project(rng.uniform(-radius, radius, frame.ambient_dim))
     return BlockVector(frame.split(vec))

@@ -1,15 +1,18 @@
 """Shared test oracles: finite differences, alternating scaling, the
-entrywise objective drop, the reduced space's projector and projected mode
-bases built from explicit bases, a greedy scaler that rescales the tensor at
-every step, and random instance generators."""
+entrywise objective drop, explicit orthonormal bases of a frame's mode,
+working and reduced spaces with the projector and projected mode bases built
+from them, a greedy scaler that rescales the tensor at every step, and
+random instance generators."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from slicescale import blockmin
 from slicescale.blockmin import BlockProblem, BlockVector
-from slicescale.numerics import RANK_RTOL, OrthonormalBasis, _fix_signs
+from slicescale.numerics import (RANK_RTOL, OrthonormalBasis, _fix_signs,
+                                 null_space)
 from slicescale.scaler import closed_form_block_update
 from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
 
@@ -150,19 +153,47 @@ def orthonormalize(vectors):
     return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
 
 
+def reference_bases(frame):
+    """Explicit orthonormal bases of a frame's subspaces, built from SVD null
+    spaces:
+
+    - ``mode_bases[j]``: the hyperplane orthogonal to target s_j, shape
+      (m_j, m_j - 1);
+    - ``working_basis``: their block-diagonal embedding, the product of the
+      hyperplanes, shape (N, n) with n = N - d;
+    - ``reduced_basis``: the complement of the gauge inside the working
+      space, shape (N, n - g); the working basis itself when g = 0.
+    """
+    mode_bases = [null_space(s.reshape(1, -1)).matrix
+                  for s in frame.targets.vectors]
+    working = np.zeros((frame.ambient_dim, frame.working_dim))
+    col = 0
+    for j, basis in enumerate(mode_bases):
+        working[frame.block_slice(j), col:col + basis.shape[1]] = basis
+        col += basis.shape[1]
+    reduced = working
+    if frame.gauge_dim:
+        gauge_in_working = working.T @ frame.gauge_basis
+        reduced = working @ null_space(gauge_in_working.T).matrix
+    return SimpleNamespace(mode_bases=mode_bases, working_basis=working,
+                           reduced_basis=reduced)
+
+
 def reduced_projector(frame):
     """The N x N orthogonal projector onto the frame's reduced space."""
-    return frame.reduced_basis @ frame.reduced_basis.T
+    reduced = reference_bases(frame).reduced_basis
+    return reduced @ reduced.T
 
 
 def projected_mode_bases(frame):
     """Per mode j, an orthonormal basis of the image of block j's target
     hyperplane under the reduced projector, shape (N, rank). The rank is
     m_j - 1 for every valid tensor."""
-    reduced = frame.reduced_basis
+    bases = reference_bases(frame)
+    reduced = bases.reduced_basis
     return [orthonormalize(
         (reduced @ (reduced[frame.block_slice(j)].T @ q)).T).matrix
-        for j, q in enumerate(frame.mode_bases)]
+        for j, q in enumerate(bases.mode_bases)]
 
 
 class PerStepRescaleProblem(BlockProblem):

@@ -43,6 +43,31 @@ assert problem.frame.gauge_dim == 1
 """)
 
 
+# The CLI's scale command on that gauge input, rate certificate included.
+TRACED_GAUGE_CLI = """
+import json
+import os
+import tempfile
+import numpy as np
+import tracing
+tracer = tracing.install()
+from slicescale import cli
+from slicescale.tensor import DenseTensor, SliceTargets
+rng = np.random.default_rng(2000)
+array = np.zeros((7, 7))
+array[:3, :4] = np.exp(rng.uniform(-2.0, 2.0, (3, 4)))
+array[3:, 4:] = np.exp(rng.uniform(-2.0, 2.0, (4, 3)))
+rows = np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)])
+cols = np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])
+with tempfile.TemporaryDirectory() as tmp:
+    path, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+    cli.save_tensor_file(path, DenseTensor(array), SliceTargets([rows, cols]))
+    assert cli.main(["scale", path, "--output", out]) == 0
+    with open(out) as fh:
+        assert "certificate" in json.load(fh)
+print(json.dumps(tracer.totals()))
+"""
+
 def run_traced(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -72,3 +97,16 @@ def test_traced_scale_calls_on_a_gauge_solve():
     assert totals["counts"]["blockmin.steps"] > 10
     assert totals["rebases"] >= 1
     assert totals["calls"]["tensor.scale"] == totals["rebases"] + 1
+
+
+def test_traced_cli_scale_on_a_gauge_input():
+    # one symmetric eigendecomposition per certificate sample, and the
+    # frame's two null spaces (support kernel, then gauge) inside build_frame
+    totals = json.loads(run_traced(TRACED_GAUGE_CLI).splitlines()[-1])
+    samples = totals["counts"]["blockmin.hessian_samples"]
+    assert samples > 16
+    assert totals["calls"]["numerics.symmetric_eigs"] == samples
+    assert totals["calls"]["objective.build_frame"] == 1
+    assert totals["calls"]["numerics.null_space"] == 2
+    assert (totals["seconds"]["numerics.null_space"]
+            <= totals["seconds"]["objective.build_frame"])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from slicescale import cli
+from slicescale import cli, scaler
+from slicescale.objective import ScalingProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
 
@@ -125,6 +126,53 @@ class TestScaleCommand:
         a = np.array(read_report(out1)["scaled"]["values"])
         b = np.array(read_report(out2)["scaled"]["values"])
         np.testing.assert_allclose(a, b, atol=1e-7)
+
+    def test_random_start_is_seeded(self, tmp_path):
+        # a block-diagonal support with one gauge direction, where the start
+        # must also be orthogonal to the gauge
+        rng = np.random.default_rng(2100)
+        array = np.zeros((7, 7))
+        array[:3, :4] = rng.uniform(0.2, 1.0, (3, 4))
+        array[3:, 4:] = rng.uniform(0.2, 1.0, (4, 3))
+        targets = SliceTargets([
+            np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)]),
+            np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])])
+        path = str(tmp_path / "gauge.json")
+        cli.save_tensor_file(path, DenseTensor(array), targets)
+        texts = {}
+        for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+            out = str(tmp_path / f"{name}.json")
+            assert cli.main(["scale", path, "--random-start", "--seed", seed,
+                             "--output", out]) == cli.EXIT_OK
+            report = read_report(out)
+            report.pop("timestamp")
+            texts[name] = report
+        assert texts["a"] == texts["b"]
+        # another seed starts elsewhere
+        assert (texts["a"]["trace"]["objectives"][0]
+                != texts["c"]["trace"]["objectives"][0])
+        problem = ScalingProblem(DenseTensor(array), targets)
+        assert problem.frame.gauge_dim == 1
+        x0 = scaler.random_reduced_point(problem.frame,
+                                         np.random.default_rng(3))
+        assert problem.frame.reduced_residual(x0) <= 1e-12
+        assert problem.objective(x0) == pytest.approx(
+            texts["a"]["trace"]["objectives"][0], rel=1e-12)
+
+    def test_dense_300_without_iterates(self, tmp_path):
+        # Full support skips the feasibility LP, whose dense tableau for
+        # this input would need about 66 GB, and the frame is O(N^2).
+        rng = np.random.default_rng(2200)
+        path = str(tmp_path / "dense.json")
+        cli.save_tensor_file(path, DenseTensor(rng.uniform(0.1, 1.0, (300, 300))),
+                             SliceTargets.uniform((300, 300)))
+        out = str(tmp_path / "report.json")
+        assert cli.main(["scale", path, "--no-trace-iterates",
+                         "--output", out]) == cli.EXIT_OK
+        report = read_report(out)
+        assert report["status"] == "converged"
+        assert report["feasibility"]["lp_stats"]["pivots"] == 0
+        assert max(report["residuals"]) <= 1e-8
 
     def test_separate_targets_file(self, tmp_path):
         tensor_path = str(tmp_path / "t.json")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ class TestCheckScalable:
         assert report.witness is None
         assert report.lp_stats["phase"] == 1
         assert report.lp_stats["pivots"] >= 0
+
+    def test_full_support_skips_the_lp(self):
+        # Full support is always scalable, so no witness system is built:
+        # the simplex tableau of a dense 40 x 40 input would take about 22 MB.
+        rng = np.random.default_rng(1600)
+        tensor = DenseTensor(rng.uniform(0.1, 1.0, (40, 40)))
+        targets = random_compatible_targets(rng, (40, 40))
+        tracemalloc.start()
+        try:
+            report = check_scalable(tensor, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.verdict == SCALABLE and report.witness is None
+        assert report.lp_stats["pivots"] == 0
+        assert "skipped" in report.lp_stats
 
     def test_upper_triangular_not_scalable(self):
         report = check_scalable(DenseTensor([[1.0, 1.0], [0.0, 1.0]]), UNIFORM_2X2)

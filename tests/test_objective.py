@@ -6,7 +6,7 @@ import pytest
 from helpers import (ambient_point, fd_gradient, fd_hessian,
                      projected_mode_bases, random_compatible_targets,
                      random_pattern_tensor, random_positive_tensor,
-                     reduced_projector)
+                     reduced_projector, reference_bases)
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import symmetric_eigs
 from slicescale.objective import (ScalingPoint, ScalingProblem,
@@ -40,7 +40,7 @@ class TestBuildFrame:
         assert frame.working_dim == 2
         assert frame.reduced_dim == 2
         for j in range(2):
-            assert frame.mode_bases[j].shape == (2, 1)
+            assert reference_bases(frame).mode_bases[j].shape == (2, 1)
 
     def test_identity_pattern_gauge(self):
         frame = identity_pattern_problem().frame
@@ -52,11 +52,14 @@ class TestBuildFrame:
                                    np.outer(expected, expected), atol=1e-12)
 
     def test_projectors_symmetric_idempotent(self):
-        # the projector is built in the test: the frame keeps none
+        # the projector matrix is built in the test: the frame keeps none,
+        # and its ambient project() must apply the same map
         for problem in (ones_problem(), identity_pattern_problem()):
             P = reduced_projector(problem.frame)
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.abs(P @ P - P).max() <= 1e-12
+            np.testing.assert_allclose(problem.frame.project(np.eye(4)), P,
+                                       rtol=0, atol=1e-12)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
@@ -76,7 +79,7 @@ class TestBuildFrame:
 
     def test_working_basis_block_structure(self):
         frame = ones_problem().frame
-        Q = frame.working_basis
+        Q = reference_bases(frame).working_basis
         assert Q.shape == (4, 2)
         np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
         # each column supported on one block
@@ -200,17 +203,16 @@ class TestFrameKernelOracle:
     def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
         # The incidence matrix R of a dense 150 x 150 input alone would take
         # nnz * N * 8 bytes, about 54 MB; the Gram route needs O(N^2). The
-        # measured peak is 4.5 N^2 doubles: the working and mode bases
-        # (1.5 N^2) and the SVD of the Gram matrix (3 N^2).
+        # measured peak is about 2 N^2 doubles: the Gram matrix and the
+        # eigenvectors eigh returns for it.
         _, peak, N = self.traced_dense_frame()
-        assert peak < 5.0 * N * N * 8
+        assert peak < 2.5 * N * N * 8
 
     def test_dense_frame_retains_no_projector(self):
-        # Without a gauge the reduced basis is the working basis, so the
-        # frame keeps the working basis (N x (N - 2)) and the two mode bases
-        # (m x (m - 1) each), 1.5 N^2 doubles, and no N x N projector.
+        # A dense support has a one-dimensional kernel and no gauge, so the
+        # frame keeps one N-vector and no N x N or N x n array.
         retained, _, N = self.traced_dense_frame()
-        assert retained <= 2.0 * N * N * 8
+        assert retained <= 0.1 * N * N * 8
 
 
 class TestObjective:
@@ -229,9 +231,10 @@ class TestObjective:
         frame = p.frame
         rng = np.random.default_rng(3)
         z = BlockVector(frame.split(frame.gauge_basis[:, 0]))
+        working = reference_bases(frame).working_basis
         for _ in range(5):
             x = BlockVector(frame.split(
-                frame.working_basis @ rng.uniform(-2, 2, frame.working_dim)))
+                working @ rng.uniform(-2, 2, frame.working_dim)))
             fx = p.objective(x)
             assert p.objective(x + z) == pytest.approx(fx, rel=1e-10)
             assert p.objective(x + 3.7 * z) == pytest.approx(fx, rel=1e-10)
@@ -288,7 +291,8 @@ class TestGradients:
         frame = p.frame
         x = ambient_point(rng, (2, 2, 2))
         ghat = p.ambient_gradient(x)
-        full_sq = float(((frame.working_basis.T @ ghat) ** 2).sum())
+        working = reference_bases(frame).working_basis
+        full_sq = float(((working.T @ ghat) ** 2).sum())
         parts = sum(float((p.restricted_gradient(x, j) ** 2).sum())
                     for j in range(3))
         assert full_sq == pytest.approx(parts, rel=1e-12)
@@ -323,10 +327,11 @@ class TestWGradient:
         targets = random_compatible_targets(rng, (3, 3))
         p = ScalingProblem(tensor, targets)
         frame = p.frame
+        reduced = reference_bases(frame).reduced_basis
         coeffs = rng.uniform(-1, 1, frame.reduced_dim)
-        x = BlockVector(frame.split(frame.reduced_basis @ coeffs))
+        x = BlockVector(frame.split(reduced @ coeffs))
         ghat = p.ambient_gradient(x)
-        reduced_sq = float(((frame.reduced_basis.T @ ghat) ** 2).sum())
+        reduced_sq = float(((reduced.T @ ghat) ** 2).sum())
         w_sq = sum(float((w_gradient(p, x, j) ** 2).sum()) for j in range(2))
         assert reduced_sq <= w_sq + 1e-10 * max(1.0, w_sq)
 
@@ -337,8 +342,9 @@ class TestWGradient:
         targets = random_compatible_targets(rng, (2, 4))
         p = ScalingProblem(tensor, targets)
         frame = p.frame
+        reduced = reference_bases(frame).reduced_basis
         coeffs = rng.uniform(-1, 1, frame.reduced_dim)
-        x = BlockVector(frame.split(frame.reduced_basis @ coeffs))
+        x = BlockVector(frame.split(reduced @ coeffs))
         for j in range(2):
             restricted = np.sqrt((p.restricted_gradient(x, j) ** 2).sum())
             w_norm = np.sqrt((w_gradient(p, x, j) ** 2).sum())
@@ -359,8 +365,8 @@ class TestHessian:
 
     def test_ones_restricted_is_twice_identity(self):
         p = ones_problem()
-        H = p.hessian_restricted(BlockVector.zeros((2, 2)),
-                                 p.frame.working_basis)
+        Q = reference_bases(p.frame).working_basis
+        H = Q.T @ p.hessian_ambient(BlockVector.zeros((2, 2))) @ Q
         np.testing.assert_allclose(H, 2.0 * np.eye(2), atol=1e-12)
 
     def test_diagonal_is_concatenated_slice_sums(self):
@@ -394,11 +400,12 @@ class TestHessian:
             targets = random_compatible_targets(rng, (2, 3))
         p = ScalingProblem(tensor, targets)
         frame = p.frame
+        Q = reference_bases(frame).reduced_basis
         for _ in range(4):
             coeffs = rng.uniform(-1, 1, frame.reduced_dim)
             coeffs *= 5.0 / max(5.0, np.abs(coeffs).max())
-            x = BlockVector(frame.split(frame.reduced_basis @ coeffs))
-            H = p.hessian_restricted(x, frame.reduced_basis)
+            x = BlockVector(frame.split(Q @ coeffs))
+            H = Q.T @ p.hessian_ambient(x) @ Q
             vals, _ = symmetric_eigs(H)
             assert vals[0] > 0
 

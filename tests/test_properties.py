@@ -2,10 +2,13 @@
 that every run draws the same examples)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import projected_mode_bases
+from helpers import (projected_mode_bases, random_compatible_targets,
+                     random_pattern_tensor, random_positive_tensor,
+                     reference_bases)
+from slicescale.blockmin import estimate_alpha_beta
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import ScalingBlockProblem, random_reduced_point
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -57,3 +60,54 @@ def test_gauge_block_gradient_norms_match_projected_bases(case):
         assert grads[j].size == frame.dims[j] + gauge_dim
         explicit = np.linalg.norm(basis.T @ ghat)
         assert abs(np.linalg.norm(grads[j]) - explicit) <= 1e-12 * objective
+
+
+@st.composite
+def positive_or_patterned_problems(draw):
+    """A d-mode tensor (d = 2-3, sizes 2-4), positive or with random zeros
+    but no zero slice, with random compatible targets; patterned ones may
+    or may not have a gauge."""
+    d = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        tensor = random_positive_tensor(rng, dims)
+    else:
+        tensor = random_pattern_tensor(rng, dims, density=0.6)
+    return ScalingProblem(tensor, random_compatible_targets(rng, dims)), rng
+
+
+def steep_ot_case():
+    """Unnormalized 20 x 20 Gibbs kernel exp(-C/0.01) of jittered grids with
+    unit targets; its sampled condition number is about 300."""
+    rng = np.random.default_rng(1700)
+    grid = np.linspace(0.0, 1.0, 20)
+    x = grid + rng.uniform(-0.3, 0.3, 20) / 20
+    y = grid + rng.uniform(-0.3, 0.3, 20) / 20
+    cost = (x[:, None] - y[None, :]) ** 2
+    kernel = np.exp(-cost / cost.max() / 0.01)
+    return ScalingProblem(DenseTensor(kernel),
+                          SliceTargets.uniform((20, 20))), rng
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(positive_or_patterned_problems(),
+                 block_diagonal_gauge_problems().map(lambda c: (c[0], c[2]))))
+@example(steep_ot_case())
+def test_certificate_matches_reduced_basis_congruence(case):
+    # The certificate reads alpha and beta from the ambient Hessian
+    # projected onto the reduced space, skipping its d + g structural
+    # zeros; they must be the extremes of Q^T H Q for an explicit
+    # orthonormal basis Q of that space.
+    problem, rng = case
+    frame = problem.frame
+    points = [random_reduced_point(frame, rng) for _ in range(3)]
+    alpha, beta = estimate_alpha_beta(ScalingBlockProblem(problem), points)
+    Q = reference_bases(frame).reduced_basis
+    spectra = [np.linalg.eigvalsh(Q.T @ problem.hessian_ambient(x) @ Q)
+               for x in points]
+    ref_alpha = min(vals[0] for vals in spectra)
+    ref_beta = max(vals[-1] for vals in spectra)
+    assert ref_alpha > 0
+    assert abs(alpha - ref_alpha) <= 1e-12 * ref_alpha
+    assert abs(beta - ref_beta) <= 1e-12 * ref_beta

@@ -4,7 +4,7 @@ import pytest
 from helpers import (PerStepRescaleProblem, alternating_scaling,
                      objective_decrease_reference, per_step_rescale_reference,
                      random_compatible_targets, random_positive_tensor,
-                     sinkhorn_reference)
+                     reference_bases, sinkhorn_reference)
 from slicescale import blockmin, objective
 from slicescale.blockmin import BlockVector
 from slicescale.objective import ScalingProblem, SubspaceFrame
@@ -92,7 +92,7 @@ class TestSolvePositive:
             solve(p, x0=BlockVector.zeros((1, 1)))
 
     def test_guard_reads_ambient_exponents(self):
-        # Block 0 of the start is Q_0 z, with Q_0 the frame's 6 x 5 basis of
+        # Block 0 of the start is Q_0 z, with Q_0 a 6 x 5 basis of
         # the hyperplane orthogonal to the all-ones target and z = +-10
         # following the signs of the row of Q_0 with the largest 1-norm. Its
         # coordinates have sup norm 10; its entry in that row is 10 times the
@@ -101,7 +101,7 @@ class TestSolvePositive:
         # 5 sqrt(2) / 6 > 1. A guard between the two sup norms stops the run
         # before its first step only if it reads the exponents.
         p = problem_of(np.random.default_rng(1500).uniform(0.5, 1.5, (6, 6)))
-        Q = p.frame.mode_bases[0]
+        Q = reference_bases(p.frame).mode_bases[0]
         row = int(np.abs(Q).sum(axis=1).argmax())
         z = 10.0 * np.where(Q[row] < 0, -1.0, 1.0)
         x0 = BlockVector([Q @ z, np.zeros(6)])
@@ -271,21 +271,14 @@ def random_orthogonal(rng, k):
 
 
 def rotated_frame(frame, rng):
-    """The same subspaces as ``frame``, every basis turned by a random
-    orthogonal change of coordinates."""
+    """The same subspaces as ``frame``, its support-kernel and gauge bases
+    turned by a random orthogonal change of coordinates."""
 
     def turn(basis):
         return basis @ random_orthogonal(rng, basis.shape[1])
 
-    mode_bases = [turn(b) for b in frame.mode_bases]
-    working = np.zeros_like(frame.working_basis)
-    col = 0
-    for j, b in enumerate(mode_bases):
-        working[frame.block_slice(j), col:col + b.shape[1]] = b
-        col += b.shape[1]
-    return SubspaceFrame(frame.targets, mode_bases, working,
-                         turn(frame.support_kernel_basis),
-                         turn(frame.gauge_basis), turn(frame.reduced_basis))
+    return SubspaceFrame(frame.targets, turn(frame.support_kernel_basis),
+                         turn(frame.gauge_basis))
 
 
 def gauge_instance(rng):
