@@ -153,7 +153,6 @@ def _trace_payload(trace):
 
 def cmd_scale(args):
     tensor, targets = load_problem(args)
-    problem = ScalingProblem(tensor, targets)
     report = {
         "command": "scale",
         "config": {"tol": args.tol, "max_iters": args.max_iters,
@@ -166,6 +165,7 @@ def cmd_scale(args):
             report["status"] = "not_scalable"
             emit(report, args)
             return EXIT_INFEASIBLE
+    problem = ScalingProblem(tensor, targets)
     x0 = None
     if args.random_start:
         rng = np.random.default_rng(args.seed)

@@ -1,11 +1,18 @@
-"""Scalability test via a homogeneous witness search.
+"""Scalability test on the positive-certificate (Menon) system.
 
 A tensor with the given support can be rescaled to the targets exactly when
-no exponent assignment exists that is orthogonal to every target, makes all
-supported entry sums nonpositive, and makes their total strictly negative.
-By homogeneity the strict condition can be normalized to total <= -1, which
-turns the witness search into a bounded feasibility LP solved here by a
-dense phase-1 simplex with Bland's rule.
+some tensor w, positive on the support, has every mode's slice sums along
+that mode's target: Rᵀw + Tᵀz = 0 for some z in Rᵈ, where R is the nnz × N
+support incidence (N = Σ mⱼ) and T holds target j in block j of row j. By
+homogeneity w >= 1 may be asked for. This is the Farkas dual of the witness
+search (an exponent vector x with Rx <= 0, 1ᵀRx <= -1 and Tx = 0), so
+exactly one of the two systems is solvable.
+
+A dense phase-1 simplex with Bland's rule decides the dual system on its N
+equality rows. A solution is the certificate of a `scalable` verdict. When
+phase 1 cannot drive its artificials to zero, its multipliers p satisfy
+Rp >= 0, Tp = 0 and 1ᵀRp > 0, so x = -p / (1ᵀRp) is a witness. Both are
+re-checked before a verdict is reported.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,14 @@ SCALABLE = "scalable"
 NOT_SCALABLE = "not_scalable"
 
 PIVOT_TOL = 1e-9
+FEASIBLE_TOL = 1e-7
 MAX_PIVOTS = 50000
+# Largest phase-1 tableau check_scalable will allocate; larger inputs are
+# refused with a ValueError instead of exhausting memory.
+MAX_TABLEAU_BYTES = 1 << 30
+# The elimination runs over blocks of rows of about this many bytes, so that
+# its temporaries stay small next to a wide tableau.
+UPDATE_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -50,157 +64,140 @@ class InfeasibleScalingError(ValueError):
 
 
 class SimplexCycleError(RuntimeError):
-    """Pivot budget exhausted (should be unreachable under Bland's rule)."""
+    """Pivot budget exhausted or a verdict failed its re-check (should be
+    unreachable under Bland's rule)."""
 
 
-def _phase_one(A_ub, b_ub, A_eq, b_eq, tol=PIVOT_TOL, max_pivots=MAX_PIVOTS):
-    """Feasibility of {A_ub x <= b_ub, A_eq x = b_eq} with x free.
+def _phase_one(T, tol=PIVOT_TOL, max_pivots=MAX_PIVOTS):
+    """Phase 1 in place on the tableau [A | I | b] with b >= 0.
 
-    Returns (feasible, x or None, pivot count). Free variables are split into
-    positive and negative parts; inequality rows get slacks. Entering and
-    leaving variables follow Bland's rule (smallest index), which rules out
-    cycling.
+    The last rows-many columns before the right-hand side are the
+    artificials, basic at the start. Entering and leaving variables follow
+    Bland's rule (smallest index), which rules out cycling. Returns
+    (basis, cost row, pivot count); the cost row holds the reduced costs
+    in the z - c convention, and its last entry is the sum of the
+    artificials.
     """
-    A_ub = np.asarray(A_ub, dtype=float)
-    A_eq = np.asarray(A_eq, dtype=float)
-    b_ub = np.asarray(b_ub, dtype=float).ravel()
-    b_eq = np.asarray(b_eq, dtype=float).ravel()
-    n = A_ub.shape[1] if A_ub.size else A_eq.shape[1]
-    n_ub = A_ub.shape[0]
-    n_eq = A_eq.shape[0]
-    m = n_ub + n_eq
-
-    # columns: x+ (n), x- (n), slacks (n_ub), then artificials as needed
-    base_cols = 2 * n + n_ub
-    rows = np.zeros((m, base_cols))
-    rhs = np.zeros(m)
-    if n_ub:
-        rows[:n_ub, :n] = A_ub
-        rows[:n_ub, n:2 * n] = -A_ub
-        rows[:n_ub, 2 * n:2 * n + n_ub] = np.eye(n_ub)
-        rhs[:n_ub] = b_ub
-    if n_eq:
-        rows[n_ub:, :n] = A_eq
-        rows[n_ub:, n:2 * n] = -A_eq
-        rhs[n_ub:] = b_eq
-
-    neg = rhs < 0
-    rows[neg] *= -1.0
-    rhs[neg] *= -1.0
-
-    # slack is basic for non-negated inequality rows, artificial otherwise
-    needs_artificial = [bool(neg[i]) or i >= n_ub for i in range(m)]
-    n_art = sum(needs_artificial)
-    T = np.zeros((m, base_cols + n_art + 1))
-    T[:, :base_cols] = rows
-    T[:, -1] = rhs
-    basis = [0] * m
-    art_col = base_cols
-    for i in range(m):
-        if needs_artificial[i]:
-            T[i, art_col] = 1.0
-            basis[i] = art_col
-            art_col += 1
-        else:
-            basis[i] = 2 * n + i
-
-    # phase-1 objective row (z - c): sum of artificial rows, minus cost 1 on
-    # artificial columns themselves
-    z = np.zeros(base_cols + n_art + 1)
-    for i in range(m):
-        if needs_artificial[i]:
-            z += T[i]
-    z[base_cols:base_cols + n_art] -= 1.0
-
+    m, width = T.shape
+    block = max(1, UPDATE_BLOCK_BYTES // (8 * width))
+    basis = np.arange(width - 1 - m, width - 1)
+    cost = T.sum(axis=0)
+    cost[width - 1 - m:-1] -= 1.0
     pivots = 0
     while True:
-        entering = -1
-        for j in range(base_cols + n_art):
-            if z[j] > tol:
-                entering = j
-                break
-        if entering < 0:
+        entering = int(np.argmax(cost[:-1] > tol))
+        if cost[entering] <= tol:
             break
-        leaving, best_ratio, best_var = -1, np.inf, None
-        for i in range(m):
-            a = T[i, entering]
-            if a > tol:
-                ratio = T[i, -1] / a
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (best_var is None or basis[i] < best_var)
-                ):
-                    leaving, best_ratio, best_var = i, ratio, basis[i]
-        if leaving < 0:
+        column = T[:, entering]
+        candidates = np.flatnonzero(column > tol)
+        if candidates.size == 0:
             # unbounded phase-1 objective cannot happen; treat as failure
             raise SimplexCycleError("phase-1 ratio test failed")
+        ratios = T[candidates, -1] / column[candidates]
+        ties = candidates[ratios <= ratios.min() + tol]
+        leaving = ties[np.argmin(basis[ties])]
         pivots += 1
         if pivots > max_pivots:
             raise SimplexCycleError("simplex cycling guard exceeded")
-        piv = T[leaving, entering]
-        T[leaving] /= piv
-        for i in range(m):
-            if i != leaving and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leaving]
-        z -= z[entering] * T[leaving]
+        T[leaving] /= T[leaving, entering]
+        pivot_row = T[leaving]
+        rows = np.flatnonzero(column)
+        rows = rows[rows != leaving]
+        for start in range(0, rows.size, block):
+            chunk = rows[start:start + block]
+            T[chunk] -= np.outer(column[chunk], pivot_row)
+        cost -= cost[entering] * pivot_row
         basis[leaving] = entering
-
-    value = z[-1]
-    feasible = value <= 1e-7
-    if not feasible:
-        return False, None, pivots
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] += T[i, -1]
-        elif var < 2 * n:
-            x[var - n] -= T[i, -1]
-    return True, x, pivots
+    return basis, cost, pivots
 
 
-def _witness_system(tensor, targets):
-    dims = tensor.dims
-    d = len(dims)
-    ambient = sum(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    support_idx = np.argwhere(tensor.support)
-    rows = np.zeros((len(support_idx), ambient))
-    for r, idx in enumerate(support_idx):
-        for j in range(d):
-            rows[r, offsets[j] + idx[j]] = 1.0
-    A_ub = np.vstack([rows, rows.sum(axis=0, keepdims=True)])
-    b_ub = np.zeros(len(support_idx) + 1)
-    b_ub[-1] = -1.0
-    A_eq = np.zeros((d, ambient))
-    for j in range(d):
-        A_eq[j, offsets[j]:offsets[j + 1]] = targets.vectors[j]
-    b_eq = np.zeros(d)
-    return A_ub, b_ub, A_eq, b_eq
+def _dual_tableau(support, targets):
+    """Phase-1 tableau of Rᵀ(1 + y) + Tᵀ(z⁺ - z⁻) = 0 with y, z± >= 0.
+
+    Columns: y (one per supported entry, in np.nonzero order), z⁺, z⁻, one
+    artificial per row, right-hand side. Every slice holds a supported
+    entry, so every right-hand side -Rᵀ1 is negative and every row is
+    negated to make it the slice's entry count.
+    """
+    dims = support.shape
+    d, n = len(dims), sum(dims)
+    entries = np.nonzero(support)
+    nnz = entries[0].size
+    T = np.zeros((n, nnz + 2 * d + n + 1))
+    columns = np.arange(nnz)
+    start = 0
+    for j, m in enumerate(dims):
+        T[start + entries[j], columns] = -1.0
+        T[start:start + m, nnz + j] = -targets.vectors[j]
+        T[start:start + m, nnz + d + j] = targets.vectors[j]
+        start += m
+    T[np.arange(n), nnz + 2 * d + np.arange(n)] = 1.0
+    T[:, -1] = -T[:, :nnz].sum(axis=1)  # each slice's entry count
+    return T
+
+
+def _certificate_holds(tensor, targets, w, z, tol=1e-9):
+    """True iff w >= 1 - tol on the support and every mode's slice sums of w
+    plus z_j times target j vanish to tol * max(1, max w)."""
+    if w.min() < 1.0 - tol:
+        return False
+    entries = np.nonzero(tensor.support)
+    bound = tol * max(1.0, float(w.max()))
+    for j, m in enumerate(tensor.dims):
+        residual = np.bincount(entries[j], weights=w, minlength=m)
+        residual += z[j] * targets.vectors[j]
+        if np.abs(residual).max() > bound:
+            return False
+    return True
 
 
 def check_scalable(tensor, targets):
     """Decide whether the tensor can be rescaled to the given slice sums.
 
-    Searches for a witness exponent vector (orthogonal to every target, all
-    supported entry sums <= 0, total <= -1). No witness means scalable; a
-    found witness is re-verified before being reported.
+    Runs phase 1 on the positive-certificate system Rᵀw + Tᵀz = 0, w >= 1
+    (see the module docstring). A solution means scalable and is checked
+    before being reported. An infeasible system means not scalable; the
+    witness (orthogonal to every target, all supported entry sums <= 0,
+    total -1) is read from the phase-1 multipliers and re-verified. A
+    failed check raises SimplexCycleError.
 
     Full support needs no search (the report says the LP was skipped): a
     block orthogonal to its positive target has a maximum >= 0, and all
     entry sums <= 0 force those maxima to sum to <= 0, so every block is 0.
+    An input whose tableau would exceed MAX_TABLEAU_BYTES raises ValueError
+    before anything is allocated.
     """
     if targets.dims != tensor.dims:
         raise ValueError("target dims do not match tensor dims")
-    if tensor.support.all():
+    support = tensor.support
+    if support.all():
         return FeasibilityReport(
             SCALABLE, None, {"pivots": 0, "phase": 1,
                              "skipped": "full support is always scalable"})
-    A_ub, b_ub, A_eq, b_eq = _witness_system(tensor, targets)
-    feasible, x, pivots = _phase_one(A_ub, b_ub, A_eq, b_eq)
+    n, d = sum(tensor.dims), tensor.d
+    nnz = int(np.count_nonzero(support))
+    nbytes = 8 * n * (nnz + 2 * d + n + 1)
+    if nbytes > MAX_TABLEAU_BYTES:
+        raise ValueError(
+            f"feasibility tableau would take {nbytes / 2**30:.2f} GiB, above "
+            f"the {MAX_TABLEAU_BYTES / 2**30:.2f} GiB limit")
+    T = _dual_tableau(support, targets)
+    counts = T[:, -1].copy()
+    basis, cost, pivots = _phase_one(T)
     stats = {"pivots": pivots, "phase": 1}
-    if not feasible:
+    if cost[-1] <= FEASIBLE_TOL:
+        values = np.zeros(T.shape[1] - 1)
+        values[basis] = T[:, -1]
+        w = 1.0 + values[:nnz]
+        shift = values[nnz:nnz + d] - values[nnz + d:nnz + 2 * d]
+        if not _certificate_holds(tensor, targets, w, shift):
+            raise SimplexCycleError("simplex produced an invalid certificate")
         return FeasibilityReport(SCALABLE, None, stats)
-    witness = BlockVector.from_concat(tensor.dims, x)
+    # Multipliers of the original rows: pi = -(artificial reduced costs + 1),
+    # as every row was negated. With p = -pi, 1ᵀRp = countsᵀp is the
+    # positive phase-1 value.
+    p = cost[nnz + 2 * d:-1] + 1.0
+    witness = BlockVector.from_concat(tensor.dims, -p / (counts @ p))
     if not verify_witness(tensor, targets, witness):
         raise SimplexCycleError("simplex produced an invalid witness")
     return FeasibilityReport(NOT_SCALABLE, witness, stats)

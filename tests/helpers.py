@@ -1,8 +1,9 @@
 """Shared test oracles: finite differences, alternating scaling, the
 entrywise objective drop, explicit orthonormal bases of a frame's mode,
 working and reduced spaces with the projector and projected mode bases built
-from them, a greedy scaler that rescales the tensor at every step, and
-random instance generators."""
+from them, a greedy scaler that rescales the tensor at every step, the
+primal witness system of the scalability LP, and random instance
+generators."""
 
 import math
 from types import SimpleNamespace
@@ -70,6 +71,30 @@ def random_pattern_tensor(rng, dims, density=0.6, max_tries=200):
         except ValueError:
             continue
     raise RuntimeError("could not draw a pattern with no zero slice")
+
+
+def witness_system(tensor, targets):
+    """The primal witness system of the scalability test, as
+    (A_ub, b_ub, A_eq, b_eq) over a free x in R^N: every supported entry
+    sum <= 0, their total <= -1, and every block orthogonal to its target.
+    Feasible iff the tensor is not scalable."""
+    dims = tensor.dims
+    d = len(dims)
+    ambient = sum(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    support_idx = np.argwhere(tensor.support)
+    rows = np.zeros((len(support_idx), ambient))
+    for r, idx in enumerate(support_idx):
+        for j in range(d):
+            rows[r, offsets[j] + idx[j]] = 1.0
+    A_ub = np.vstack([rows, rows.sum(axis=0, keepdims=True)])
+    b_ub = np.zeros(len(support_idx) + 1)
+    b_ub[-1] = -1.0
+    A_eq = np.zeros((d, ambient))
+    for j in range(d):
+        A_eq[j, offsets[j]:offsets[j + 1]] = targets.vectors[j]
+    b_eq = np.zeros(d)
+    return A_ub, b_ub, A_eq, b_eq
 
 
 def ambient_point(rng, dims, radius=1.0):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slicescale import cli, scaler
+from slicescale import cli, feasibility, scaler
 from slicescale.objective import ScalingProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
@@ -236,6 +236,13 @@ class TestFeasibleCommand:
         report = read_report(out)
         assert report["verdict"] == "not_scalable"
         assert report["lp_stats"]["pivots"] >= 1
+
+    @pytest.mark.parametrize("command", ["feasible", "scale"])
+    def test_oversized_tableau_exit_one(self, infeasible_file, command,
+                                        monkeypatch, capsys):
+        monkeypatch.setattr(feasibility, "MAX_TABLEAU_BYTES", 64)
+        assert cli.main([command, infeasible_file]) == cli.EXIT_INVALID
+        assert "tableau" in capsys.readouterr().err
 
 
 class TestBridgeCommand:

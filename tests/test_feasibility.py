@@ -1,15 +1,19 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import random_compatible_targets, random_pattern_tensor
-from slicescale import blockmin
+from helpers import (random_compatible_targets, random_pattern_tensor,
+                     witness_system)
+from slicescale import blockmin, feasibility
 from slicescale.blockmin import BlockVector
-from slicescale.feasibility import (NOT_SCALABLE, SCALABLE, _witness_system,
-                                    check_scalable, verify_witness)
+from slicescale.feasibility import (NOT_SCALABLE, SCALABLE, check_scalable,
+                                    verify_witness)
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import solve
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -42,8 +46,17 @@ def margin_grid_oracle(mask, grid=2001):
     return False
 
 
+def tableau_bytes(tensor):
+    """Bytes of N x (nnz + N + 2d + 2) doubles: the dual phase-1 tableau
+    (N rows; columns for the nnz entries, 2d target shifts, N artificials
+    and the right-hand side) and one column more."""
+    n, d = sum(tensor.dims), tensor.d
+    nnz = int(tensor.support.sum())
+    return n * (nnz + n + 2 * d + 2) * 8
+
+
 def scipy_feasibility_oracle(tensor, targets):
-    A_ub, b_ub, A_eq, b_eq = _witness_system(tensor, targets)
+    A_ub, b_ub, A_eq, b_eq = witness_system(tensor, targets)
     n = A_ub.shape[1]
     res = linprog(np.zeros(n), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=[(None, None)] * n, method="highs")
@@ -63,8 +76,8 @@ class TestCheckScalable:
         assert report.lp_stats["pivots"] >= 0
 
     def test_full_support_skips_the_lp(self):
-        # Full support is always scalable, so no witness system is built:
-        # the simplex tableau of a dense 40 x 40 input would take about 22 MB.
+        # Full support is always scalable, so no tableau is built: the
+        # phase-1 tableau of a dense 40 x 40 input would take about 1.03 MiB.
         rng = np.random.default_rng(1600)
         tensor = DenseTensor(rng.uniform(0.1, 1.0, (40, 40)))
         targets = random_compatible_targets(rng, (40, 40))
@@ -176,3 +189,83 @@ class TestAgainstScipy:
         report = check_scalable(tensor, targets)
         assert report.verdict == SCALABLE
         assert report.verdict == scipy_feasibility_oracle(tensor, targets)
+
+
+class TestDualPhaseOne:
+    def test_permutation_union_28x28(self):
+        # The benchmark's feasible-28x28 shape: a union of 14 random
+        # permutations, scalable to unit margins because every entry lies on
+        # a positive diagonal.
+        rng = np.random.default_rng(28)
+        mask = np.zeros((28, 28), dtype=bool)
+        for _ in range(14):
+            mask[np.arange(28), rng.permutation(28)] = True
+        tensor = DenseTensor(np.where(mask, rng.uniform(0.2, 1.0, (28, 28)), 0.0))
+        report = check_scalable(tensor, SliceTargets.uniform((28, 28)))
+        assert report.verdict == SCALABLE and report.witness is None
+        assert report.lp_stats["pivots"] >= 1
+
+    def test_peak_memory_is_the_n_row_tableau(self):
+        # The primal witness tableau of this input has about (nnz + 3) rows
+        # and 2N + nnz + 5 columns, over 50 MB; the dual one has N = 160 rows.
+        rng = np.random.default_rng(80)
+        tensor = random_pattern_tensor(rng, (80, 80), density=0.4)
+        targets = random_compatible_targets(rng, (80, 80))
+        tracemalloc.start()
+        try:
+            report = check_scalable(tensor, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == scipy_feasibility_oracle(tensor, targets)
+        assert peak <= 1.5 * tableau_bytes(tensor)
+
+    def test_oversized_input_refused_before_allocating(self):
+        # Two entries in three on a 2000 x 2000 grid: the tableau would take
+        # about 85 GB.
+        i = np.arange(2000)
+        tensor = DenseTensor(((i[:, None] + i[None, :]) % 3 != 0).astype(float))
+        targets = SliceTargets.uniform(tensor.dims)
+        assert tableau_bytes(tensor) > 64 * feasibility.MAX_TABLEAU_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="tableau would take"):
+                check_scalable(tensor, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Only the support mask (one byte per entry) is ever allocated.
+        assert peak < 2 * tensor.array.size
+
+
+@st.composite
+def patterned_instances(draw):
+    """A seeded patterned tensor with d = 2-4 modes and compatible random
+    targets, so that both verdicts occur."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(2, {2: 9, 3: 5, 4: 3}[d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(n + int(k) for k in rng.integers(0, 2, d))
+    tensor = random_pattern_tensor(rng, dims, density=rng.uniform(0.35, 0.7))
+    return tensor, random_compatible_targets(rng, dims)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(patterned_instances())
+def test_verdicts_match_highs_on_the_primal_system(instance):
+    tensor, targets = instance
+    checks = []
+    holds = feasibility._certificate_holds
+
+    def recording(*args):
+        checks.append(holds(*args))
+        return checks[-1]
+
+    with mock.patch.object(feasibility, "_certificate_holds", recording):
+        report = check_scalable(tensor, targets)
+    assert report.verdict == scipy_feasibility_oracle(tensor, targets)
+    if report.verdict == NOT_SCALABLE:
+        assert verify_witness(tensor, targets, report.witness)
+        assert checks == []
+    elif "skipped" not in report.lp_stats:
+        assert checks == [True]
