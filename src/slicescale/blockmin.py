@@ -2,9 +2,9 @@
 
 The engine repeatedly replaces the block whose gradient norm is largest by
 that block's exact partial minimizer. Problems supply the objective with the
-per-block gradients (one ``evaluate`` call) and the partial minimizer; the
-engine owns block selection, stopping, the divergence guard, and the iterate
-trace.
+per-block gradient norms (one ``evaluate`` call) and the partial minimizer;
+the engine owns block selection, stopping, the divergence guard, and the
+iterate trace.
 
 Immediately after a step on block j the partial-minimization contract makes
 that block's gradient vanish, so the engine carries an exact zero for it in
@@ -175,13 +175,8 @@ class BlockProblem(abc.ABC):
 
     @abc.abstractmethod
     def evaluate(self, x):
-        """Objective at ``x`` and the list of its d block gradients.
-
-        The engine uses only the Euclidean norm of each block gradient, so
-        any vector with that norm will do: on an instance with a g-dimensional
-        gauge the scaling problem appends g correction entries to the
-        in-plane gradient, a vector of length block_dims[j] + g.
-        """
+        """Objective at ``x`` and a new list of the Euclidean norms of its d
+        block gradients, as floats (the engine writes to that list)."""
 
     @abc.abstractmethod
     def partial_minimizer(self, x, j):
@@ -243,7 +238,7 @@ class QuadraticBlockProblem(BlockProblem):
         g = self.matrix @ v + self.linear
         obj = float(0.5 * v @ self.matrix @ v + self.linear @ v)
         self._last_gradient = (x, g)
-        return obj, [g[s] for s in self._slices]
+        return obj, [math.sqrt(float(g[s] @ g[s])) for s in self._slices]
 
     def partial_minimizer(self, x, j):
         s = self._slices[j]
@@ -379,7 +374,7 @@ def estimate_alpha_beta(problem, points):
     beta = -math.inf
     low = problem.hessian_null_dim
     for x in points:
-        vals, _ = numerics.symmetric_eigs(problem.hessian(x))
+        vals = numerics.symmetric_eigs(problem.hessian(x))
         if vals[low] <= 0:
             raise ValueError("not strictly convex at sample")
         alpha = min(alpha, float(vals[low]))
@@ -397,10 +392,6 @@ def sample_convex_combinations(points, count, rng):
         lam = float(rng.uniform())
         out.append((1.0 - lam) * points[i] + lam * points[k])
     return out
-
-
-def _norms(grads):
-    return [float(math.sqrt(float(g @ g))) for g in grads]
 
 
 def _check_finite(obj, norms, x, at_step):
@@ -433,8 +424,7 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     # per-block sup norms for the guard; a step recomputes only the blocks
     # whose array changed
     sups = [_sup_norm(b) for b in x.blocks]
-    obj, grads = problem.evaluate(x)
-    norms = _norms(grads)
+    obj, norms = problem.evaluate(x)
     _check_finite(obj, norms, x, 0)
     trace = IterateTrace(iterates=[] if record_iterates else None)
     status = MAX_ITERS_REACHED
@@ -463,8 +453,7 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
                 sups[i] = _sup_norm(new)
         decrease = problem.objective_decrease(x_old, x, j)
         prev_obj = obj
-        obj, grads = problem.evaluate(x)
-        norms = _norms(grads)
+        obj, norms = problem.evaluate(x)
         _check_finite(obj, norms, x, k + 1)
         trace.chosen_blocks.append(j)
         trace.post_step_block_norms.append(norms[j])

@@ -6,7 +6,9 @@ that mode's target: Rᵀw + Tᵀz = 0 for some z in Rᵈ, where R is the nnz × 
 support incidence (N = Σ mⱼ) and T holds target j in block j of row j. By
 homogeneity w >= 1 may be asked for. This is the Farkas dual of the witness
 search (an exponent vector x with Rx <= 0, 1ᵀRx <= -1 and Tx = 0), so
-exactly one of the two systems is solvable.
+exactly one of the two systems is solvable. Scaling one target by a positive
+constant changes neither system's solvability, so each target is divided by
+its largest entry before the system is built.
 
 A dense phase-1 simplex with Bland's rule decides the dual system on its N
 equality rows. A solution is the certificate of a `scalable` verdict. When
@@ -111,8 +113,9 @@ def _phase_one(T, tol=PIVOT_TOL, max_pivots=MAX_PIVOTS):
     return basis, cost, pivots
 
 
-def _dual_tableau(support, targets):
-    """Phase-1 tableau of Rᵀ(1 + y) + Tᵀ(z⁺ - z⁻) = 0 with y, z± >= 0.
+def _dual_tableau(support, vectors):
+    """Phase-1 tableau of Rᵀ(1 + y) + Tᵀ(z⁺ - z⁻) = 0 with y, z± >= 0, where
+    row j of T holds ``vectors[j]`` in block j.
 
     Columns: y (one per supported entry, in np.nonzero order), z⁺, z⁻, one
     artificial per row, right-hand side. Every slice holds a supported
@@ -128,24 +131,24 @@ def _dual_tableau(support, targets):
     start = 0
     for j, m in enumerate(dims):
         T[start + entries[j], columns] = -1.0
-        T[start:start + m, nnz + j] = -targets.vectors[j]
-        T[start:start + m, nnz + d + j] = targets.vectors[j]
+        T[start:start + m, nnz + j] = -vectors[j]
+        T[start:start + m, nnz + d + j] = vectors[j]
         start += m
     T[np.arange(n), nnz + 2 * d + np.arange(n)] = 1.0
     T[:, -1] = -T[:, :nnz].sum(axis=1)  # each slice's entry count
     return T
 
 
-def _certificate_holds(tensor, targets, w, z, tol=1e-9):
+def _certificate_holds(support, vectors, w, z, tol=1e-9):
     """True iff w >= 1 - tol on the support and every mode's slice sums of w
-    plus z_j times target j vanish to tol * max(1, max w)."""
+    plus z_j times ``vectors[j]`` vanish to tol * max(1, max w)."""
     if w.min() < 1.0 - tol:
         return False
-    entries = np.nonzero(tensor.support)
+    entries = np.nonzero(support)
     bound = tol * max(1.0, float(w.max()))
-    for j, m in enumerate(tensor.dims):
+    for j, m in enumerate(support.shape):
         residual = np.bincount(entries[j], weights=w, minlength=m)
-        residual += z[j] * targets.vectors[j]
+        residual += z[j] * vectors[j]
         if np.abs(residual).max() > bound:
             return False
     return True
@@ -155,11 +158,14 @@ def check_scalable(tensor, targets):
     """Decide whether the tensor can be rescaled to the given slice sums.
 
     Runs phase 1 on the positive-certificate system Rᵀw + Tᵀz = 0, w >= 1
-    (see the module docstring). A solution means scalable and is checked
-    before being reported. An infeasible system means not scalable; the
-    witness (orthogonal to every target, all supported entry sums <= 0,
-    total -1) is read from the phase-1 multipliers and re-verified. A
-    failed check raises SimplexCycleError.
+    (see the module docstring), with each target divided by its largest
+    entry: rescaling one target cannot change the verdict, and the simplex's
+    absolute pivot tolerance then meets targets of unit max whatever their
+    given scale. A solution means scalable and is checked before being
+    reported. An infeasible system means not scalable; the witness
+    (orthogonal to every target, all supported entry sums <= 0, total -1)
+    is read from the phase-1 multipliers and re-verified. A failed check
+    raises SimplexCycleError.
 
     Full support needs no search (the report says the LP was skipped): a
     block orthogonal to its positive target has a maximum >= 0, and all
@@ -181,7 +187,8 @@ def check_scalable(tensor, targets):
         raise ValueError(
             f"feasibility tableau would take {nbytes / 2**30:.2f} GiB, above "
             f"the {MAX_TABLEAU_BYTES / 2**30:.2f} GiB limit")
-    T = _dual_tableau(support, targets)
+    vectors = [t / t.max() for t in targets.vectors]
+    T = _dual_tableau(support, vectors)
     counts = T[:, -1].copy()
     basis, cost, pivots = _phase_one(T)
     stats = {"pivots": pivots, "phase": 1}
@@ -190,7 +197,7 @@ def check_scalable(tensor, targets):
         values[basis] = T[:, -1]
         w = 1.0 + values[:nnz]
         shift = values[nnz:nnz + d] - values[nnz + d:nnz + 2 * d]
-        if not _certificate_holds(tensor, targets, w, shift):
+        if not _certificate_holds(support, vectors, w, shift):
             raise SimplexCycleError("simplex produced an invalid certificate")
         return FeasibilityReport(SCALABLE, None, stats)
     # Multipliers of the original rows: pi = -(artificial reduced costs + 1),
@@ -204,10 +211,11 @@ def check_scalable(tensor, targets):
 
 
 def verify_witness(tensor, targets, x, tol=1e-9):
-    """Check the witness conditions to absolute tolerance ``tol``.
+    """Check the witness conditions to tolerance ``tol``.
 
-    True iff every supported entry sum is <= tol, every target inner product
-    is within tol of zero, and the total over supported entries is <= -1+tol.
+    True iff every supported entry sum is <= tol, the total over supported
+    entries is <= -1+tol, and every block's inner product with its target
+    t_j is within tol * max|t_j| of zero.
     """
     blocks = getattr(x, "blocks", x)
     if tuple(len(np.asarray(b)) for b in blocks) != tensor.dims:
@@ -223,6 +231,7 @@ def verify_witness(tensor, targets, x, tol=1e-9):
     if float(sums.sum()) > -1.0 + tol:
         return False
     for j, b in enumerate(blocks):
-        if abs(float(np.asarray(b, dtype=float) @ targets.vectors[j])) > tol:
+        t = targets.vectors[j]
+        if abs(float(np.asarray(b, dtype=float) @ t)) > tol * float(np.abs(t).max()):
             return False
     return True

@@ -1,63 +1,29 @@
 """Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
 Null spaces come from ``eigh`` for symmetric input and from the SVD
-otherwise, symmetric eigendecompositions from ``eigh`` and linear solves
-from QR. Each returned basis has its column signs fixed (the entry of
-largest magnitude is positive), so the same input gives the same basis on a
-fixed numpy/LAPACK build. Inside a multi-dimensional subspace the
-orientation is whatever LAPACK returns. Nothing the solvers report or store
-depends on it: their iterates are ambient exponent blocks, and the frame's
-bases enter only through projectors and norms, where their orientation
-cancels. Everything operates on plain float64 numpy arrays.
+otherwise, symmetric eigenvalues from ``eigvalsh`` and linear solves from QR.
+A null space is a plain N x k array of orthonormal columns, with each
+column's sign fixed (its entry of largest magnitude is positive), so the
+same input gives the same basis on a fixed numpy/LAPACK build. Inside a
+multi-dimensional subspace the orientation is whatever LAPACK returns.
+Nothing the solvers report or store depends on it: their iterates are
+ambient exponent blocks, and the frame's bases enter only through projectors
+and norms, where their orientation cancels. Everything operates on plain
+float64 numpy arrays.
 """
 
 import numpy as np
 
 __all__ = [
-    "OrthonormalBasis",
     "null_space",
     "symmetric_eigs",
     "factor_linear",
     "solve_factored",
-    "solve_linear",
 ]
 
 # Singular values (eigenvalue magnitudes, for symmetric input) at or below
 # this fraction of the largest one count as zero.
 RANK_RTOL = 1e-10
-
-
-class OrthonormalBasis:
-    """Mutually orthonormal vectors in R^n, stored as the columns of ``matrix``.
-
-    A basis with zero columns is valid and represents the trivial subspace.
-    """
-
-    def __init__(self, ambient_dim, matrix=None):
-        self.ambient_dim = int(ambient_dim)
-        if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if matrix is None:
-            matrix = np.zeros((self.ambient_dim, 0))
-        matrix = np.array(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis matrix must be ({self.ambient_dim}, k), got {matrix.shape}"
-            )
-        if matrix.shape[1]:
-            gram = matrix.T @ matrix
-            if np.abs(gram - np.eye(matrix.shape[1])).max() > 1e-12:
-                raise ValueError("vectors are not orthonormal")
-        matrix.setflags(write=False)
-        self.matrix = matrix
-
-    @property
-    def size(self):
-        """Number of basis vectors."""
-        return self.matrix.shape[1]
-
-    def __repr__(self):
-        return f"OrthonormalBasis(ambient_dim={self.ambient_dim}, size={self.size})"
 
 
 def _fix_signs(Q):
@@ -71,7 +37,8 @@ def _fix_signs(Q):
 
 
 def null_space(A):
-    """Orthonormal basis of {x : A x = 0}; its size is n - rank(A).
+    """Orthonormal basis of {x : A x = 0}, the columns of an n x (n - rank(A))
+    array.
 
     Exactly symmetric input (a Gram matrix) goes through ``eigh``, one n x n
     factor instead of the SVD's two, with the same rank cut.
@@ -84,20 +51,18 @@ def null_space(A):
         vals, vecs = np.linalg.eigh(A)
         size = np.abs(vals)
         # boolean indexing copies, so the basis does not keep vecs alive
-        kernel = vecs[:, size <= RANK_RTOL * size.max()]
-        return OrthonormalBasis(n, _fix_signs(kernel))
+        return _fix_signs(vecs[:, size <= RANK_RTOL * size.max()])
     # Full V only when it is needed (m < n); U is never larger than m x n.
     _, s, vt = np.linalg.svd(A, full_matrices=m < n)
     rank = int((s > RANK_RTOL * s[0]).sum()) if s.size else 0
-    return OrthonormalBasis(n, _fix_signs(vt[rank:].T))
+    return _fix_signs(vt[rank:].T)
 
 
 def symmetric_eigs(M):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigenvalues of a symmetric matrix, in ascending order.
 
-    Returns (eigenvalues ascending, OrthonormalBasis of eigenvectors in the
-    matching column order). The input must be symmetric to within 1e-10
-    relative to its largest entry.
+    The input must be symmetric to within 1e-10 relative to its largest
+    entry.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -105,8 +70,7 @@ def symmetric_eigs(M):
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A - A.T).max()) > 1e-10 * scale:
         raise ValueError("asymmetric input")
-    vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    return vals, OrthonormalBasis(A.shape[0], _fix_signs(vecs))
+    return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
 def factor_linear(A):
@@ -126,9 +90,3 @@ def solve_factored(factors, b):
     Q, R = factors
     # R is upper triangular, so LU with partial pivoting is back substitution.
     return np.linalg.solve(R, Q.T @ np.asarray(b, dtype=float))
-
-
-def solve_linear(A, b):
-    """Solve A x = b for square nonsingular A via QR."""
-    b = np.asarray(b, dtype=float)
-    return solve_factored(factor_linear(A), b)

@@ -1,5 +1,5 @@
-"""The convex mass objective of exponent scalings, with its gradients,
-Hessians, and the frames of the constrained working spaces.
+"""The convex mass objective of exponent scalings: the rescaled tensor and
+ambient Hessian at a point, and the frames of the constrained working spaces.
 
 For a tensor B and exponent blocks x the objective is the total mass of the
 rescaled tensor, f(x) = sum_e B_e exp(x_1[i_1] + ... + x_d[i_d]). Its
@@ -14,7 +14,7 @@ the solver keeps its iterates.
 import numpy as np
 
 from . import numerics
-from .tensor import scale, slice_sums
+from .tensor import scale
 
 __all__ = [
     "SubspaceFrame",
@@ -30,25 +30,24 @@ class SubspaceFrame:
 
     Ambient space is R^N with N = sum of the mode sizes, split into per-mode
     blocks. The working space is the product of the hyperplanes orthogonal
-    to the targets s_j, of dimension N - d. The frame holds:
-
-    - ``support_kernel_basis``: orthonormal basis of the exponent vectors
-      whose sum vanishes on every supported entry (they rescale nothing);
-    - ``gauge_basis``: orthonormal basis G of the support kernel intersected
-      with the working space, the flat directions of the objective.
+    to the targets s_j, of dimension N - d. The frame holds the targets and
+    ``gauge_basis``, an N x g array whose orthonormal columns G span the
+    gauge: the exponent vectors in the working space whose sum vanishes on
+    every supported entry (they rescale nothing), the flat directions of
+    the objective.
 
     The reduced space, where the objective is strictly convex, is the
     complement of the gauge inside the working space, of dimension
     N - d - g; :meth:`project` is its orthogonal projector, applied in
-    ambient form. The bases come from LAPACK factorizations with fixed
-    column signs, so on a fixed numpy/LAPACK build their orientation is
-    reproducible. Inside each subspace the orientation is otherwise
-    arbitrary, and nothing the solvers report or store depends on it: the
-    iterates are ambient exponent blocks, and G enters only through the
-    projector G G^T and the norms of the block gradients.
+    ambient form. G comes from LAPACK factorizations with fixed column
+    signs, so on a fixed numpy/LAPACK build its orientation is reproducible.
+    Inside the gauge the orientation is otherwise arbitrary, and nothing the
+    solvers report or store depends on it: the iterates are ambient exponent
+    blocks, and G enters only through the projector G G^T and the norms of
+    the block gradients.
     """
 
-    def __init__(self, targets, support_kernel_basis, gauge_basis):
+    def __init__(self, targets, gauge_basis):
         self.targets = targets
         self.dims = targets.dims
         self.ambient_dim = sum(self.dims)
@@ -56,7 +55,6 @@ class SubspaceFrame:
         for m in self.dims:
             offsets.append(offsets[-1] + m)
         self.offsets = tuple(offsets)
-        self.support_kernel_basis = support_kernel_basis
         self.gauge_basis = gauge_basis
 
     @property
@@ -151,18 +149,18 @@ def build_frame(tensor, targets):
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
     support_kernel = numerics.null_space(
-        ambient_second_moments(tensor.support.astype(float))).matrix
+        ambient_second_moments(tensor.support.astype(float)))
 
     target_rows = np.zeros((d, ambient))
     for j in range(d):
         target_rows[j, offsets[j]:offsets[j + 1]] = targets.vectors[j]
     if support_kernel.shape[1]:
         # ker [R; T] = {K c : T K c = 0} for an orthonormal basis K of ker R.
-        coeffs = numerics.null_space(target_rows @ support_kernel).matrix
+        coeffs = numerics.null_space(target_rows @ support_kernel)
         gauge = support_kernel @ coeffs
     else:
         gauge = support_kernel
-    return SubspaceFrame(targets, support_kernel, gauge)
+    return SubspaceFrame(targets, gauge)
 
 
 class ScalingPoint:
@@ -208,27 +206,6 @@ class ScalingProblem:
     def scaled(self, x):
         """The rescaled tensor at ambient blocks ``x``."""
         return scale(self.tensor, x)
-
-    def objective(self, x):
-        """Total mass of the rescaled tensor (strictly positive)."""
-        return self.scaled(x).total
-
-    def ambient_gradient(self, x):
-        """All slice sums concatenated in mode order."""
-        t = self.scaled(x)
-        return np.concatenate([slice_sums(t, j) for j in range(self.d)])
-
-    def restricted_gradient(self, x, j):
-        """Block-j gradient projected onto the mode-j target hyperplane.
-
-        With sigma the mode-j slice sums of the rescaled tensor and s the
-        mode-j target this is sigma - (sigma.s / s.s) s, an ambient vector of
-        length m_j with the norm of the gradient in any orthonormal basis of
-        the hyperplane. Zero exactly when sigma is parallel to s.
-        """
-        sigma = slice_sums(self.scaled(x), j)
-        s = self.targets.vectors[j]
-        return sigma - (float(sigma @ s) / float(s @ s)) * s
 
     def hessian_ambient(self, x):
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal

@@ -12,7 +12,7 @@ and a final normalization makes them exact.
 Iterates and starting points ``x0`` are ambient exponent blocks (block j has
 length m_j), and the block updates and gradients are computed in that
 ambient form. Of the frame's bases the loop reads only the gauge basis, whose
-orientation cancels in G G^T and in the gradient norms, and the rate
+orientation cancels in G G^T and in the block-gradient norms, and the rate
 certificate projects the ambient Hessian onto the reduced space, so nothing
 a solve reports or stores depends on how that basis is oriented.
 
@@ -120,9 +120,9 @@ class ScalingBlockProblem(BlockProblem):
     zero. The block-j gradient of the reduced problem, taken
     along the image of block j's hyperplane under that projection, has the
     squared norm ||y||^2 + (G_j^T y)^T S_j^-1 (G_j^T y), with y the in-plane
-    gradient sigma_j - (sigma_j.s_j / s_j.s_j) s_j; evaluate returns y with
-    L_j^-1 G_j^T y appended (L_j L_j^T = S_j), a vector of length m_j + g
-    with that norm. With g = 0 nothing is appended or removed.
+    gradient sigma_j - (sigma_j.s_j / s_j.s_j) s_j. evaluate returns that
+    norm as sqrt(y.y + z.z) with z = L_j^-1 G_j^T y (L_j L_j^T = S_j); with
+    g = 0 it is sqrt(y.y).
     """
 
     def __init__(self, problem):
@@ -206,11 +206,15 @@ class ScalingBlockProblem(BlockProblem):
 
     def evaluate(self, x):
         sigmas = self._slice_sums(x)
-        grads = [self._in_plane(sigma, k) for k, sigma in enumerate(sigmas)]
-        if self._gradient_maps:
-            grads = [np.concatenate([y, lift @ y])
-                     for y, lift in zip(grads, self._gradient_maps)]
-        return float(sigmas[0].sum()), grads
+        norms = []
+        for k, sigma in enumerate(sigmas):
+            y = self._in_plane(sigma, k)
+            square = float(y @ y)
+            if self._gradient_maps:
+                z = self._gradient_maps[k] @ y
+                square += float(z @ z)
+            norms.append(math.sqrt(square))
+        return float(sigmas[0].sum()), norms
 
     def partial_minimizer(self, x, j):
         return closed_form_block_update(self.problem, x, j,

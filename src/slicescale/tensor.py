@@ -81,9 +81,6 @@ class DenseTensor:
         """Boolean mask, True where the entry is positive."""
         return self.array > 0
 
-    def same_pattern(self, other):
-        return self.dims == other.dims and bool(np.all(self.support == other.support))
-
     def __repr__(self):
         return f"DenseTensor(dims={self.dims}, total={self.total:.6g})"
 

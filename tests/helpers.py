@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, alternating scaling, the
-entrywise objective drop, explicit orthonormal bases of a frame's mode,
+ambient and in-plane gradients from a rescaled tensor, the entrywise
+objective drop, explicit orthonormal bases of a frame's mode,
 working and reduced spaces with the projector and projected mode bases built
 from them, a greedy scaler that rescales the tensor at every step, the
 primal witness system of the scalability LP, and random instance
@@ -12,8 +13,7 @@ import numpy as np
 
 from slicescale import blockmin
 from slicescale.blockmin import BlockProblem, BlockVector
-from slicescale.numerics import (RANK_RTOL, OrthonormalBasis, _fix_signs,
-                                 null_space)
+from slicescale.numerics import RANK_RTOL, _fix_signs, null_space
 from slicescale.scaler import closed_form_block_update
 from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
 
@@ -151,8 +151,25 @@ def objective_decrease_reference(problem, x_old, x_new):
     return -math.fsum(terms), float(np.abs(terms).sum())
 
 
+def slice_sum_gradient(problem, x):
+    """The ambient gradient of the mass objective at ``x``: every mode's
+    slice sums of the rescaled tensor, concatenated in mode order."""
+    scaled = problem.scaled(x)
+    return np.concatenate([slice_sums(scaled, j) for j in range(problem.d)])
+
+
+def in_plane_gradient(problem, x, j):
+    """The block-j gradient projected onto the mode-j target hyperplane,
+    sigma - (sigma.s / s.s) s for the mode-j slice sums sigma and target s;
+    zero exactly when sigma is parallel to s."""
+    sigma = slice_sums(problem.scaled(x), j)
+    s = problem.targets.vectors[j]
+    return sigma - (float(sigma @ s) / float(s @ s)) * s
+
+
 def orthonormalize(vectors):
-    """Orthonormal basis of the span of the given vectors.
+    """Orthonormal basis of the span of the given vectors, as the columns of
+    an n x k array.
 
     ``vectors`` is a sequence of equal-length vectors or a 2-d array with one
     vector per row; an array is used as it is, without a copy. Linearly
@@ -173,9 +190,9 @@ def orthonormalize(vectors):
         diag = np.diag(R)
         if np.abs(diag).min() > tol:
             Q *= np.sign(diag)
-            return OrthonormalBasis(n, Q)
+            return Q
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return OrthonormalBasis(n, _fix_signs(U[:, s > tol]))
+    return _fix_signs(U[:, s > tol])
 
 
 def reference_bases(frame):
@@ -189,8 +206,7 @@ def reference_bases(frame):
     - ``reduced_basis``: the complement of the gauge inside the working
       space, shape (N, n - g); the working basis itself when g = 0.
     """
-    mode_bases = [null_space(s.reshape(1, -1)).matrix
-                  for s in frame.targets.vectors]
+    mode_bases = [null_space(s.reshape(1, -1)) for s in frame.targets.vectors]
     working = np.zeros((frame.ambient_dim, frame.working_dim))
     col = 0
     for j, basis in enumerate(mode_bases):
@@ -199,7 +215,7 @@ def reference_bases(frame):
     reduced = working
     if frame.gauge_dim:
         gauge_in_working = working.T @ frame.gauge_basis
-        reduced = working @ null_space(gauge_in_working.T).matrix
+        reduced = working @ null_space(gauge_in_working.T)
     return SimpleNamespace(mode_bases=mode_bases, working_basis=working,
                            reduced_basis=reduced)
 
@@ -216,9 +232,8 @@ def projected_mode_bases(frame):
     m_j - 1 for every valid tensor."""
     bases = reference_bases(frame)
     reduced = bases.reduced_basis
-    return [orthonormalize(
-        (reduced @ (reduced[frame.block_slice(j)].T @ q)).T).matrix
-        for j, q in enumerate(bases.mode_bases)]
+    return [orthonormalize((reduced @ (reduced[frame.block_slice(j)].T @ q)).T)
+            for j, q in enumerate(bases.mode_bases)]
 
 
 class PerStepRescaleProblem(BlockProblem):
@@ -259,7 +274,7 @@ class PerStepRescaleProblem(BlockProblem):
         else:
             grads = [sigma - (float(sigma @ s) / float(s @ s)) * s
                      for sigma, s in zip(sigmas, self.problem.targets.vectors)]
-        return scaled.total, grads
+        return scaled.total, [math.sqrt(float(g @ g)) for g in grads]
 
     def partial_minimizer(self, x, j):
         return closed_form_block_update(

@@ -3,6 +3,7 @@ problem contract is the one ``run`` calls."""
 
 import importlib
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -43,21 +44,44 @@ def test_problem_without_evaluate_is_abstract():
         NoEvaluate()
 
 
+class Separable(blockmin.BlockProblem):
+    """f(x) = sum ||x_j - 1||^2 / 2 over blocks of the given lengths; evaluate
+    returns the objective and the d block-gradient norms."""
+
+    def __init__(self, block_dims):
+        self._dims = tuple(block_dims)
+
+    @property
+    def block_dims(self):
+        return self._dims
+
+    def evaluate(self, x):
+        g = [b - 1.0 for b in x.blocks]
+        squares = [float(v @ v) for v in g]
+        return 0.5 * sum(squares), [math.sqrt(s) for s in squares]
+
+    def partial_minimizer(self, x, j):
+        return np.ones(self.block_dims[j])
+
+
 def test_evaluate_and_partial_minimizer_suffice():
-    class Separable(blockmin.BlockProblem):
-        """f(x) = sum (x_j - 1)^2 / 2, one coordinate per block."""
-
-        block_dims = (1, 1)
-
-        def evaluate(self, x):
-            g = [b - 1.0 for b in x.blocks]
-            return 0.5 * sum(float(v @ v) for v in g), g
-
-        def partial_minimizer(self, x, j):
-            return np.ones(1)
-
-    x, trace, status = blockmin.run(Separable(), blockmin.BlockVector.zeros((1, 1)),
-                                    1e-12, 10)
+    x, trace, status = blockmin.run(Separable((1, 1)),
+                                    blockmin.BlockVector.zeros((1, 1)), 1e-12, 10)
     assert status == blockmin.CONVERGED
     assert trace.n_steps == 2
     np.testing.assert_array_equal(x.concat(), [1.0, 1.0])
+
+
+def test_run_reads_the_returned_block_norms():
+    # d = 3 with blocks longer than 1: the trace carries evaluate's norms
+    # as they are, and blocks are taken in decreasing order of norm
+    # (sqrt(8), 1.5 and sqrt(1.25) at the start)
+    problem = Separable((2, 3, 4))
+    x0 = blockmin.BlockVector([[0.5, 2.0], [3.0, -1.0, 1.0], [1.0, 0.0, 2.0, 1.5]])
+    _, norms = problem.evaluate(x0)
+    x, trace, status = blockmin.run(problem, x0, 1e-12, 10)
+    assert trace.block_grad_norms[0] == norms
+    assert trace.full_grad_norms[0] == math.sqrt(sum(v * v for v in norms))
+    assert trace.chosen_blocks == [1, 2, 0]
+    assert status == blockmin.CONVERGED
+    np.testing.assert_array_equal(x.concat(), np.ones(9))

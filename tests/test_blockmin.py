@@ -25,7 +25,7 @@ class FixedGradientProblem(blockmin.BlockProblem):
         return tuple(1 for _ in self._norms)
 
     def evaluate(self, x):
-        return 0.0, [np.array([v]) for v in self._norms]
+        return 0.0, list(self._norms)
 
     def partial_minimizer(self, x, j):
         return x.blocks[j]
@@ -37,7 +37,7 @@ class DriftProblem(blockmin.BlockProblem):
     block_dims = (1, 1)
 
     def evaluate(self, x):
-        return -(x.blocks[0][0] + x.blocks[1][0]), [np.array([1.0])] * 2
+        return -(x.blocks[0][0] + x.blocks[1][0]), [1.0, 1.0]
 
     def partial_minimizer(self, x, j):
         return x.blocks[j] + 100.0
@@ -50,7 +50,7 @@ class BlowUpProblem(blockmin.BlockProblem):
 
     def evaluate(self, x):
         v = x.blocks[0][0]
-        return math.inf if v > 500 else -v, [np.array([1.0])] * 2
+        return math.inf if v > 500 else -v, [1.0, 1.0]
 
     def partial_minimizer(self, x, j):
         return x.blocks[j] + 400.0
@@ -379,7 +379,8 @@ class UncachedQuadratic(QuadraticBlockProblem):
         s = slice(start, start + self.block_dims[j])
         v = x.concat()
         rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
-        return numerics.solve_linear(self.matrix[s, s], rhs)
+        return numerics.solve_factored(
+            numerics.factor_linear(self.matrix[s, s]), rhs)
 
     def objective_decrease(self, x_old, x_new, j):
         delta = x_new.concat() - x_old.concat()

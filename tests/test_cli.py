@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,7 +159,7 @@ class TestScaleCommand:
         x0 = scaler.random_reduced_point(problem.frame,
                                          np.random.default_rng(3))
         assert problem.frame.reduced_residual(x0) <= 1e-12
-        assert problem.objective(x0) == pytest.approx(
+        assert problem.scaled(x0).total == pytest.approx(
             texts["a"]["trace"]["objectives"][0], rel=1e-12)
 
     def test_dense_300_without_iterates(self, tmp_path):
@@ -288,3 +291,16 @@ class TestDemoCommand:
         report = read_report(out)
         for gap, bound in zip(report["observed_gaps"], report["bound_curve"]):
             assert gap <= bound * 1.05 + 1e-12
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is optional at run time, and importing it would add about 0.6 s
+    # to every CLI call
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys, slicescale.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

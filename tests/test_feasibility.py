@@ -138,6 +138,16 @@ class TestVerifyWitness:
         witness = BlockVector([[-1.0, 0.5], [1.0, -1.0]])
         assert not verify_witness(tensor, UNIFORM_2X2, witness)
 
+    def test_target_check_is_relative_to_the_target(self):
+        # |x_j . t_j| = 0.5e-12 lies below any absolute 1e-9, but it is
+        # half of max|t_j|
+        tensor = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
+        tiny = SliceTargets([[1e-12, 1e-12], [1e-12, 1e-12]])
+        assert not verify_witness(tensor, tiny,
+                                  BlockVector([[-1.0, 0.5], [1.0, -1.0]]))
+        assert verify_witness(tensor, tiny,
+                              BlockVector([[-1.0, 1.0], [1.0, -1.0]]))
+
     def test_positive_pattern_sum_rejected(self):
         tensor = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
         witness = BlockVector([[1.0, -1.0], [-1.0, 1.0]])
@@ -179,6 +189,23 @@ class TestAgainstScipy:
         assert report.verdict == scipy_feasibility_oracle(tensor, targets)
         if report.verdict == NOT_SCALABLE:
             assert verify_witness(tensor, targets, report.witness)
+
+    def test_verdicts_do_not_depend_on_target_scale(self):
+        # Rescaling the targets cannot change scalability: every scale gets
+        # the HiGHS verdict of the unit-total problem, and every witness
+        # verifies against the targets it was found for.
+        for i in range(30):
+            rng = np.random.default_rng(2600 + i)
+            dims = (6, 6) if i % 2 == 0 else (3, 3, 3)
+            tensor = random_pattern_tensor(rng, dims, density=0.5)
+            unit = random_compatible_targets(rng, dims, total=1.0)
+            want = scipy_feasibility_oracle(tensor, unit)
+            for factor in (1e-12, 1.0, 1e12):
+                targets = SliceTargets([factor * v for v in unit.vectors])
+                report = check_scalable(tensor, targets)
+                assert report.verdict == want, (i, factor)
+                if want == NOT_SCALABLE:
+                    assert verify_witness(tensor, targets, report.witness)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_positive_instances(self, seed):

@@ -45,8 +45,10 @@ class TestDenseTensor:
     def test_pattern_and_support(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 0.0]])
         np.testing.assert_array_equal(t.support, [[True, True], [True, False]])
-        assert t.same_pattern(DenseTensor([[5.0, 5.0], [5.0, 0.0]]))
-        assert not t.same_pattern(DenseTensor([[1.0, 1.0], [1.0, 1.0]]))
+        assert np.array_equal(t.support,
+                              DenseTensor([[5.0, 5.0], [5.0, 0.0]]).support)
+        assert not np.array_equal(t.support,
+                                  DenseTensor([[1.0, 1.0], [1.0, 1.0]]).support)
 
     def test_immutable(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
@@ -115,12 +117,12 @@ class TestScale:
         t = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
         out = scale(t, [np.array([0.0, 400.0]), np.array([400.0, -400.0])])
         assert out.array[1, 0] == 0.0
-        assert out.same_pattern(t)
+        assert np.array_equal(out.support, t.support)
 
     def test_pattern_preserved(self):
         t = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
         out = scale(t, [np.array([0.5, -0.5]), np.array([1.0, -1.0])])
-        assert out.same_pattern(t)
+        assert np.array_equal(out.support, t.support)
 
     def test_dim_mismatch(self):
         t = DenseTensor(np.ones((2, 2)))
