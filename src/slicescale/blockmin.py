@@ -4,7 +4,8 @@ The engine repeatedly replaces the block whose gradient norm is largest by
 that block's exact partial minimizer. Problems supply the objective with the
 per-block gradient norms (one ``evaluate`` call) and the partial minimizer;
 the engine owns block selection, stopping, the divergence guard, and the
-iterate trace.
+iterate trace. A run converges once the problem's ``stop_value`` (the
+full-gradient norm unless overridden) is at most ``tol``.
 
 Immediately after a step on block j the partial-minimization contract makes
 that block's gradient vanish, so the engine carries an exact zero for it in
@@ -146,15 +147,16 @@ class BlockProblem(abc.ABC):
     Subclasses must be strictly convex on their working space and must
     implement the partial minimizer exactly: after replacing block j by its
     output, the block-j gradient norm must not exceed ``partial_min_tol``.
+    ``tol`` in :func:`run` bounds ``stop_value``: the gradient norm by default.
 
-    :func:`run` calls ``evaluate(x)`` before ``partial_minimizer(x, j)``,
-    ``apply_update(x, j, ·)`` and ``objective_decrease(x, x_new, j)`` on the
-    same object ``x``, and then ``evaluate(x_new)`` on the object
-    ``apply_update`` returned. A problem may keep work from one call for the
-    next: the scaling problem keeps the slice sums at ``x`` and advances them
-    to ``x_new`` from the moved blocks, and the quadratic keeps its gradient
-    and block factors. Results must not depend on that order: a call at any
-    other point recomputes from scratch.
+    :func:`run` calls ``evaluate(x)`` before ``stop_value(x, ·)``,
+    ``partial_minimizer(x, j)``, ``apply_update(x, j, ·)`` and
+    ``objective_decrease(x, x_new, j)`` on the same object ``x``, and then
+    ``evaluate(x_new)`` on the object ``apply_update`` returned. A problem may
+    keep work from one call for the next: the scaling problem keeps the slice
+    sums at ``x`` and advances them to ``x_new`` from the moved blocks, and
+    the quadratic keeps its gradient and block factors. Results must not
+    depend on that order: a call at any other point recomputes from scratch.
     """
 
     # Accuracy the partial minimizer is held to.
@@ -185,6 +187,11 @@ class BlockProblem(abc.ABC):
     def apply_update(self, x, j, new_block):
         """Produce the next iterate from a block-j update (default: replace block j)."""
         return x.with_block(j, new_block)
+
+    def stop_value(self, x, grad_norm):
+        """What :func:`run` compares with ``tol`` at ``x``; by default the
+        full-gradient norm ``grad_norm`` there."""
+        return grad_norm
 
     def objective_decrease(self, x_old, x_new, j):
         """Objective drop between consecutive stored iterates, or None.
@@ -269,18 +276,19 @@ class QuadraticBlockProblem(BlockProblem):
 class IterateTrace:
     """Per-iteration record of a greedy run.
 
-    State lists (objectives, block_grad_norms, full_grad_norms, iterates) have
-    one entry per visited point, so length = number of steps + 1; the step
-    lists (chosen_blocks, post_step_block_norms, objective_decreases) have one
-    entry per step. ``block_grad_norms`` carries an exact zero for the block
-    minimized in the previous step (the partial-minimization contract); the
-    measured residual of that block is in ``post_step_block_norms``.
+    State lists (objectives, block_grad_norms, full_grad_norms, stop_values,
+    iterates) have one entry per visited point (steps + 1), the step lists
+    (chosen_blocks, post_step_block_norms, objective_decreases) one per step.
+    ``block_grad_norms`` carries an exact zero for the block minimized in the
+    previous step (the partial-minimization contract); the measured residual
+    of that block is in ``post_step_block_norms``.
     ``objective_decreases`` holds the exact per-step objective drop when the
     problem can compute it stably, else the plain difference of objectives.
     """
 
     objectives: list = field(default_factory=list)
     full_grad_norms: list = field(default_factory=list)
+    stop_values: list = field(default_factory=list)
     block_grad_norms: list = field(default_factory=list)
     chosen_blocks: list = field(default_factory=list)
     post_step_block_norms: list = field(default_factory=list)
@@ -340,14 +348,13 @@ def theoretical_bound(bound, k, f0_gap_bound=None, kappas=None):
     if f0_gap_bound is not None:
         lead = min(lead, float(f0_gap_bound))
     value = lead * bound.first_step_factor
+    if kappas is None:
+        return value * bound.later_step_factor ** (k - 1)
     for i in range(1, k):
-        if kappas is not None:
-            kap = float(kappas[i - 1])
-            if kap < 1:
-                raise ValueError("invalid bound data")
-            value *= 1.0 - 1.0 / ((bound.d - 1) * kap)
-        else:
-            value *= bound.later_step_factor
+        kap = float(kappas[i - 1])
+        if kap < 1:
+            raise ValueError("invalid bound data")
+        value *= 1.0 - 1.0 / ((bound.d - 1) * kap)
     return value
 
 
@@ -406,15 +413,16 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
 
     Each step replaces a block of largest gradient norm (ties go to the
     smallest index) by its partial minimizer. Stops with status
-    ``converged`` when the working full-gradient norm drops to ``tol``, with
+    ``converged`` when the problem's ``stop_value`` (by default the working
+    full-gradient norm) drops to ``tol`` (positive and finite), with
     ``diverging`` when the sup norm of the iterate exceeds
     ``divergence_guard`` (pass None or inf to disable; otherwise it must be
     positive), and with ``max_iters_reached`` otherwise. Returns (x_final,
     trace, status). Non-finite objective or gradient values raise
     NumericalOverflowError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     guard = math.inf if divergence_guard is None else float(divergence_guard)
@@ -427,15 +435,16 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     obj, norms = problem.evaluate(x)
     _check_finite(obj, norms, x, 0)
     trace = IterateTrace(iterates=[] if record_iterates else None)
-    status = MAX_ITERS_REACHED
     for k in range(max_iters + 1):
         full = math.sqrt(sum(v * v for v in norms))
+        stop = problem.stop_value(x, full)
         trace.objectives.append(obj)
         trace.block_grad_norms.append(list(norms))
         trace.full_grad_norms.append(full)
+        trace.stop_values.append(stop)
         if record_iterates:
             trace.iterates.append(x)
-        if full <= tol:
+        if stop <= tol:
             status = CONVERGED
             break
         if max(sups) > guard:

@@ -7,11 +7,13 @@ targets passed as flags. Reports are JSON on stdout or --output.
 
 Exit codes: 0 success, 1 I/O or validation error, 2 not scalable (witness in
 the report), 3 numerical failure (overflow, divergence, iteration budget).
+An unscalable input under ``scale --force`` ends diverging or out of budget.
 """
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -35,8 +37,8 @@ EXIT_NUMERICAL = 3
 
 
 def _check_run_limits(args):
-    if not args.tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if args.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
@@ -146,6 +148,7 @@ def _trace_payload(trace):
     return {
         "objectives": trace.objectives,
         "full_grad_norms": trace.full_grad_norms,
+        "stop_values": trace.stop_values,
         "block_choices": trace.chosen_blocks,
         "post_step_block_norms": trace.post_step_block_norms,
     }
@@ -290,7 +293,9 @@ def build_parser():
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="input file (JSON, or CSV with --csv)")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="stop at this relative slice-sum mismatch (scale, "
+                       "bridge) or gradient norm (demo-quadratic)")
         p.add_argument("--max-iters", type=int, default=10000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report here instead of stdout")

@@ -18,7 +18,6 @@ from .tensor import scale
 
 __all__ = [
     "SubspaceFrame",
-    "ScalingPoint",
     "ScalingProblem",
     "build_frame",
     "ambient_second_moments",
@@ -161,30 +160,6 @@ def build_frame(tensor, targets):
     else:
         gauge = support_kernel
     return SubspaceFrame(targets, gauge)
-
-
-class ScalingPoint:
-    """An ambient scaling point validated against the working-space constraints."""
-
-    __slots__ = ("blocks", "in_reduced_space")
-
-    def __init__(self, frame, blocks, require_reduced=False, tol=1e-10):
-        if blocks.dims != frame.dims:
-            raise ValueError("block dims do not match frame dims")
-        for j in range(frame.d):
-            s = frame.targets.vectors[j]
-            inner = float(blocks.blocks[j] @ s)
-            bound = tol * float(np.abs(s).max()) * max(1.0, blocks.norm_inf())
-            if abs(inner) > bound:
-                raise ValueError(f"block {j} is not orthogonal to its target")
-        in_reduced = frame.reduced_residual(blocks) <= tol * max(1.0, blocks.norm_inf())
-        if require_reduced and not in_reduced:
-            raise ValueError("point lies outside the reduced working space")
-        self.blocks = blocks
-        self.in_reduced_space = in_reduced
-
-    def __repr__(self):
-        return f"ScalingPoint(dims={self.blocks.dims}, reduced={self.in_reduced_space})"
 
 
 class ScalingProblem:

@@ -1,10 +1,10 @@
 """Shared test oracles: finite differences, alternating scaling, the
 ambient and in-plane gradients from a rescaled tensor, the entrywise
-objective drop, explicit orthonormal bases of a frame's mode,
-working and reduced spaces with the projector and projected mode bases built
-from them, a greedy scaler that rescales the tensor at every step, the
-primal witness system of the scalability LP, and random instance
-generators."""
+objective drop, the relative slice-sum mismatch, explicit orthonormal bases
+of a frame's mode, working and reduced spaces with the projector and
+projected mode bases built from them, a greedy scaler that rescales the
+tensor at every step, the primal witness system of the scalability LP, and
+random instance generators."""
 
 import math
 from types import SimpleNamespace
@@ -167,6 +167,15 @@ def in_plane_gradient(problem, x, j):
     return sigma - (float(sigma @ s) / float(s @ s)) * s
 
 
+def relative_mismatch(scaled, targets):
+    """The largest relative slice-sum mismatch of a rescaled tensor,
+    max_k ||sigma_k S / F - s_k||_inf / ||s_k||_inf with F its mass and S
+    the target total, computed entrywise from the tensor."""
+    ratio = targets.total / float(slice_sums(scaled, 0).sum())
+    return max(float(np.abs(ratio * slice_sums(scaled, k) - s).max())
+               / float(s.max()) for k, s in enumerate(targets.vectors))
+
+
 def orthonormalize(vectors):
     """Orthonormal basis of the span of the given vectors, as the columns of
     an n x k array.
@@ -239,11 +248,11 @@ def projected_mode_bases(frame):
 class PerStepRescaleProblem(BlockProblem):
     """Greedy scaling problem that rescales the tensor at every iterate.
 
-    Every evaluate, block update and gradient reads the slice sums of
-    ``tensor.scale`` at the iterate itself (one rescale per iterate, kept
-    for the calls at that iterate), and the objective drop is the entrywise
-    reference above. Patterned tensors with gauge directions take the
-    projected path: gradients along the projected mode bases, updates
+    Every evaluate, stop value, block update and gradient reads the slice
+    sums of ``tensor.scale`` at the iterate itself (one rescale per iterate,
+    kept for the calls at that iterate), and the objective drop is the
+    entrywise reference above. Patterned tensors with gauge directions take
+    the projected path: gradients along the projected mode bases, updates
     projected onto the reduced working space, both built here from the
     frame's reduced basis.
     """
@@ -275,6 +284,9 @@ class PerStepRescaleProblem(BlockProblem):
             grads = [sigma - (float(sigma @ s) / float(s @ s)) * s
                      for sigma, s in zip(sigmas, self.problem.targets.vectors)]
         return scaled.total, [math.sqrt(float(g @ g)) for g in grads]
+
+    def stop_value(self, x, grad_norm):
+        return relative_mismatch(self._scaled(x), self.problem.targets)
 
     def partial_minimizer(self, x, j):
         return closed_form_block_update(

@@ -175,6 +175,13 @@ class TestRun:
         with pytest.raises(ValueError, match="max_iters"):
             run(p, x0, 1e-8, 0)
 
+    @pytest.mark.parametrize("tol", [math.inf, float("nan"), -1.0])
+    def test_invalid_tol_rejected(self, tol):
+        # an infinite tol would stop every run at its start as converged
+        p = QuadraticBlockProblem(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="positive and finite"):
+            run(p, BlockVector([[1.0], [1.0]]), tol, 10)
+
     @pytest.mark.parametrize("guard", [float("nan"), 0.0, -1.0])
     def test_invalid_guard_rejected(self, guard):
         p = QuadraticBlockProblem(np.eye(2), np.zeros(2))
@@ -288,6 +295,16 @@ class TestBounds:
         b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=1.0)
         v = theoretical_bound(b, 3, kappas=[2.0, 4.0])
         assert v == pytest.approx(0.5 * 0.75 * 0.5 * 0.75)
+
+    @pytest.mark.parametrize("d, beta", [(4, 10.0), (3, 40.0), (2, 300.0)])
+    def test_curve_matches_step_by_step_product(self, d, beta):
+        # without per-step kappas the bound is lead * first * later**(k-1),
+        # the product of the per-step contractions taken one at a time
+        b = ConvergenceBound(d=d, alpha=1.0, beta=beta, grad0_norm=2.0)
+        value = theoretical_bound(b, 1)
+        for k in range(2, 2001):
+            value *= b.later_step_factor
+            assert abs(theoretical_bound(b, k) - value) <= 1e-12 * value
 
     def test_invalid_data(self):
         with pytest.raises(ValueError, match="k must be"):

@@ -94,6 +94,12 @@ class TestScaleCommand:
     def test_validation_exit_one(self, tensor_file):
         assert cli.main(["scale", tensor_file, "--tol", "-1"]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_invalid_tol_exit_one(self, tensor_file, tol, capsys):
+        rc = cli.main(["scale", tensor_file, "--tol", tol])
+        assert rc == cli.EXIT_INVALID
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("guard", ["nan", "-1", "0"])
     def test_invalid_guard_exit_one(self, tensor_file, guard, capsys):
         rc = cli.main(["scale", tensor_file, "--force", "--guard", guard])

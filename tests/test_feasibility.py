@@ -277,7 +277,7 @@ def patterned_instances(draw):
     return tensor, random_compatible_targets(rng, dims)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@settings(max_examples=120)
 @given(patterned_instances())
 def test_verdicts_match_highs_on_the_primal_system(instance):
     tensor, targets = instance

@@ -10,8 +10,8 @@ from helpers import (ambient_point, fd_gradient, fd_hessian,
                      reference_bases, slice_sum_gradient)
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import null_space, symmetric_eigs
-from slicescale.objective import (ScalingPoint, ScalingProblem,
-                                  ambient_second_moments, build_frame)
+from slicescale.objective import (ScalingProblem, ambient_second_moments,
+                                  build_frame)
 from slicescale.scaler import ScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets, rank_one_target
 
@@ -412,23 +412,3 @@ class TestHessian:
             vals = symmetric_eigs(H)
             assert vals[0] > 0
 
-
-class TestScalingPoint:
-    def test_valid_point(self):
-        p = ones_problem()
-        x = BlockVector([[1.0, -1.0], [0.5, -0.5]])
-        pt = ScalingPoint(p.frame, x)
-        assert pt.in_reduced_space
-
-    def test_rejects_off_hyperplane(self):
-        p = ones_problem()
-        with pytest.raises(ValueError, match="orthogonal"):
-            ScalingPoint(p.frame, BlockVector([[1.0, 0.0], [0.0, 0.0]]))
-
-    def test_gauge_component_not_reduced(self):
-        p = identity_pattern_problem()
-        z = BlockVector(p.frame.split(p.frame.gauge_basis[:, 0]))
-        pt = ScalingPoint(p.frame, z)
-        assert not pt.in_reduced_space
-        with pytest.raises(ValueError, match="reduced"):
-            ScalingPoint(p.frame, z, require_reduced=True)

@@ -1,20 +1,21 @@
-"""Property tests over seeded instance families (Hypothesis, derandomized so
-that every run draws the same examples)."""
+"""Property tests over seeded instance families (Hypothesis, under the
+derandomized profile of conftest.py, so that every run draws the same
+examples)."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (projected_mode_bases, random_compatible_targets,
-                     random_pattern_tensor, random_positive_tensor,
-                     reference_bases, slice_sum_gradient)
-from slicescale.blockmin import estimate_alpha_beta
+from helpers import (alternating_scaling, projected_mode_bases,
+                     random_compatible_targets, random_pattern_tensor,
+                     random_positive_tensor, reference_bases,
+                     slice_sum_gradient)
+from slicescale.blockmin import CONVERGED, estimate_alpha_beta
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import ScalingBlockProblem, random_reduced_point
+from slicescale.scaler import ScalingBlockProblem, random_reduced_point, solve
 from slicescale.tensor import DenseTensor, SliceTargets
 
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None,
-                             database=None)
+PROPERTY_SETTINGS = settings(max_examples=40)
 
 
 @st.composite
@@ -110,3 +111,31 @@ def test_certificate_matches_reduced_basis_congruence(case):
     assert ref_alpha > 0
     assert abs(alpha - ref_alpha) <= 1e-12 * ref_alpha
     assert abs(beta - ref_beta) <= 1e-12 * ref_beta
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(positive_or_patterned_problems(),
+                 block_diagonal_gauge_problems().map(lambda c: (c[0], c[2]))),
+       st.sampled_from([1e-3, 1e-6, 1e-10]))
+def test_converged_runs_meet_their_tol(case, tol):
+    # tol bounds the relative slice-sum mismatch, so a converged run
+    # normalizes to residuals within tol of the targets (up to rounding),
+    # keeps the zeros, and for a matrix lies near the alternating-scaling
+    # limit. Unscalable draws end diverging or out of budget, unnormalized.
+    problem, _ = case
+    sol = solve(problem, tol=tol, max_iters=3000)
+    if sol.status != CONVERGED:
+        assert sol.scaled is None
+        return
+    targets = problem.targets.vectors
+    for residual, s in zip(sol.residuals, targets):
+        assert residual <= (tol + 1e-13) * float(s.max())
+    support = problem.tensor.support
+    assert np.all(sol.scaled.array[~support] == 0.0)
+    assert np.all(sol.scaled.array[support] > 0.0)
+    if problem.d == 2:
+        limit = alternating_scaling(problem.tensor.array, targets[0],
+                                    targets[1], 3000)
+        assert np.abs(limit.sum(axis=1) - targets[0]).max() <= 1e-12
+        distance = np.abs(sol.scaled.array - limit).max()
+        assert distance <= 10 * tol * limit.max()

@@ -154,6 +154,28 @@ class TestSolveModified:
             solve(p, x0=z)
 
 
+class TestStartChecks:
+    """``solve`` checks a given start against the frame before running."""
+
+    def test_valid_point(self):
+        p = problem_of(np.ones((2, 2)))
+        x0 = BlockVector([[1.0, -1.0], [0.5, -0.5]])
+        sol = solve(p, x0=x0)
+        assert sol.status == blockmin.CONVERGED
+        assert sol.trace.iterates[0] is x0
+
+    def test_rejects_off_hyperplane(self):
+        p = problem_of(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="orthogonal"):
+            solve(p, x0=BlockVector([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_gauge_component_not_reduced(self):
+        p = problem_of(np.eye(2))
+        z = BlockVector(p.frame.split(p.frame.gauge_basis[:, 0]))
+        with pytest.raises(ValueError, match="reduced"):
+            solve(p, x0=z)
+
+
 class TestSolveDispatch:
     def test_routes_by_gauge_dim(self):
         assert solve(problem_of([[1.0, 2.0], [3.0, 4.0]])).method == "greedy-standard"
@@ -185,10 +207,18 @@ class TestNormalize:
         _, factor, _ = normalize(p, BlockVector.zeros((2, 2)))
         assert factor == pytest.approx(1.0)
 
-    def test_gate_rejects_unconverged_point(self):
+    def test_residuals_are_the_stop_value(self):
+        # normalize refuses no point; at an unconverged one its residuals
+        # are the relative mismatch the working problem reports there
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="not converged"):
-            normalize(p, BlockVector.zeros((2, 2)))
+        x = BlockVector.zeros((2, 2))
+        _, factor, residuals = normalize(p, x)
+        assert factor == pytest.approx(5.0)
+        np.testing.assert_allclose(residuals, [0.4, 0.2], rtol=1e-14)
+        wp = ScalingBlockProblem(p)
+        wp.evaluate(x)
+        assert wp.stop_value(x, None) == pytest.approx(max(residuals),
+                                                       rel=1e-14)
 
     def test_doubly_stochastic_sums(self):
         sol = solve(problem_of([[1.0, 2.0], [3.0, 4.0]]), tol=1e-12)
