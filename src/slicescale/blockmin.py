@@ -150,8 +150,8 @@ class BlockProblem(abc.ABC):
     ``tol`` in :func:`run` bounds ``stop_value``: the gradient norm by default.
 
     :func:`run` calls ``evaluate(x)`` before ``stop_value(x, ·)``,
-    ``partial_minimizer(x, j)``, ``apply_update(x, j, ·)`` and
-    ``objective_decrease(x, x_new, j)`` on the same object ``x``, and then
+    ``partial_minimizer(x, j)``, ``objective_decrease(x, j, ·)`` and
+    ``apply_update(x, j, ·)`` on the same object ``x``, and then
     ``evaluate(x_new)`` on the object ``apply_update`` returned. A problem may
     keep work from one call for the next: the scaling problem keeps the slice
     sums at ``x`` and advances them to ``x_new`` from the moved blocks, and
@@ -193,13 +193,16 @@ class BlockProblem(abc.ABC):
         full-gradient norm ``grad_norm`` there."""
         return grad_norm
 
-    def objective_decrease(self, x_old, x_new, j):
-        """Objective drop between consecutive stored iterates, or None.
+    def objective_decrease(self, x, j, new_block):
+        """Objective drop from ``x`` to ``x`` with block j replaced by
+        ``new_block``, or None.
 
-        Near convergence the drop falls below the resolution of the objective
-        itself, so problems that can evaluate it in a cancellation-free way
-        (from the exact difference of the stored iterates) should override
-        this; the engine records it in the trace.
+        The engine records it in the trace as the drop of the step, which
+        holds because ``apply_update`` may move the updated point only along
+        directions where the objective is constant. Near convergence the drop
+        falls below the resolution of the objective itself, so problems that
+        can evaluate it in a cancellation-free way (from the exact difference
+        of the old and new block) should override this.
         """
         return None
 
@@ -257,16 +260,18 @@ class QuadraticBlockProblem(BlockProblem):
             self._factors[j] = numerics.factor_linear(self.matrix[s, s])
         return numerics.solve_factored(self._factors[j], rhs)
 
-    def objective_decrease(self, x_old, x_new, j):
-        # f(old) - f(new) = -(g^T delta + 0.5 delta^T A delta); the stored
-        # iterate difference is exact, so this stays accurate far below the
-        # resolution of the objective values themselves.
-        delta = x_new.concat() - x_old.concat()
-        if self._last_gradient is not None and self._last_gradient[0] is x_old:
+    def objective_decrease(self, x, j, new_block):
+        # f(x) - f(new) = -(g_j^T delta + 0.5 delta^T A_jj delta) for the move
+        # delta of block j alone; the difference of the blocks is exact, so
+        # this stays accurate far below the resolution of the objective
+        # values themselves.
+        s = self._slices[j]
+        delta = np.asarray(new_block, dtype=float) - x.blocks[j]
+        if self._last_gradient is not None and self._last_gradient[0] is x:
             g = self._last_gradient[1]
         else:
-            g = self.matrix @ x_old.concat() + self.linear
-        return float(-(g @ delta) - 0.5 * delta @ self.matrix @ delta)
+            g = self.matrix @ x.concat() + self.linear
+        return float(-(g[s] @ delta) - 0.5 * delta @ self.matrix[s, s] @ delta)
 
     def hessian(self, x):
         return self.matrix
@@ -455,12 +460,12 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
             break
         j = int(np.argmax(norms))
         new_block = np.asarray(problem.partial_minimizer(x, j), dtype=float)
+        decrease = problem.objective_decrease(x, j, new_block)
         x_old = x
         x = problem.apply_update(x, j, new_block)
         for i, (new, old) in enumerate(zip(x.blocks, x_old.blocks)):
             if new is not old:
                 sups[i] = _sup_norm(new)
-        decrease = problem.objective_decrease(x_old, x, j)
         prev_obj = obj
         obj, norms = problem.evaluate(x)
         _check_finite(obj, norms, x, k + 1)

@@ -84,8 +84,7 @@ def reduce_to_scaling(problem):
     return A, row_targets, col_targets
 
 
-def solve_bridge(problem, tol=1e-10, max_iters=10000, x0=None,
-                 check_feasibility=True):
+def solve_bridge(problem, tol=1e-10, max_iters=10000, x0=None):
     """Solve the bridge problem through the slice-sum scaler.
 
     Patterned matrices are checked for scalability first (raising
@@ -96,10 +95,9 @@ def solve_bridge(problem, tol=1e-10, max_iters=10000, x0=None,
     reduced, row_targets, col_targets = reduce_to_scaling(problem)
     tensor = DenseTensor(reduced)
     targets = SliceTargets([row_targets, col_targets])
-    if check_feasibility:
-        report = check_scalable(tensor, targets)
-        if not report.scalable:
-            raise InfeasibleScalingError(report)
+    report = check_scalable(tensor, targets)
+    if not report.scalable:
+        raise InfeasibleScalingError(report)
     scaling_problem = ScalingProblem(tensor, targets)
     solution = scaler.solve(scaling_problem, x0=x0, tol=tol, max_iters=max_iters)
     if solution.scaled is None:

@@ -5,8 +5,9 @@ Tensor files are JSON objects {"dims": [...], "values": [...], "targets":
 exact zeros marking the support pattern. Matrices may instead be CSV with
 targets passed as flags. Reports are JSON on stdout or --output.
 
-Exit codes: 0 success, 1 I/O or validation error, 2 not scalable (witness in
-the report), 3 numerical failure (overflow, divergence, iteration budget).
+Exit codes: 0 success, 1 usage, I/O or validation error, 2 not scalable
+(witness in the report), 3 numerical failure (overflow, divergence,
+iteration budget).
 An unscalable input under ``scale --force`` ends diverging or out of budget.
 """
 
@@ -34,6 +35,15 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_INVALID instead of 2, which
+    is the not-scalable code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
 def _check_run_limits(args):
@@ -155,6 +165,7 @@ def _trace_payload(trace):
 
 
 def cmd_scale(args):
+    _check_run_limits(args)
     tensor, targets = load_problem(args)
     report = {
         "command": "scale",
@@ -221,6 +232,7 @@ def load_bridge_file(path, stochastic):
 
 
 def cmd_bridge(args):
+    _check_run_limits(args)
     problem = load_bridge_file(args.input, args.stochastic)
     report = {"command": "bridge",
               "config": {"tol": args.tol, "max_iters": args.max_iters,
@@ -246,6 +258,7 @@ def cmd_bridge(args):
 
 def cmd_demo_quadratic(args):
     """Greedy coordinate minimization on a seeded random SPD quadratic."""
+    _check_run_limits(args)
     if args.dim < 2:
         raise ValueError("--dim must be at least 2")
     rng = np.random.default_rng(args.seed)
@@ -284,30 +297,38 @@ def cmd_demo_quadratic(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicescale",
         description="Slice-sum scaling of nonnegative matrices and tensors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="input file (JSON, or CSV with --csv)")
+    def problem_input(p):
+        p.add_argument("input", help="input file (JSON, or CSV with --csv)")
+        p.add_argument("--targets", dest="targets_path",
+                       help="JSON file with the target vectors")
+        p.add_argument("--csv", action="store_true",
+                       help="input is a CSV matrix")
+        p.add_argument("--row-targets",
+                       help="comma-separated row targets (CSV input)")
+        p.add_argument("--col-targets",
+                       help="comma-separated column targets (CSV input)")
+
+    def run_limits(p):
         p.add_argument("--tol", type=float, default=1e-10,
                        help="stop at this relative slice-sum mismatch (scale, "
                        "bridge) or gradient norm (demo-quadratic)")
         p.add_argument("--max-iters", type=int, default=10000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
+
+    def output(p):
+        p.add_argument("--output",
+                       help="write the JSON report here instead of stdout")
 
     p_scale = sub.add_parser("scale", help="rescale a tensor to its targets")
-    common(p_scale)
-    p_scale.add_argument("--targets", dest="targets_path",
-                         help="JSON file with the target vectors")
-    p_scale.add_argument("--csv", action="store_true",
-                         help="input is a CSV matrix")
-    p_scale.add_argument("--row-targets", help="comma-separated row targets (CSV input)")
-    p_scale.add_argument("--col-targets", help="comma-separated column targets (CSV input)")
+    problem_input(p_scale)
+    run_limits(p_scale)
+    p_scale.add_argument("--seed", type=int, default=0)
+    output(p_scale)
     p_scale.add_argument("--force", action="store_true",
                          help="skip the scalability check and rely on the divergence guard")
     p_scale.add_argument("--random-start", action="store_true",
@@ -319,20 +340,21 @@ def build_parser():
                          help="do not keep iterate snapshots (disables the certificate)")
 
     p_feas = sub.add_parser("feasible", help="test scalability without solving")
-    common(p_feas)
-    p_feas.add_argument("--targets", dest="targets_path")
-    p_feas.add_argument("--csv", action="store_true")
-    p_feas.add_argument("--row-targets")
-    p_feas.add_argument("--col-targets")
+    problem_input(p_feas)
+    output(p_feas)
 
     p_bridge = sub.add_parser("bridge", help="matrix rescaling with source/target marginals")
-    common(p_bridge)
+    p_bridge.add_argument("input", help="bridge file (JSON)")
+    run_limits(p_bridge)
+    output(p_bridge)
     p_bridge.add_argument("--stochastic", action="store_true",
                           help="force unit column sums (column-stochastic output)")
 
     p_demo = sub.add_parser("demo-quadratic",
                             help="greedy coordinate descent demo on an SPD quadratic")
-    common(p_demo, with_input=False)
+    run_limits(p_demo)
+    p_demo.add_argument("--seed", type=int, default=0)
+    output(p_demo)
     p_demo.add_argument("--dim", type=int, default=4)
     p_demo.add_argument("--diagonal", action="store_true")
     return parser
@@ -349,13 +371,7 @@ def main(argv=None):
         "demo-quadratic": cmd_demo_quadratic,
     }
     try:
-        _check_run_limits(args)
         return dispatch[args.command](args)
-    except InfeasibleScalingError as err:
-        report = {"command": args.command, "status": "not_scalable"}
-        report["feasibility"] = _witness_payload(err.report)
-        emit(report, args)
-        return EXIT_INFEASIBLE
     except (ScalingOverflowError, NumericalOverflowError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmin import BlockVector
+from .tensor import _exponents
 
 __all__ = [
     "FeasibilityReport",
@@ -220,12 +221,7 @@ def verify_witness(tensor, targets, x, tol=1e-9):
     blocks = getattr(x, "blocks", x)
     if tuple(len(np.asarray(b)) for b in blocks) != tensor.dims:
         raise ValueError("witness dims do not match tensor dims")
-    expo = np.zeros(tensor.dims)
-    for j, b in enumerate(blocks):
-        shape = [1] * tensor.d
-        shape[j] = tensor.dims[j]
-        expo += np.asarray(b, dtype=float).reshape(shape)
-    sums = expo[tensor.support]
+    sums = _exponents(tensor, blocks)[tensor.support]
     if sums.size == 0 or float(sums.max()) > tol:
         return False
     if float(sums.sum()) > -1.0 + tol:

@@ -1,10 +1,9 @@
 """Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
-Null spaces come from ``eigh`` for symmetric input and from the SVD
-otherwise, symmetric eigenvalues from ``eigvalsh`` and linear solves from QR.
-A null space is a plain N x k array of orthonormal columns, with each
-column's sign fixed (its entry of largest magnitude is positive), so the
-same input gives the same basis on a fixed numpy/LAPACK build. Inside a
+Null spaces of symmetric matrices come from ``eigh``, symmetric eigenvalues
+from ``eigvalsh`` and linear solves from QR. A null space is a plain N x k
+array of orthonormal columns, with each column's sign fixed (its entry of
+largest magnitude is positive), so the same input gives the same basis on a fixed numpy/LAPACK build. Inside a
 multi-dimensional subspace the orientation is whatever LAPACK returns.
 Nothing the solvers report or store depends on it: their iterates are
 ambient exponent blocks, and the frame's bases enter only through projectors
@@ -21,8 +20,8 @@ __all__ = [
     "solve_factored",
 ]
 
-# Singular values (eigenvalue magnitudes, for symmetric input) at or below
-# this fraction of the largest one count as zero.
+# Eigenvalue magnitudes at or below this fraction of the largest one count
+# as zero.
 RANK_RTOL = 1e-10
 
 
@@ -37,25 +36,21 @@ def _fix_signs(Q):
 
 
 def null_space(A):
-    """Orthonormal basis of {x : A x = 0}, the columns of an n x (n - rank(A))
-    array.
+    """Orthonormal basis of {x : A x = 0} for a symmetric A (a Gram matrix),
+    the columns of an n x (n - rank(A)) array, from one ``eigh``.
 
-    Exactly symmetric input (a Gram matrix) goes through ``eigh``, one n x n
-    factor instead of the SVD's two, with the same rank cut.
+    Eigenvalues of magnitude at most RANK_RTOL times the largest count as
+    zero. Input that is not exactly symmetric raises ValueError.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[1] < 1:
-        raise ValueError("matrix must be 2-d with at least one column")
-    m, n = A.shape
-    if m == n and np.array_equal(A, A.T):
-        vals, vecs = np.linalg.eigh(A)
-        size = np.abs(vals)
-        # boolean indexing copies, so the basis does not keep vecs alive
-        return _fix_signs(vecs[:, size <= RANK_RTOL * size.max()])
-    # Full V only when it is needed (m < n); U is never larger than m x n.
-    _, s, vt = np.linalg.svd(A, full_matrices=m < n)
-    rank = int((s > RANK_RTOL * s[0]).sum()) if s.size else 0
-    return _fix_signs(vt[rank:].T)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise ValueError("matrix must be square with at least one column")
+    if not np.array_equal(A, A.T):
+        raise ValueError("asymmetric input")
+    vals, vecs = np.linalg.eigh(A)
+    size = np.abs(vals)
+    # boolean indexing copies, so the basis does not keep vecs alive
+    return _fix_signs(vecs[:, size <= RANK_RTOL * size.max()])
 
 
 def symmetric_eigs(M):

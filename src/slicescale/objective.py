@@ -38,8 +38,8 @@ class SubspaceFrame:
     The reduced space, where the objective is strictly convex, is the
     complement of the gauge inside the working space, of dimension
     N - d - g; :meth:`project` is its orthogonal projector, applied in
-    ambient form. G comes from LAPACK factorizations with fixed column
-    signs, so on a fixed numpy/LAPACK build its orientation is reproducible.
+    ambient form. G comes from one LAPACK ``eigh`` with fixed column signs,
+    so on a fixed numpy/LAPACK build its orientation is reproducible.
     Inside the gauge the orientation is otherwise arbitrary, and nothing the
     solvers report or store depends on it: the iterates are ambient exponent
     blocks, and G enters only through the projector G G^T and the norms of
@@ -135,31 +135,23 @@ def ambient_second_moments(array):
 def build_frame(tensor, targets):
     """Construct the SubspaceFrame of a tensor/targets pair.
 
-    The support kernel is ker R = ker R^T R, the null space of the N x N
-    support Gram matrix, so the nnz x N incidence matrix R is never formed.
-    The gauge space is the part of that kernel orthogonal to every per-mode
-    target row. These two null spaces are the only factorizations made.
+    The gauge is ker R ∩ ker T, with R the nnz x N support-incidence matrix
+    and T the d x N matrix holding target s_j in block j of row j. That
+    intersection is ker(R^T R + T^T T), the null space of one symmetric
+    N x N matrix: the support Gram matrix R^T R, so R is never formed, plus
+    the outer product of s_j / ||s_j|| in diagonal block j. Normalizing a row
+    of T leaves its kernel unchanged and makes the gauge independent of the
+    targets' scale. That null space is the only factorization made.
     """
-    dims = tensor.dims
-    if targets.dims != dims:
+    if targets.dims != tensor.dims:
         raise ValueError("target dims do not match tensor dims")
-    d = len(dims)
-    ambient = sum(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-
-    support_kernel = numerics.null_space(
-        ambient_second_moments(tensor.support.astype(float)))
-
-    target_rows = np.zeros((d, ambient))
-    for j in range(d):
-        target_rows[j, offsets[j]:offsets[j + 1]] = targets.vectors[j]
-    if support_kernel.shape[1]:
-        # ker [R; T] = {K c : T K c = 0} for an orthonormal basis K of ker R.
-        coeffs = numerics.null_space(target_rows @ support_kernel)
-        gauge = support_kernel @ coeffs
-    else:
-        gauge = support_kernel
-    return SubspaceFrame(targets, gauge)
+    gram = ambient_second_moments(tensor.support.astype(float))
+    start = 0
+    for s in targets.vectors:
+        unit = s / np.linalg.norm(s)
+        gram[start:start + s.size, start:start + s.size] += np.outer(unit, unit)
+        start += s.size
+    return SubspaceFrame(targets, numerics.null_space(gram))
 
 
 class ScalingProblem:

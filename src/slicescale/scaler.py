@@ -25,8 +25,9 @@ matrix-vector products for a matrix. The kernel is rebuilt through
 ``ScalingProblem.scaled`` at the start, when the iterate has moved
 ``REBASE_DISTANCE`` from the base, and wherever a rescale of the iterate
 could pass ``EXP_LIMIT``, so overflow is refused exactly where a per-step
-rescale would refuse it. On a gauge instance the objective drop of a step is
-still read from the moved mode's slice sums, so no path rescales per step.
+rescale would refuse it. The objective drop of a step is read from the moved
+mode's slice sums and the block update itself: the gauge correction that
+follows changes no supported entry, so no path rescales per step.
 """
 
 import math
@@ -135,20 +136,19 @@ class ScalingBlockProblem(BlockProblem):
         self.hessian_null_dim = self.d + self.frame.gauge_dim
         self._rebases = 0
         self._point = self._successor = self._kernel = None
-        self._gauge_blocks = self.frame.split(self.frame.gauge_basis)
-        self._gradient_maps, self._drop_maps = [], []
+        self._gradient_maps = []
         if self.frame.gauge_dim:
-            for j, rows in enumerate(self._gauge_blocks):
+            gauge_blocks = self.frame.split(self.frame.gauge_basis)
+            for j, rows in enumerate(gauge_blocks):
                 # I - G_j^T G_j as the sum over the other blocks, which is
                 # the same for an orthonormal G but free of cancellation
                 S = sum(other.T @ other for k, other in
-                        enumerate(self._gauge_blocks) if k != j)
+                        enumerate(gauge_blocks) if k != j)
                 try:
                     L = np.linalg.cholesky(S)
                 except np.linalg.LinAlgError:
                     raise ValueError("zero slice or invalid tensor") from None
                 self._gradient_maps.append(np.linalg.solve(L, rows.T))
-                self._drop_maps.append(np.linalg.solve(S, rows.T).T)
 
     @property
     def block_dims(self):
@@ -238,40 +238,22 @@ class ScalingBlockProblem(BlockProblem):
             self._successor = x_new
         return x_new
 
-    def objective_decrease(self, x_old, x_new, j):
-        # f(new) - f(old) = sum_e B_e(old) * expm1(sum_k delta_k[i_k]) over
-        # the support. Each stored block lies in its target hyperplane only
-        # up to rounding of order eps * |x|, and a drift along the target s_k
+    def objective_decrease(self, x, j, new_block):
+        # f(new) - f(x) = sum_e B_e(x) * expm1(delta[i_j]) over the support,
+        # for the move delta of block j alone, and B(x) summed over the other
+        # modes is its mode-j slice sums, m_j terms from the state.
+        # apply_update then moves only along the gauge, where the objective
+        # is constant, so this is also the drop to the iterate it returns.
+        # Each stored block lies in its target hyperplane only up to
+        # rounding of order eps * |x|, and a drift along the target s_j
         # rescales the mass by about that much whatever the step. The drift
-        # is not part of the step, so each difference of the stored blocks is
+        # is not part of the step, so the difference of the blocks is
         # projected onto the hyperplane, where it lies in exact arithmetic;
-        # the exponent changes then carry errors proportional to the step
+        # the exponent change then carries errors proportional to the step
         # itself, and the expm1 form keeps the drop's sign reliable far below
         # the resolution of the objective values.
-        #
-        # x_new must come from apply_update(x_old, j, .), so blocks other
-        # than j moved only along the gauge. The objective is constant along
-        # the gauge, so adding G c to the step changes no drop, and
-        # c = -S_j^-1 sum_{k != j} G_k^T delta_k cancels every other block's
-        # move (sum_{k != j} G_k^T G_k = S_j). What is left is one move
-        # h = delta_j + G_j c of block j, and B(old) summed over the modes
-        # that no longer move is its mode-j slice sums, m_j terms from the
-        # state.
-        deltas = {}
-        for k, (new, old) in enumerate(zip(x_new.blocks, x_old.blocks)):
-            if new is old:
-                continue  # a shared block has moved by exactly zero
-            delta = self._in_plane(new - old, k)
-            if delta.any():
-                deltas[k] = delta
-        if not deltas:
-            return 0.0
-        move = deltas.pop(j, 0.0)
-        if deltas:
-            coupling = sum(self._gauge_blocks[k].T @ delta
-                           for k, delta in deltas.items())
-            move = move - self._drop_maps[j] @ coupling
-        marginal = self._slice_sums(x_old)[j]
+        move = self._in_plane(new_block - x.blocks[j], j)
+        marginal = self._slice_sums(x)[j]
         positive = marginal > 0
         return -math.fsum(marginal[positive] * np.expm1(move[positive]))
 

@@ -2,18 +2,20 @@
 ambient and in-plane gradients from a rescaled tensor, the entrywise
 objective drop, the relative slice-sum mismatch, explicit orthonormal bases
 of a frame's mode, working and reduced spaces with the projector and
-projected mode bases built from them, a greedy scaler that rescales the
-tensor at every step, the primal witness system of the scalability LP, and
-random instance generators."""
+projected mode bases built from them, the gauge found by two null spaces, a
+greedy scaler that rescales the tensor at every step, the primal witness
+system of the scalability LP, and random instance generators."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from slicescale import blockmin
 from slicescale.blockmin import BlockProblem, BlockVector
 from slicescale.numerics import RANK_RTOL, _fix_signs, null_space
+from slicescale.objective import ambient_second_moments
 from slicescale.scaler import closed_form_block_update
 from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
 
@@ -205,8 +207,8 @@ def orthonormalize(vectors):
 
 
 def reference_bases(frame):
-    """Explicit orthonormal bases of a frame's subspaces, built from SVD null
-    spaces:
+    """Explicit orthonormal bases of a frame's subspaces, built from
+    ``scipy.linalg.null_space`` (an SVD):
 
     - ``mode_bases[j]``: the hyperplane orthogonal to target s_j, shape
       (m_j, m_j - 1);
@@ -215,7 +217,8 @@ def reference_bases(frame):
     - ``reduced_basis``: the complement of the gauge inside the working
       space, shape (N, n - g); the working basis itself when g = 0.
     """
-    mode_bases = [null_space(s.reshape(1, -1)) for s in frame.targets.vectors]
+    mode_bases = [scipy.linalg.null_space(s.reshape(1, -1))
+                  for s in frame.targets.vectors]
     working = np.zeros((frame.ambient_dim, frame.working_dim))
     col = 0
     for j, basis in enumerate(mode_bases):
@@ -224,9 +227,27 @@ def reference_bases(frame):
     reduced = working
     if frame.gauge_dim:
         gauge_in_working = working.T @ frame.gauge_basis
-        reduced = working @ null_space(gauge_in_working.T)
+        reduced = working @ scipy.linalg.null_space(gauge_in_working.T)
     return SimpleNamespace(mode_bases=mode_bases, working_basis=working,
                            reduced_basis=reduced)
+
+
+def two_step_gauge(tensor, targets):
+    """The gauge basis from two null spaces: the support kernel K, the null
+    space of the support Gram matrix R^T R, then its part orthogonal to the
+    targets, K ker(T K), with ker(T K) from an SVD under the rank cut
+    RANK_RTOL relative to the largest singular value. Returns an N x g array
+    of orthonormal columns."""
+    kernel = null_space(ambient_second_moments(tensor.support.astype(float)))
+    if not kernel.shape[1]:
+        return kernel
+    offsets = np.concatenate([[0], np.cumsum(tensor.dims)])
+    rows = np.zeros((tensor.d, offsets[-1]))
+    for j, s in enumerate(targets.vectors):
+        rows[j, offsets[j]:offsets[j + 1]] = s
+    _, sv, vt = np.linalg.svd(rows @ kernel)
+    rank = int((sv > RANK_RTOL * sv[0]).sum())
+    return kernel @ vt[rank:].T
 
 
 def reduced_projector(frame):
@@ -251,10 +272,10 @@ class PerStepRescaleProblem(BlockProblem):
     Every evaluate, stop value, block update and gradient reads the slice
     sums of ``tensor.scale`` at the iterate itself (one rescale per iterate,
     kept for the calls at that iterate), and the objective drop is the
-    entrywise reference above. Patterned tensors with gauge directions take
-    the projected path: gradients along the projected mode bases, updates
-    projected onto the reduced working space, both built here from the
-    frame's reduced basis.
+    entrywise reference above, taken to the point with block j replaced.
+    Patterned tensors with gauge directions take the projected path:
+    gradients along the projected mode bases, updates projected onto the
+    reduced working space, both built here from the frame's reduced basis.
     """
 
     def __init__(self, problem):
@@ -299,8 +320,9 @@ class PerStepRescaleProblem(BlockProblem):
         return BlockVector(self.problem.frame.split(
             self._projector @ updated.concat()))
 
-    def objective_decrease(self, x_old, x_new, j):
-        return objective_decrease_reference(self.problem, x_old, x_new)[0]
+    def objective_decrease(self, x, j, new_block):
+        return objective_decrease_reference(
+            self.problem, x, x.with_block(j, new_block))[0]
 
 
 def per_step_rescale_reference(problem, x0, tol=1e-10, max_iters=10000,

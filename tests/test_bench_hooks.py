@@ -101,12 +101,12 @@ def test_traced_scale_calls_on_a_gauge_solve():
 
 def test_traced_cli_scale_on_a_gauge_input():
     # one symmetric eigendecomposition per certificate sample, and the
-    # frame's two null spaces (support kernel, then gauge) inside build_frame
+    # frame's one null space (the gauge) inside build_frame
     totals = json.loads(run_traced(TRACED_GAUGE_CLI).splitlines()[-1])
     samples = totals["counts"]["blockmin.hessian_samples"]
     assert samples > 16
     assert totals["calls"]["numerics.symmetric_eigs"] == samples
     assert totals["calls"]["objective.build_frame"] == 1
-    assert totals["calls"]["numerics.null_space"] == 2
+    assert totals["calls"]["numerics.null_space"] == 1
     assert (totals["seconds"]["numerics.null_space"]
             <= totals["seconds"]["objective.build_frame"])

@@ -299,6 +299,47 @@ class TestDemoCommand:
             assert gap <= bound * 1.05 + 1e-12
 
 
+class TestUsageErrors:
+    """Usage errors exit 1 with the message on stderr, never 2, which is the
+    not-scalable code; each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "TENSOR", "--tol", "abc"],
+        ["scale", "TENSOR", "--bogus"],
+        ["feasible", "TENSOR", "--tol", "1e-8"],
+        ["feasible", "TENSOR", "--max-iters", "5"],
+        ["feasible", "TENSOR", "--seed", "3"],
+        ["bridge", "TENSOR", "--seed", "3"],
+        ["scale"],
+        [],
+    ], ids=["tol-not-a-number", "unknown-flag", "feasible-tol",
+            "feasible-max-iters", "feasible-seed", "bridge-seed",
+            "no-input", "no-command"])
+    def test_exit_one(self, argv, tensor_file, capsys):
+        argv = [tensor_file if a == "TENSOR" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_INVALID
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+    def test_process_exit_code(self, tensor_file):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicescale.cli", "scale", "--tol", "abc",
+             tensor_file], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_INVALID
+        assert "invalid float value: 'abc'" in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is optional at run time, and importing it would add about 0.6 s
     # to every CLI call

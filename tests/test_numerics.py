@@ -77,9 +77,17 @@ class TestOrthonormalize:
         )
 
 
+def gram(A):
+    """A^T A, symmetrized so that it is exactly symmetric."""
+    M = A.T @ A
+    return 0.5 * (M + M.T)
+
+
 class TestNullSpace:
+    """Null spaces of Gram matrices A^T A, whose kernel is that of A."""
+
     def test_single_equation(self):
-        basis = null_space(np.array([[1.0, 1.0]]))
+        basis = null_space(gram(np.array([[1.0, 1.0]])))
         assert basis.shape == (2, 1)
         np.testing.assert_allclose(
             np.abs(basis[:, 0]), np.ones(2) / np.sqrt(2), atol=1e-14
@@ -91,7 +99,7 @@ class TestNullSpace:
 
     def test_two_by_four(self):
         A = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        basis = null_space(A)
+        basis = null_space(gram(A))
         assert basis.shape == (4, 2)
         np.testing.assert_allclose(A @ basis, 0.0, atol=1e-10)
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
@@ -101,7 +109,7 @@ class TestNullSpace:
         rng = np.random.default_rng(100 + seed)
         m, n = rng.integers(1, 6), rng.integers(2, 9)
         A = rng.standard_normal((m, n))
-        basis = null_space(A)
+        basis = null_space(gram(A))
         rank = np.linalg.matrix_rank(A)
         assert basis.shape == (n, n - rank)
         if basis.size:
@@ -113,15 +121,23 @@ class TestNullSpace:
         rng = np.random.default_rng(600)
         A = rng.standard_normal((2, 6))
         M = rng.standard_normal((6, 3))
-        for Q in (null_space(A), null_space(M @ M.T)):
+        for Q in (null_space(gram(A)), null_space(M @ M.T)):
             lead = Q[np.abs(Q).argmax(axis=0), np.arange(Q.shape[1])]
             assert np.all(lead > 0)
 
     def test_rank_deficient_rows(self):
         A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 0.0]])
-        basis = null_space(A)
+        basis = null_space(gram(A))
         assert basis.shape == (3, 1)
         assert np.abs(A @ basis).max() <= 1e-10
+
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]),
+        np.array([[1.0, 1.0]]),
+    ], ids=["asymmetric", "not-square"])
+    def test_asymmetric_rejected(self, A):
+        with pytest.raises(ValueError):
+            null_space(A)
 
 
 class TestProjector:

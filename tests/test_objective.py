@@ -7,7 +7,7 @@ from helpers import (ambient_point, fd_gradient, fd_hessian,
                      in_plane_gradient, projected_mode_bases,
                      random_compatible_targets, random_pattern_tensor,
                      random_positive_tensor, reduced_projector,
-                     reference_bases, slice_sum_gradient)
+                     reference_bases, slice_sum_gradient, two_step_gauge)
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import null_space, symmetric_eigs
 from slicescale.objective import (ScalingProblem, ambient_second_moments,
@@ -216,6 +216,58 @@ class TestFrameKernelOracle:
         # frame keeps one N-vector and no N x N or N x n array.
         retained, _, N = self.traced_dense_frame()
         assert retained <= 0.1 * N * N * 8
+
+
+def block_diagonal_pattern(rng, d, equal_masses):
+    """Two or three positive blocks along the diagonal of a d-mode tensor.
+    With ``equal_masses`` every mode gives each block the same target mass,
+    which leaves shifts between blocks in the gauge; otherwise the targets
+    are random and compatible."""
+    sizes = rng.integers(1, 4, size=(int(rng.integers(2, 4)), d))
+    dims = tuple(int(m) for m in sizes.sum(axis=0))
+    array = np.zeros(dims)
+    start = np.zeros(d, dtype=int)
+    for block in sizes:
+        index = tuple(slice(a, a + m) for a, m in zip(start, block))
+        array[index] = rng.uniform(0.2, 1.0, tuple(block))
+        start += block
+    if not equal_masses:
+        return DenseTensor(array), random_compatible_targets(rng, dims)
+    block_mass = rng.uniform(1.0, 3.0, len(sizes))
+    vectors = [np.concatenate([masses(rng, m, mass) for m, mass
+                               in zip(sizes[:, j], block_mass)])
+               for j in range(d)]
+    return DenseTensor(array), SliceTargets(vectors)
+
+
+class TestGaugeAgainstTwoStep:
+    """The one-null-space gauge against the support kernel followed by its
+    part orthogonal to the targets (tests/helpers.two_step_gauge)."""
+
+    @staticmethod
+    def draw(kind, rng):
+        d = int(rng.integers(2, 5))
+        if kind == "random":
+            dims = tuple(int(m) for m in rng.integers(2, 6, d))
+            return (random_pattern_tensor(rng, dims, density=0.5),
+                    random_compatible_targets(rng, dims))
+        return block_diagonal_pattern(rng, d, equal_masses=kind == "blocks")
+
+    @pytest.mark.parametrize("target_scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("kind", ["random", "blocks", "blocks-random-mass"])
+    def test_same_gauge(self, kind, target_scale):
+        rng = np.random.default_rng(2400)
+        gauge_dims = []
+        for _ in range(25):
+            tensor, targets = self.draw(kind, rng)
+            targets = SliceTargets([target_scale * s for s in targets.vectors])
+            G = build_frame(tensor, targets).gauge_basis
+            ref = two_step_gauge(tensor, targets)
+            assert G.shape == ref.shape
+            assert np.abs(G @ G.T - ref @ ref.T).max() <= 1e-10
+            gauge_dims.append(G.shape[1])
+        if kind == "blocks":
+            assert min(gauge_dims) >= 1
 
 
 class TestObjective:
