@@ -17,6 +17,7 @@ the current block gradient norms.
 import abc
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,12 @@ class NumericalOverflowError(ArithmeticError):
         self.at_step = at_step
 
 
+# the ufunc reduction behind ndarray.max, without the method wrapper
+_max = np.maximum.reduce
+
+
 def _sup_norm(block):
-    return float(np.abs(block).max()) if block.size else 0.0
+    return float(_max(np.absolute(block))) if block.size else 0.0
 
 
 class BlockVector:
@@ -113,10 +118,23 @@ class BlockVector:
         new_block = np.array(new_block, dtype=float).ravel()
         if new_block.size != self.blocks[j].size:
             raise ValueError("replacement block has the wrong length")
-        new_block.setflags(write=False)
+        return self._adopting(j, new_block)
+
+    def _adopting(self, j, new_block):
+        """Block j replaced by ``new_block`` itself, not a copy: for a fresh
+        1-d float array of the right length that nothing else writes to. It
+        is made read-only here."""
         blocks = list(self.blocks)
         blocks[j] = new_block
-        out = object.__new__(BlockVector)
+        return BlockVector._adopt(blocks)
+
+    @classmethod
+    def _adopt(cls, blocks):
+        """A BlockVector of the given fresh 1-d float arrays, made read-only
+        and not copied."""
+        for b in blocks:
+            b.setflags(write=False)
+        out = object.__new__(cls)
         out.blocks = tuple(blocks)
         return out
 
@@ -234,30 +252,43 @@ class QuadraticBlockProblem(BlockProblem):
         for m in dims:
             self._slices.append(slice(pos, pos + m))
             pos += m
+        # views of the block rows A[s_j, :] and diagonal blocks A[s_j, s_j]
+        self._rows = [A[s, :] for s in self._slices]
+        self._diagonal = [A[s, s] for s in self._slices]
         # QR factors of the diagonal blocks, made on first use
         self._factors = [None] * len(dims)
-        # (x, gradient) of the last evaluate, for objective_decrease
-        self._last_gradient = None
+        # (x, x as one vector, gradient) of the last evaluate
+        self._last = None
 
     @property
     def block_dims(self):
         return self._dims
 
-    def evaluate(self, x):
+    def _at(self, x):
+        """x as one vector and the gradient there, read from the last
+        evaluate when it was at ``x``."""
+        if self._last is not None and self._last[0] is x:
+            return self._last[1:]
         v = x.concat()
-        g = self.matrix @ v + self.linear
-        obj = float(0.5 * v @ self.matrix @ v + self.linear @ v)
-        self._last_gradient = (x, g)
-        return obj, [math.sqrt(float(g[s] @ g[s])) for s in self._slices]
+        # ndarray.dot: the BLAS call of @, without the ufunc dispatch
+        return v, self.matrix.dot(v) + self.linear
+
+    def evaluate(self, x):
+        v, g = self._at(x)
+        self._last = (x, v, g)
+        # 0.5 v^T A v + b^T v = 0.5 v^T (g + b), from the gradient just formed
+        obj = 0.5 * float(v.dot(g + self.linear))
+        return obj, [math.sqrt(float(g[s].dot(g[s]))) for s in self._slices]
 
     def partial_minimizer(self, x, j):
         s = self._slices[j]
-        v = x.concat()
-        rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
+        v = self._at(x)[0]
+        rhs = (-self.linear[s] - self._rows[j].dot(v)
+               + self._diagonal[j].dot(v[s]))
         if self._dims[j] == 1:
-            return rhs / self.matrix[s, s].ravel()
+            return rhs / self._diagonal[j].ravel()
         if self._factors[j] is None:
-            self._factors[j] = numerics.factor_linear(self.matrix[s, s])
+            self._factors[j] = numerics.factor_linear(self._diagonal[j])
         return numerics.solve_factored(self._factors[j], rhs)
 
     def objective_decrease(self, x, j, new_block):
@@ -265,13 +296,10 @@ class QuadraticBlockProblem(BlockProblem):
         # delta of block j alone; the difference of the blocks is exact, so
         # this stays accurate far below the resolution of the objective
         # values themselves.
-        s = self._slices[j]
+        g = self._at(x)[1][self._slices[j]]
         delta = np.asarray(new_block, dtype=float) - x.blocks[j]
-        if self._last_gradient is not None and self._last_gradient[0] is x:
-            g = self._last_gradient[1]
-        else:
-            g = self.matrix @ x.concat() + self.linear
-        return float(-(g[s] @ delta) - 0.5 * delta @ self.matrix[s, s] @ delta)
+        return float(-g.dot(delta)
+                     - (0.5 * delta).dot(self._diagonal[j]).dot(delta))
 
     def hessian(self, x):
         return self.matrix
@@ -407,7 +435,7 @@ def sample_convex_combinations(points, count, rng):
 
 
 def _check_finite(obj, norms, x, at_step):
-    if not math.isfinite(obj) or any(not math.isfinite(v) for v in norms):
+    if not (math.isfinite(obj) and all(map(math.isfinite, norms))):
         raise NumericalOverflowError(
             f"numerical overflow at step {at_step}", iterate=x, at_step=at_step
         )
@@ -434,17 +462,20 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     if not guard > 0:
         raise ValueError("divergence guard must be positive")
     x = x0
-    # per-block sup norms for the guard; a step recomputes only the blocks
-    # whose array changed
-    sups = [_sup_norm(b) for b in x.blocks]
+    # per-block sup norms for the guard, if there is one; a step recomputes
+    # only the blocks whose array changed
+    sups = [_sup_norm(b) for b in x.blocks] if guard < math.inf else None
     obj, norms = problem.evaluate(x)
     _check_finite(obj, norms, x, 0)
     trace = IterateTrace(iterates=[] if record_iterates else None)
+    partial_min_tol = problem.partial_min_tol
+    debug = logger.isEnabledFor(logging.DEBUG)
     for k in range(max_iters + 1):
-        full = math.sqrt(sum(v * v for v in norms))
+        full = math.sqrt(sum(map(operator.mul, norms, norms)))
         stop = problem.stop_value(x, full)
         trace.objectives.append(obj)
-        trace.block_grad_norms.append(list(norms))
+        # evaluate returns a new list each time, so it is stored as it is
+        trace.block_grad_norms.append(norms)
         trace.full_grad_norms.append(full)
         trace.stop_values.append(stop)
         if record_iterates:
@@ -452,20 +483,21 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
         if stop <= tol:
             status = CONVERGED
             break
-        if max(sups) > guard:
+        if sups is not None and max(sups) > guard:
             status = DIVERGING
             break
         if k == max_iters:
             status = MAX_ITERS_REACHED
             break
-        j = int(np.argmax(norms))
+        # the norms are finite, so the first largest is the first argmax
+        j = norms.index(max(norms))
         new_block = np.asarray(problem.partial_minimizer(x, j), dtype=float)
         decrease = problem.objective_decrease(x, j, new_block)
-        x_old = x
-        x = problem.apply_update(x, j, new_block)
-        for i, (new, old) in enumerate(zip(x.blocks, x_old.blocks)):
-            if new is not old:
-                sups[i] = _sup_norm(new)
+        x_old, x = x, problem.apply_update(x, j, new_block)
+        if sups is not None:
+            for i, block in enumerate(x.blocks):
+                if block is not x_old.blocks[i]:
+                    sups[i] = _sup_norm(block)
         prev_obj = obj
         obj, norms = problem.evaluate(x)
         _check_finite(obj, norms, x, k + 1)
@@ -474,13 +506,14 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
         trace.objective_decreases.append(
             prev_obj - obj if decrease is None else float(decrease)
         )
-        if norms[j] > problem.partial_min_tol * max(1.0, abs(obj)):
+        if norms[j] > partial_min_tol * max(1.0, abs(obj)):
             logger.warning(
                 "partial minimizer missed its tolerance on block %d "
                 "(residual %.2e)", j, norms[j]
             )
         norms[j] = 0.0  # exact partial minimization contract
-        logger.debug(
-            "step %d: block %d, objective %.17g, grad %.3e", k, j, obj, full
-        )
+        if debug:
+            logger.debug(
+                "step %d: block %d, objective %.17g, grad %.3e", k, j, obj, full
+            )
     return x, trace, status

@@ -20,14 +20,18 @@ a solve reports or stores depends on how that basis is oriented.
 
 The loop never rescales the tensor per step. Its working problem keeps a
 factored state: a kernel (the tensor rescaled at a base point), per-mode
-factors exp(x_k - base_k), and the slice sums they give by contraction, two
-matrix-vector products for a matrix. The kernel is rebuilt through
-``ScalingProblem.scaled`` at the start, when the iterate has moved
-``REBASE_DISTANCE`` from the base, and wherever a rescale of the iterate
-could pass ``EXP_LIMIT``, so overflow is refused exactly where a per-step
-rescale would refuse it. The objective drop of a step is read from the moved
-mode's slice sums and the block update itself: the gauge correction that
-follows changes no supported entry, so no path rescales per step.
+factors exp(x_k - base_k), and the slice sums they give by contraction. A
+step on block j computes one exp of length m_j, one pass over the kernel
+(one matrix-vector product for a matrix, and nothing more), and the slice
+sums, their mass and the stop value in place, in preallocated buffers of
+length N; the per-mode target constants are computed once. The kernel is
+rebuilt through ``ScalingProblem.scaled`` at the start, when the iterate has
+moved ``REBASE_DISTANCE`` from the base, and wherever a rescale of the
+iterate could pass ``EXP_LIMIT``, so overflow is refused exactly where a
+per-step rescale would refuse it. The objective drop of a step is read from
+the moved mode's slice sums and the block update itself: the gauge
+correction that follows changes no supported entry, so no path rescales per
+step.
 """
 
 import math
@@ -38,7 +42,7 @@ import numpy as np
 from . import blockmin
 from .blockmin import BlockProblem, BlockVector
 from .objective import ScalingProblem
-from .tensor import (EXP_LIMIT, DenseTensor, cofactor_sums, slice_sums,
+from .tensor import (EXP_LIMIT, CofactorPlan, DenseTensor, slice_sums,
                      support_exponent)
 
 __all__ = [
@@ -60,6 +64,13 @@ GUARD_EXP_BUDGET = 560.0
 REBASE_DISTANCE = 16.0
 
 
+# The vectors of one step are short, so call overhead dominates: the
+# reductions are the ufunc methods behind ndarray.min/.max/.sum, without the
+# method wrappers, and products use ndarray.dot, the BLAS call @ makes on
+# 1-d and 2-d operands without its ufunc dispatch.
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
+
 def default_divergence_guard(d):
     return min(1e3, GUARD_EXP_BUDGET / d)
 
@@ -72,16 +83,29 @@ def closed_form_block_update(problem, x, j, sigma=None):
     so the result is orthogonal to the target. It is evaluated from the
     mode-j slice sums ``sigma`` at ``x`` (by default those of the rescaled
     tensor), subtracting the old block in log domain, which avoids
-    overflowing intermediates. Returns the ambient block (length m_j).
+    overflowing intermediates. Returns the ambient block (length m_j) as a
+    new array.
     """
     if sigma is None:
         sigma = slice_sums(problem.scaled(x), j)
-    if (sigma <= 0).any():
-        raise ValueError("zero slice encountered")
     s = problem.targets.vectors[j]
-    tilde = x.blocks[j] + np.log(s) - np.log(sigma)
-    shift = float(s @ tilde) / float(s.sum())
-    return tilde - shift
+    return _block_update(x.blocks[j], sigma, s, np.log(s), float(_sum(s)))
+
+
+def _in_plane(v, s, ss):
+    """The component of ``v`` orthogonal to the target ``s`` (ss = s.s)."""
+    return v - (float(v.dot(s)) / ss) * s
+
+
+def _block_update(block, sigma, s, log_s, s_sum):
+    """The closed-form update of ``block`` from its mode's slice sums
+    ``sigma``, given the target ``s`` with its log and its sum."""
+    if _min(sigma) <= 0:
+        raise ValueError("zero slice encountered")
+    tilde = block + log_s
+    tilde -= np.log(sigma)
+    tilde -= float(s.dot(tilde)) / s_sum
+    return tilde
 
 
 class ScalingBlockProblem(BlockProblem):
@@ -94,9 +118,18 @@ class ScalingBlockProblem(BlockProblem):
     state holds a kernel K, the tensor rescaled at a base point xb (through
     ``ScalingProblem.scaled``), the factors u_k = exp(x_k - xb_k) of its
     current point x, and the slice sums sigma_k = u_k * w_k at x, where w_k
-    contracts K with every factor but u_k (``tensor.cofactor_sums``). A step
-    on block j recomputes u_j and the w_k with k != j: one matrix-vector
-    product for a matrix, and no exp over the support.
+    contracts K with every factor but u_k. A step on block j computes one
+    exp of length m_j (the new u_j) and the stale w_k, k != j: one
+    contraction of K along mode j, which for a matrix is the other mode's w
+    itself (one matrix-vector product), and for d >= 3 contractions of the
+    smaller array it leaves (a ``tensor.CofactorPlan`` per block, made
+    once). It writes the products u_k * w_k in place into one preallocated
+    buffer of all N slice sums and stores their mass. evaluate, stop_value
+    and objective_decrease read that buffer, and stop_value works in a
+    second one. The target constants of the closed-form update and the
+    gradient (log s_j, the sum and the square norm of s_j, 1 / ||s_j||_inf)
+    are computed once. The block update is a fresh array, and apply_update
+    adopts it into the next iterate without a copy, as read-only.
 
     evaluate, partial_minimizer and objective_decrease read the state when
     called at its point. A call at the output of the last apply_update from
@@ -112,7 +145,8 @@ class ScalingBlockProblem(BlockProblem):
     Gauge directions, the columns of the frame's N x g gauge basis G, leave
     the objective unchanged. When g > 0 the iterates stay in the reduced
     space, orthogonal to G: apply_update removes G (G^T x) from the updated
-    point. Write G_j for the rows of G in block j and S_j = I_g - G_j^T G_j.
+    point, which moves every block. Write G_j for the rows of G in block j
+    and S_j = I_g - G_j^T G_j.
     S_j is positive definite: a gauge vector v zero off block j sums to
     v_j[i_j] on a supported entry, so v_j vanishes at every index of mode j
     that lies on a supported entry, which is every index since no slice is
@@ -129,14 +163,30 @@ class ScalingBlockProblem(BlockProblem):
     def __init__(self, problem):
         self.problem = problem
         self.frame = problem.frame
-        self._targets = [(s, float(s @ s)) for s in problem.targets.vectors]
-        self._target_all = np.concatenate(problem.targets.vectors)
-        self._peak_scales = np.repeat(
-            [1.0 / s.max() for s in problem.targets.vectors], self.block_dims)
-        self.hessian_null_dim = self.d + self.frame.gauge_dim
+        self._dims = dims = problem.tensor.dims
+        targets = problem.targets.vectors
+        # per mode: s_k, log s_k, sum s_k, s_k . s_k
+        self._targets = [(s, np.log(s), float(_sum(s)), float(s @ s))
+                         for s in targets]
+        self._total = problem.targets.total
+        self._target_all = np.concatenate(targets)
+        self._peak_scales = np.repeat([1.0 / _max(s) for s in targets], dims)
+        # the slice sums of every mode end to end, and a work buffer as long
+        self._sigma_all = np.empty(sum(dims))
+        self._sigmas = self.frame.split(self._sigma_all)
+        self._gap = np.empty(sum(dims))
+        modes = range(len(dims))
+        # the cofactors a step on block j alone leaves stale (w_j does not
+        # depend on u_j), and those of any other move
+        self._plans = [
+            ((j,), CofactorPlan(len(dims), [k for k in modes if k != j]))
+            for j in modes]
+        self._full_plan = (modes, CofactorPlan(len(dims), modes))
+        self.hessian_null_dim = len(dims) + self.frame.gauge_dim
         self._rebases = 0
         self._point = self._successor = self._kernel = None
-        self._gradient_maps = []
+        self._fresh = self._positive = None
+        self._gradient_maps = [None] * len(dims)
         if self.frame.gauge_dim:
             gauge_blocks = self.frame.split(self.frame.gauge_basis)
             for j, rows in enumerate(gauge_blocks):
@@ -148,21 +198,16 @@ class ScalingBlockProblem(BlockProblem):
                     L = np.linalg.cholesky(S)
                 except np.linalg.LinAlgError:
                     raise ValueError("zero slice or invalid tensor") from None
-                self._gradient_maps.append(np.linalg.solve(L, rows.T))
+                self._gradient_maps[j] = np.linalg.solve(L, rows.T)
 
     @property
     def block_dims(self):
-        return self.problem.tensor.dims
+        return self._dims
 
     @property
     def rebases(self):
         """Rescales of the tensor made so far to (re)build the state."""
         return self._rebases
-
-    def _in_plane(self, v, k):
-        """The component of ``v`` orthogonal to the mode-k target."""
-        s, ss = self._targets[k]
-        return v - (float(v @ s) / ss) * s
 
     def _slice_sums(self, x):
         """The slice sums of every mode at ``x``."""
@@ -179,63 +224,78 @@ class ScalingBlockProblem(BlockProblem):
         kernel = self.problem.scaled(x).array
         self._kernel, self._base = kernel, x
         self._base_exponent = support_exponent(self.problem.tensor, x)
-        self._distances = [0.0] * self.d
-        self._factors = [np.ones(m) for m in kernel.shape]
-        self._cofactors = cofactor_sums(kernel, self._factors, range(self.d))
+        self._distances = [0.0] * len(self._dims)
+        self._factors = [np.ones(m) for m in self._dims]
+        self._cofactors = [None] * len(self._dims)
+        self._full_plan[1](kernel, self._factors, self._cofactors)
         self._settle(x)
 
     def _advance(self, x):
-        moved = [k for k in range(self.d)
-                 if x.blocks[k] is not self._point.blocks[k]]
+        moved, plan = self._move
+        base, factors = self._base.blocks, self._factors
+        distances = self._distances
         for k in moved:
-            delta = x.blocks[k] - self._base.blocks[k]
-            self._distances[k] = float(np.abs(delta).max())
-            self._factors[k] = np.exp(delta)
-        distance = sum(self._distances)
+            delta = x.blocks[k] - base[k]
+            distances[k] = float(_max(np.absolute(delta)))
+            factors[k] = np.exp(delta)
+        distance = sum(distances)
         # the margin covers rounding in the bound on the exponents at x
         if (distance > REBASE_DISTANCE or self._base_exponent + distance
                 > EXP_LIMIT * (1.0 - 1e-12)):
             self._rebase(x)
             return
-        # w_j does not depend on u_j, so a step on block j alone keeps it
-        stale = [k for k in range(self.d) if moved != [k]]
-        self._cofactors.update(cofactor_sums(self._kernel, self._factors, stale))
+        plan(self._kernel, factors, self._cofactors)
         self._settle(x)
 
     def _settle(self, x):
-        self._sigmas = [u * self._cofactors[k]
-                        for k, u in enumerate(self._factors)]
-        self._point, self._successor = x, None
+        for u, w, sigma in zip(self._factors, self._cofactors, self._sigmas):
+            np.multiply(u, w, sigma)
+        self._mass = float(_sum(self._sigmas[0]))
+        self._point, self._successor, self._positive = x, None, None
 
     def evaluate(self, x):
-        sigmas = self._slice_sums(x)
         norms = []
-        for k, sigma in enumerate(sigmas):
-            y = self._in_plane(sigma, k)
-            square = float(y @ y)
-            if self._gradient_maps:
-                z = self._gradient_maps[k] @ y
-                square += float(z @ z)
+        for sigma, (s, _, _, ss), gradient_map in zip(
+                self._slice_sums(x), self._targets, self._gradient_maps):
+            y = _in_plane(sigma, s, ss)
+            square = float(y.dot(y))
+            if gradient_map is not None:
+                z = gradient_map.dot(y)
+                square += float(z.dot(z))
             norms.append(math.sqrt(square))
-        return float(sigmas[0].sum()), norms
+        return self._mass, norms
 
     def stop_value(self, x, grad_norm):
-        sigmas = self._slice_sums(x)
-        ratio = self.problem.targets.total / float(sigmas[0].sum())
-        gap = np.abs(ratio * np.concatenate(sigmas) - self._target_all)
-        return float((gap * self._peak_scales).max())
+        self._slice_sums(x)
+        gap, ratio = self._gap, self._total / self._mass
+        np.multiply(self._sigma_all, ratio, gap)
+        np.subtract(gap, self._target_all, gap)
+        np.absolute(gap, gap)
+        np.multiply(gap, self._peak_scales, gap)
+        return float(_max(gap))
 
     def partial_minimizer(self, x, j):
-        return closed_form_block_update(self.problem, x, j,
-                                        sigma=self._slice_sums(x)[j])
+        sigma = self._slice_sums(x)[j]
+        s, log_s, s_sum, _ = self._targets[j]
+        self._fresh = _block_update(x.blocks[j], sigma, s, log_s, s_sum)
+        # the update has checked that sigma_j > 0 at this point
+        self._positive = j
+        return self._fresh
 
     def apply_update(self, x, j, new_block):
-        x_new = x.with_block(j, new_block)
+        if new_block is self._fresh:
+            self._fresh = None
+            x_new = x._adopting(j, new_block)
+        else:
+            x_new = x.with_block(j, new_block)
+        move = self._plans[j]
         if self.frame.gauge_dim:
             G, vec = self.frame.gauge_basis, x_new.concat()
-            x_new = BlockVector(self.frame.split(vec - G @ (G.T @ vec)))
+            vec -= G.dot(G.T.dot(vec))
+            x_new = BlockVector._adopt(self.frame.split(vec))
+            move = self._full_plan
         if x is self._point:
-            self._successor = x_new
+            self._successor, self._move = x_new, move
         return x_new
 
     def objective_decrease(self, x, j, new_block):
@@ -252,10 +312,16 @@ class ScalingBlockProblem(BlockProblem):
         # the exponent change then carries errors proportional to the step
         # itself, and the expm1 form keeps the drop's sign reliable far below
         # the resolution of the objective values.
-        move = self._in_plane(new_block - x.blocks[j], j)
         marginal = self._slice_sums(x)[j]
-        positive = marginal > 0
-        return -math.fsum(marginal[positive] * np.expm1(move[positive]))
+        s, _, _, ss = self._targets[j]
+        move = _in_plane(new_block - x.blocks[j], s, ss)
+        if self._positive != j:
+            # no update has checked the slice sums: drop the empty slices
+            positive = marginal > 0
+            marginal, move = marginal[positive], move[positive]
+        terms = np.expm1(move)
+        terms *= marginal
+        return -math.fsum(terms.tolist())
 
     def hessian(self, x):
         """P H P, with H the ambient Hessian and P the projector onto the

@@ -8,6 +8,7 @@ __all__ = [
     "ScalingOverflowError",
     "slice_sums",
     "cofactor_sums",
+    "CofactorPlan",
     "support_exponent",
     "scale",
     "check_compatibility",
@@ -151,11 +152,68 @@ def slice_sums(t, mode):
 
 def _contract(array, u, axis):
     """Sum ``array`` along ``axis`` weighted by the vector ``u``."""
+    # on 1-d and 2-d operands ndarray.dot makes the BLAS call that @ makes,
+    # without the ufunc dispatch; @ stays on stacks of matrices
+    if array.ndim == 2:
+        return array.dot(u) if axis == 1 else u.dot(array)
     if axis == array.ndim - 1:
         return array @ u
     if axis == 0:
-        return (u @ array.reshape(u.size, -1)).reshape(array.shape[1:])
+        return u.dot(array.reshape(u.size, -1)).reshape(array.shape[1:])
     return np.tensordot(array, u, axes=([axis], [0]))
+
+
+class CofactorPlan:
+    """The contractions that give the cofactor sums of a set of modes.
+
+    A plan for ``modes`` of a ``ndim``-mode array is a list of contractions,
+    ``steps``, each of an earlier result along one axis by the factor of the
+    mode that axis carries, as (source, axis, mode): result 0 is the array
+    and step i makes result i + 1. ``outputs`` pairs each mode asked for
+    with the result that is its w_k. Modes not asked for are contracted first, so leaving out one
+    mode saves a pass over the array; asking for every mode costs two passes
+    plus passes over smaller arrays. Asking for every mode but one costs one
+    contraction of the array and, for a matrix, nothing more. The plan
+    depends on ``ndim`` and ``modes`` only, so a caller that evaluates the
+    same set of modes many times makes it once.
+    """
+
+    __slots__ = ("steps", "outputs")
+
+    def __init__(self, ndim, modes):
+        self.steps, self.outputs = [], []
+        self._add(0, list(range(ndim)), set(modes))
+
+    def _add(self, source, labels, wanted):
+        # ``labels`` maps the axes of result ``source`` to the modes they
+        # carry; ``wanted`` holds axes of that result
+        ndim = len(labels)
+        spare = [c for c in range(ndim) if c not in wanted]
+        c = spare[-1] if spare else ndim - 1
+        if wanted - {c}:
+            rest = [k for k in range(ndim) if k != c]
+            self.steps.append((source, c, labels[c]))
+            if ndim == 2:
+                self.outputs.append((labels[rest[0]], len(self.steps)))
+            else:
+                self._add(len(self.steps), [labels[k] for k in rest],
+                          {rest.index(k) for k in wanted if k != c})
+        if c in wanted:
+            # no spare mode: mode c itself needs a pass that keeps it
+            self.steps.append((source, 0, labels[0]))
+            if ndim == 2:
+                self.outputs.append((labels[c], len(self.steps)))
+            else:
+                self._add(len(self.steps), labels[1:], {c - 1})
+
+    def __call__(self, array, factors, out):
+        """Write w_k to ``out[k]`` for each planned mode k; returns ``out``."""
+        results = [array]
+        for source, axis, mode in self.steps:
+            results.append(_contract(results[source], factors[mode], axis))
+        for mode, index in self.outputs:
+            out[mode] = results[index]
+        return out
 
 
 def cofactor_sums(array, factors, modes):
@@ -165,30 +223,10 @@ def cofactor_sums(array, factors, modes):
     mode. For each mode k in ``modes`` the result maps k to w_k, the mode-k
     slice sums of K with every other mode l weighted by u_l. The mode-k slice
     sums of K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the rescaled tensor
-    is never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0. Modes not
-    asked for are contracted first, so leaving out one mode saves a pass over
-    K; asking for every mode costs two passes plus passes over smaller
-    arrays.
+    is never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0. The
+    contractions are those of :class:`CofactorPlan`.
     """
-    wanted = set(modes)
-    spare = [c for c in range(array.ndim) if c not in wanted]
-    c = spare[-1] if spare else array.ndim - 1
-    out = {}
-    if wanted - {c}:
-        rest = [k for k in range(array.ndim) if k != c]
-        sub = _contract(array, factors[c], c)
-        if sub.ndim == 1:
-            out[rest[0]] = sub
-        else:
-            part = cofactor_sums(sub, [factors[k] for k in rest],
-                                 [rest.index(k) for k in wanted if k != c])
-            out.update((rest[i], w) for i, w in part.items())
-    if c in wanted:
-        # no spare mode: mode c itself needs a pass that keeps it
-        sub = _contract(array, factors[0], 0)
-        out[c] = sub if sub.ndim == 1 else cofactor_sums(
-            sub, factors[1:], [c - 1])[c - 1]
-    return out
+    return CofactorPlan(array.ndim, modes)(array, factors, {})
 
 
 def _exponents(t, x):

@@ -201,6 +201,21 @@ class TestRun:
         assert status == blockmin.DIVERGING
         assert x.norm_inf() > 1e3
 
+    @pytest.mark.parametrize("guard", [280.0, 1e200])
+    def test_guard_compares_the_largest_entry_exactly(self, guard):
+        # the guard reads the sup norm of the iterate: an entry one ulp past
+        # it trips the guard, in any block and of either sign, and entries at
+        # the guard itself do not
+        above = np.nextafter(guard, math.inf)
+        p = FixedGradientProblem([1.0, 1.0, 1.0])
+        for blocks, tripped in [([[1e-9], [above], [0.0]], True),
+                                ([[-above], [0.0], [0.0]], True),
+                                ([[guard], [-guard], [guard]], False)]:
+            _, trace, status = run(p, BlockVector(blocks), 1e-12, 1,
+                                   divergence_guard=guard)
+            assert (status == blockmin.DIVERGING) == tripped
+            assert trace.n_steps == (0 if tripped else 1)
+
     def test_max_iters_reached(self):
         p = QuadraticBlockProblem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones(2))
         _, trace, status = run(p, BlockVector([[5.0], [5.0]]), 1e-14, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -545,3 +547,89 @@ class TestFactoredState:
         wp = ScalingBlockProblem(problem)
         assert steps_to_overflow(wp) == ref
         assert wp.rebases < len(ref)
+
+
+class TestSinkhornObservation:
+    """For a matrix the greedy choice alternates after step 0: the moved
+    block's norm is set to exactly 0, so every later step takes the other
+    block, and the run is Sinkhorn's alternating sequence (the paper's main
+    observation)."""
+
+    @pytest.mark.parametrize("case", ["ot", "positive", "gauge"])
+    def test_matrix_runs_alternate_and_match_sinkhorn(self, case):
+        rng = np.random.default_rng(2300)
+        if case == "ot":
+            problem = steep_kernel_problem()
+        elif case == "positive":
+            dims = (7, 9)
+            problem = ScalingProblem(random_positive_tensor(rng, dims),
+                                     random_compatible_targets(rng, dims))
+        else:
+            problem = ScalingProblem(*gauge_instance(rng))
+        tol = 1e-10
+        sol = solve(problem, tol=tol)
+        assert sol.status == blockmin.CONVERGED
+        assert (sol.method == "greedy-projected") == (case == "gauge")
+        blocks = sol.trace.chosen_blocks
+        assert len(blocks) > 10
+        assert all(a != b for a, b in zip(blocks, blocks[1:]))
+        rows, cols = problem.targets.vectors
+        reference = alternating_scaling(problem.tensor.array, rows, cols,
+                                        4 * len(blocks) + 100)
+        peak = max(float(s.max()) for s in problem.targets.vectors)
+        assert np.abs(sol.scaled.array - reference).max() <= 10 * tol * peak
+
+
+class TestBlockOwnership:
+    """A step's fresh block update becomes the next iterate's block without
+    a copy, as read-only; an array from a caller is still copied."""
+
+    @pytest.mark.parametrize("case", ["matrix", "cube", "gauge"])
+    def test_iterates_are_read_only_and_unshared(self, case):
+        problem = seeded_case(case, np.random.default_rng(2400))
+        sol = solve(problem, tol=1e-10)
+        iterates = sol.trace.iterates
+        assert len(iterates) > 10
+        for x in iterates:
+            assert not any(b.flags.writeable for b in x.blocks)
+        for old, new in zip(iterates, iterates[1:]):
+            for a in old.blocks:
+                for b in new.blocks:
+                    assert a is b or not np.shares_memory(a, b)
+
+    def test_caller_arrays_are_copied(self):
+        problem = seeded_case("matrix", np.random.default_rng(2401))
+        wp = ScalingBlockProblem(problem)
+        x = BlockVector.zeros(problem.tensor.dims)
+        fresh = wp.partial_minimizer(x, 0)
+        source = fresh.copy()
+        for y in (wp.apply_update(x, 0, source), x.with_block(0, source)):
+            assert y.blocks[0] is not source
+            source[0] += 1.0
+            assert y.blocks[0][0] == fresh[0]
+        adopted = wp.apply_update(x, 0, fresh)
+        assert adopted.blocks[0] is fresh and not fresh.flags.writeable
+
+
+class TestStepAllocations:
+    def test_greedy_steps_allocate_no_kernel_sized_array(self):
+        # Each step works on vectors of length m_k: after the first rebase
+        # has built the kernel, no step may allocate an m x m' array.
+        dims = (300, 300)
+        rng = np.random.default_rng(2500)
+        problem = ScalingProblem(random_positive_tensor(rng, dims),
+                                 random_compatible_targets(rng, dims))
+        wp = ScalingBlockProblem(problem)
+        x0 = BlockVector.zeros(dims)
+        wp.evaluate(x0)
+        tracemalloc.start()
+        try:
+            _, trace, status = blockmin.run(wp, x0, 1e-10, 1000,
+                                            record_iterates=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == blockmin.CONVERGED
+        assert trace.n_steps > 2
+        assert wp.rebases == 1
+        assert peak < 8 * dims[0] * dims[1]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import random_compatible_targets, random_positive_tensor
-from slicescale.tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
-                               check_compatibility, cofactor_sums,
+from slicescale.tensor import (CofactorPlan, DenseTensor, ScalingOverflowError,
+                               SliceTargets, check_compatibility, cofactor_sums,
                                rank_one_target, scale, slice_sums,
                                support_exponent)
 
@@ -146,6 +146,33 @@ class TestCofactorSums:
             for k in modes:
                 np.testing.assert_allclose(factors[k] * got[k],
                                            slice_sums(scaled, k), rtol=1e-13)
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4), (2, 3, 2, 3)])
+    def test_plan_for_every_mode_but_one(self, dims):
+        # a step on block j leaves every w_k with k != j stale: the plan
+        # passes over the kernel once, contracting mode j out, and for a
+        # matrix that one contraction is the whole plan
+        rng = np.random.default_rng(810 + len(dims))
+        kernel = random_positive_tensor(rng, dims).array
+        factors = [rng.uniform(0.5, 2.0, m) for m in dims]
+        for j in range(len(dims)):
+            others = [k for k in range(len(dims)) if k != j]
+            plan = CofactorPlan(len(dims), others)
+            assert plan.steps[0] == (0, j, j)
+            assert all(source > 0 for source, _, _ in plan.steps[1:])
+            if len(dims) == 2:
+                assert len(plan.steps) == 1
+            got = plan(kernel, factors, [None] * len(dims))
+            assert got[j] is None
+            for k in others:
+                # K weighted by every factor but u_k, summed over the other
+                # modes
+                weights = np.ones(())
+                for i, u in enumerate(factors):
+                    weights = np.multiply.outer(
+                        weights, np.ones_like(u) if i == k else u)
+                want = slice_sums(DenseTensor(kernel * weights), k)
+                np.testing.assert_allclose(got[k], want, rtol=1e-13)
 
     def test_matrix_is_two_matvecs(self):
         kernel = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
