@@ -8,7 +8,8 @@ target vector are exactly the scalings whose slice sums are proportional to
 the targets. When the tensor has zeros, some directions inside that space
 leave every supported entry unchanged (gauge directions); the objective is
 strictly convex only on their orthogonal complement, the reduced space where
-the solver keeps its iterates.
+the solver keeps its iterates. A tensor without zeros has no gauge, and its
+frame is built without any factorization.
 """
 
 import numpy as np
@@ -38,8 +39,9 @@ class SubspaceFrame:
     The reduced space, where the objective is strictly convex, is the
     complement of the gauge inside the working space, of dimension
     N - d - g; :meth:`project` is its orthogonal projector, applied in
-    ambient form. G comes from one LAPACK ``eigh`` with fixed column signs,
-    so on a fixed numpy/LAPACK build its orientation is reproducible.
+    ambient form. On full support G is N x 0. When the support has a zero, G
+    comes from one LAPACK ``eigh`` with fixed column signs, so on a fixed
+    numpy/LAPACK build its orientation is reproducible.
     Inside the gauge the orientation is otherwise arbitrary, and nothing the
     solvers report or store depends on it: the iterates are ambient exponent
     blocks, and G enters only through the projector G G^T and the norms of
@@ -141,10 +143,21 @@ def build_frame(tensor, targets):
     N x N matrix: the support Gram matrix R^T R, so R is never formed, plus
     the outer product of s_j / ||s_j|| in diagonal block j. Normalizing a row
     of T leaves its kernel unchanged and makes the gauge independent of the
-    targets' scale. That null space is the only factorization made.
+    targets' scale. That null space is the only factorization made, and only
+    when the support has a zero.
+
+    On full support the gauge is {0}, so G is N x 0 and no Gram matrix is
+    formed. Then ker R is exactly the per-mode constant shifts c_k·1 with
+    c_1 + ... + c_d = 0: the rows of R hold every index tuple, and x_1[i_1]
+    + ... + x_d[i_d] = 0 at (i_1, i_2, ...) and at (i_1', i_2, ...) gives
+    x_1[i_1] = x_1[i_1'], and likewise in each mode. T maps such a shift
+    to the d values c_k·sum(s_k), and every target s_k is positive, so it
+    lies in ker T only if every c_k = 0.
     """
     if targets.dims != tensor.dims:
         raise ValueError("target dims do not match tensor dims")
+    if tensor.support.all():
+        return SubspaceFrame(targets, np.zeros((sum(tensor.dims), 0)))
     gram = ambient_second_moments(tensor.support.astype(float))
     start = 0
     for s in targets.vectors:

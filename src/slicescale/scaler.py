@@ -361,7 +361,7 @@ def normalize(problem, x):
     """
     raw = problem.scaled(x)
     factor = raw.total / problem.targets.total
-    out = DenseTensor(raw.array / factor)
+    out = DenseTensor._adopt(raw.array / factor)
     residuals = [
         float(np.abs(slice_sums(out, k) - problem.targets.vectors[k]).max())
         for k in range(problem.d)

@@ -32,10 +32,20 @@ class DenseTensor:
     are rejected at construction, since no rescaling can repair such a slice.
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "_support")
 
     def __init__(self, array):
-        arr = np.array(array, dtype=float)
+        self._own(np.array(array, dtype=float))
+
+    @classmethod
+    def _adopt(cls, array):
+        """A DenseTensor of a fresh float64 array that nothing else writes
+        to, validated as by the constructor, made read-only and not copied."""
+        out = object.__new__(cls)
+        out._own(array)
+        return out
+
+    def _own(self, arr):
         if arr.ndim < 2:
             raise ValueError("tensor needs at least 2 modes")
         if any(m < 2 for m in arr.shape):
@@ -50,6 +60,7 @@ class DenseTensor:
                 raise ValueError(f"zero slice in mode {k}")
         arr.setflags(write=False)
         self.array = arr
+        self._support = None
 
     @classmethod
     def from_flat(cls, dims, values):
@@ -79,8 +90,13 @@ class DenseTensor:
 
     @property
     def support(self):
-        """Boolean mask, True where the entry is positive."""
-        return self.array > 0
+        """Boolean mask, True where the entry is positive: computed on first
+        access and read-only, like the array it describes."""
+        if self._support is None:
+            support = self.array > 0
+            support.setflags(write=False)
+            self._support = support
+        return self._support
 
     def __repr__(self):
         return f"DenseTensor(dims={self.dims}, total={self.total:.6g})"
@@ -258,15 +274,21 @@ def scale(t, x):
     multiplied by exp(x_1[i_1] + ... + x_d[i_d]). Zero entries stay exactly
     zero regardless of the exponent. Exponents above 700 in magnitude on the
     support raise ScalingOverflowError.
+
+    One pass over the whole array serves every support, with no gather or
+    scatter: the exponents off the support are set to 0, so their exp is 1
+    and their product with the zero entry is 0, and the sup norm tested
+    against the limit is that over the support. The supported entries are
+    the same elementwise products as those of an evaluation on the support
+    alone.
     """
     expo = _exponents(t, x)
-    support = t.support
-    sup_expo = expo[support]
-    if sup_expo.size and float(np.abs(sup_expo).max()) > EXP_LIMIT:
+    np.copyto(expo, 0.0, where=~t.support)
+    if max(float(expo.max()), -float(expo.min())) > EXP_LIMIT:
         raise ScalingOverflowError("scaling overflow")
-    out = np.zeros(t.dims)
-    out[support] = t.array[support] * np.exp(sup_expo)
-    return DenseTensor(out)
+    np.exp(expo, out=expo)
+    expo *= t.array
+    return DenseTensor._adopt(expo)
 
 
 def rank_one_target(targets):

@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, alternating scaling, the
 ambient and in-plane gradients from a rescaled tensor, the entrywise
-objective drop, the relative slice-sum mismatch, explicit orthonormal bases
+objective drop, the relative slice-sum mismatch, a masked rescale that
+evaluates the supported entries only, explicit orthonormal bases
 of a frame's mode, working and reduced spaces with the projector and
 projected mode bases built from them, the gauge found by two null spaces, a
 greedy scaler that rescales the tensor at every step, the primal witness
@@ -151,6 +152,22 @@ def objective_decrease_reference(problem, x_old, x_new):
     support = old > 0
     terms = old[support] * np.expm1(expo[support])
     return -math.fsum(terms), float(np.abs(terms).sum())
+
+
+def masked_scale_reference(tensor, blocks):
+    """The rescaled array evaluated on the supported entries only: each
+    entry's exponent summed in mode order, exp of the gathered sums times
+    the gathered entries, and exact zeros elsewhere. Returns
+    (array, largest |exponent| over the support)."""
+    support = tensor.array > 0
+    expo = np.zeros(tensor.dims)
+    for j, b in enumerate(blocks):
+        shape = [1] * tensor.d
+        shape[j] = tensor.dims[j]
+        expo = expo + np.asarray(b, dtype=float).reshape(shape)
+    out = np.zeros(tensor.dims)
+    out[support] = tensor.array[support] * np.exp(expo[support])
+    return out, float(np.abs(expo[support]).max())
 
 
 def slice_sum_gradient(problem, x):

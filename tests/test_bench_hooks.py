@@ -89,6 +89,9 @@ def test_traced_scale_calls_count_every_rescale():
     assert totals["rebases"] >= 1
     # one rescale per rebase of the factored state, one in normalize
     assert totals["calls"]["tensor.scale"] == totals["rebases"] + 1
+    # full support has no gauge: the frame makes no null space
+    assert totals["calls"]["objective.build_frame"] == 1
+    assert totals["calls"].get("numerics.null_space", 0) == 0
 
 
 def test_traced_scale_calls_on_a_gauge_solve():

@@ -8,11 +8,12 @@ from helpers import (ambient_point, fd_gradient, fd_hessian,
                      random_compatible_targets, random_pattern_tensor,
                      random_positive_tensor, reduced_projector,
                      reference_bases, slice_sum_gradient, two_step_gauge)
+from slicescale import objective
 from slicescale.blockmin import BlockVector
 from slicescale.numerics import null_space, symmetric_eigs
 from slicescale.objective import (ScalingProblem, ambient_second_moments,
                                   build_frame)
-from slicescale.scaler import ScalingBlockProblem
+from slicescale.scaler import ScalingBlockProblem, solve
 from slicescale.tensor import DenseTensor, SliceTargets, rank_one_target
 
 
@@ -188,11 +189,15 @@ class TestFrameKernelOracle:
 
     @staticmethod
     def traced_dense_frame():
-        """Build the frame of a dense 150 x 150 input under tracemalloc;
-        returns (bytes retained by the frame, peak bytes, N)."""
+        """Build the frame of a dense 150 x 150 input with one zero entry
+        under tracemalloc; returns (bytes retained by the frame, peak bytes,
+        N). The zero keeps the frame on its Gram path, which full support
+        skips."""
         rng = np.random.default_rng(1300)
         dims = (150, 150)
-        tensor = random_positive_tensor(rng, dims)
+        array = rng.uniform(0.1, 1.0, dims)
+        array[0, 0] = 0.0
+        tensor = DenseTensor(array)
         targets = random_compatible_targets(rng, dims)
         tracemalloc.start()
         try:
@@ -212,8 +217,8 @@ class TestFrameKernelOracle:
         assert peak < 2.5 * N * N * 8
 
     def test_dense_frame_retains_no_projector(self):
-        # A dense support has a one-dimensional kernel and no gauge, so the
-        # frame keeps one N-vector and no N x N or N x n array.
+        # A connected support has a one-dimensional kernel and no gauge, so
+        # the frame keeps no N x N or N x n array.
         retained, _, N = self.traced_dense_frame()
         assert retained <= 0.1 * N * N * 8
 
@@ -268,6 +273,97 @@ class TestGaugeAgainstTwoStep:
             gauge_dims.append(G.shape[1])
         if kind == "blocks":
             assert min(gauge_dims) >= 1
+
+
+def gram_path_gauge(tensor, targets):
+    """The gauge as the null space of the support Gram matrix plus the outer
+    product of each unit target in its diagonal block, for any support."""
+    gram = ambient_second_moments(tensor.support.astype(float))
+    offsets = np.concatenate([[0], np.cumsum(targets.dims)])
+    for j, s in enumerate(targets.vectors):
+        block = slice(offsets[j], offsets[j + 1])
+        unit = s / np.linalg.norm(s)
+        gram[block, block] += np.outer(unit, unit)
+    return null_space(gram)
+
+
+class TestFullSupportFrame:
+    """Full support takes no factorization: its N x 0 gauge agrees with the
+    Gram path, and a single zero entry sends the frame back to that path."""
+
+    @staticmethod
+    def spread_targets(rng, dims):
+        # entries from 1e-6 to 1 in every mode, rescaled to a common total
+        vectors = []
+        for m in dims:
+            v = 10.0 ** rng.uniform(-6.0, 0.0, m)
+            v[:2] = 1e-6, 1.0
+            vectors.append(v)
+        total = vectors[0].sum()
+        return SliceTargets([v * (total / v.sum()) for v in vectors])
+
+    @staticmethod
+    def count_null_spaces(monkeypatch):
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return null_space(A)
+
+        monkeypatch.setattr(objective.numerics, "null_space", counted)
+        return calls
+
+    @pytest.mark.parametrize("targets_kind", [1e-12, 1.0, 1e12, "spread"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_gram_path(self, monkeypatch, d, targets_kind):
+        rng = np.random.default_rng(2500 + d)
+        calls = self.count_null_spaces(monkeypatch)
+        for _ in range(5):
+            dims = tuple(int(m) for m in rng.integers(2, 6, d))
+            tensor = random_positive_tensor(rng, dims)
+            if targets_kind == "spread":
+                targets = self.spread_targets(rng, dims)
+            else:
+                targets = random_compatible_targets(rng, dims)
+                targets = SliceTargets([targets_kind * s for s in targets.vectors])
+            frame = build_frame(tensor, targets)
+            assert frame.gauge_dim == 0
+            assert frame.gauge_basis.shape == (sum(dims), 0)
+            assert not calls
+            assert gram_path_gauge(tensor, targets).shape == (sum(dims), 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_zero_entry_takes_the_gram_path(self, monkeypatch, d):
+        rng = np.random.default_rng(2510 + d)
+        dims = tuple(int(m) for m in rng.integers(2, 6, d))
+        array = rng.uniform(0.1, 1.0, dims)
+        array[tuple(int(rng.integers(m)) for m in dims)] = 0.0
+        tensor = DenseTensor(array)
+        targets = random_compatible_targets(rng, dims)
+        calls = self.count_null_spaces(monkeypatch)
+        frame = build_frame(tensor, targets)
+        assert calls == [(sum(dims), sum(dims))]
+        G = gram_path_gauge(tensor, targets)
+        assert frame.gauge_basis.shape == G.shape
+        np.testing.assert_array_equal(frame.gauge_basis, G)
+
+    def test_positive_solve_allocates_no_ambient_square(self):
+        # A seeded 400 x 400 positive matrix: building the problem and
+        # solving it peaks below one N x N float64 array (N = 800,
+        # 4.88 MiB). The Gram path alone peaks near two of them.
+        rng = np.random.default_rng(2520)
+        dims = (400, 400)
+        tensor = random_positive_tensor(rng, dims)
+        targets = random_compatible_targets(rng, dims)
+        N = sum(dims)
+        tracemalloc.start()
+        try:
+            solution = solve(ScalingProblem(tensor, targets))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solution.status == "converged"
+        assert peak < N * N * 8
 
 
 class TestObjective:

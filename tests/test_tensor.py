@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_compatible_targets, random_positive_tensor
-from slicescale.tensor import (CofactorPlan, DenseTensor, ScalingOverflowError,
+from helpers import (masked_scale_reference, random_compatible_targets,
+                     random_pattern_tensor, random_positive_tensor)
+from slicescale.tensor import (EXP_LIMIT, CofactorPlan, DenseTensor,
+                               ScalingOverflowError,
                                SliceTargets, check_compatibility, cofactor_sums,
                                rank_one_target, scale, slice_sums,
                                support_exponent)
@@ -54,6 +56,20 @@ class TestDenseTensor:
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
             t.array[0, 0] = 9.0
+
+    def test_support_is_kept_read_only(self):
+        t = DenseTensor([[1.0, 2.0], [3.0, 0.0]])
+        support = t.support
+        assert t.support is support
+        with pytest.raises(ValueError):
+            support[1, 1] = True
+
+    def test_input_is_copied(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t = DenseTensor(source)
+        assert not np.shares_memory(source, t.array)
+        source[0, 0] = 9.0
+        assert t.array[0, 0] == 1.0
 
 
 class TestSliceSums:
@@ -128,6 +144,62 @@ class TestScale:
         t = DenseTensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
             scale(t, [np.zeros(3), np.zeros(2)])
+
+    @pytest.mark.parametrize("kind", ["positive", "pattern"])
+    @pytest.mark.parametrize("dims", [(5, 7), (3, 4, 5), (2, 3, 2, 3)])
+    def test_equals_masked_reference_bit_for_bit(self, dims, kind):
+        rng = np.random.default_rng(750 + len(dims))
+        for radius in (1.0, 30.0, 200.0):
+            t = (random_positive_tensor(rng, dims) if kind == "positive"
+                 else random_pattern_tensor(rng, dims, density=0.5))
+            x = [rng.uniform(-radius, radius, m) / len(dims) for m in dims]
+            expected, _ = masked_scale_reference(t, x)
+            out = scale(t, x)
+            assert np.array_equal(out.array, expected)
+            assert not out.array.flags.writeable
+            assert not np.shares_memory(out.array, t.array)
+
+    @pytest.mark.parametrize("offset", [EXP_LIMIT + 1.0, 1e6, 1e300])
+    def test_off_support_exponents_are_ignored(self, offset):
+        # two diagonal blocks: the exponents cancel on the blocks and are
+        # +-offset on every zero entry between them
+        array = np.zeros((4, 4))
+        array[:2, :2] = [[1.0, 2.0], [3.0, 4.0]]
+        array[2:, 2:] = [[5.0, 6.0], [7.0, 8.0]]
+        t = DenseTensor(array)
+        for sign in (1.0, -1.0):
+            shift = np.array([0.0, 0.0, sign * offset, sign * offset])
+            out = scale(t, [shift, -shift])
+            assert np.array_equal(out.array, array)
+
+    def test_overflow_exactly_past_the_limit_on_the_support(self):
+        t = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
+        above = np.nextafter(EXP_LIMIT, np.inf)
+        for sign in (1.0, -1.0):
+            scale(t, [np.array([sign * EXP_LIMIT, 0.0]), np.zeros(2)])
+            with pytest.raises(ScalingOverflowError):
+                scale(t, [np.array([sign * above, 0.0]), np.zeros(2)])
+            # (1, 0) is not on the support: 2 * EXP_LIMIT there is allowed
+            scale(t, [np.array([0.0, sign * EXP_LIMIT]),
+                      np.array([sign * EXP_LIMIT, 0.0])])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflow_iff_a_supported_exponent_passes_the_limit(self, seed):
+        rng = np.random.default_rng(760 + seed)
+        dims = (3, 4, 3)
+        t = random_pattern_tensor(rng, dims, density=0.5)
+        raised = []
+        for _ in range(60):
+            x = [rng.uniform(-400.0, 400.0, m) for m in dims]
+            with np.errstate(over="ignore"):
+                expected, sup = masked_scale_reference(t, x)
+            raised.append(sup > EXP_LIMIT)
+            if sup > EXP_LIMIT:
+                with pytest.raises(ScalingOverflowError):
+                    scale(t, x)
+            else:
+                assert np.array_equal(scale(t, x).array, expected)
+        assert any(raised) and not all(raised)
 
 
 class TestCofactorSums:
