@@ -10,8 +10,8 @@ problems to this scaling.
 
 from .blockmin import (BlockProblem, BlockVector, ConvergenceBound,
                        IterateTrace, NumericalOverflowError,
-                       QuadraticBlockProblem, distance_bound_sq,
-                       estimate_alpha_beta, run, theoretical_bound)
+                       QuadraticBlockProblem, estimate_alpha_beta, run,
+                       theoretical_bound)
 from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)

@@ -36,7 +36,6 @@ __all__ = [
     "DIVERGING",
     "run",
     "theoretical_bound",
-    "distance_bound_sq",
     "estimate_alpha_beta",
     "sample_convex_combinations",
 ]
@@ -57,12 +56,22 @@ class NumericalOverflowError(ArithmeticError):
         self.at_step = at_step
 
 
-# the ufunc reduction behind ndarray.max, without the method wrapper
-_max = np.maximum.reduce
+def _extreme(v, arg=np.ndarray.argmax):
+    """The largest entry of a nonempty 1-d float array as a float, or the
+    smallest with ``arg=np.ndarray.argmin``.
+
+    On the short vectors of one greedy step a ufunc reduction
+    (``np.maximum.reduce``) costs about twice as much as finding the index
+    and reading the entry there, and both give the same value: the extreme,
+    or NaN when the vector holds one, since both propagate it. They can
+    differ only in the sign of a zero, and every caller reads an absolute
+    value or tests ``<= 0``, where that sign cannot show.
+    """
+    return float(v[arg(v)])
 
 
 def _sup_norm(block):
-    return float(_max(np.absolute(block))) if block.size else 0.0
+    return _extreme(np.absolute(block)) if block.size else 0.0
 
 
 class BlockVector:
@@ -123,10 +132,13 @@ class BlockVector:
     def _adopting(self, j, new_block):
         """Block j replaced by ``new_block`` itself, not a copy: for a fresh
         1-d float array of the right length that nothing else writes to. It
-        is made read-only here."""
+        is made read-only here; the other blocks are read-only already."""
+        new_block.setflags(write=False)
         blocks = list(self.blocks)
         blocks[j] = new_block
-        return BlockVector._adopt(blocks)
+        out = object.__new__(BlockVector)
+        out.blocks = tuple(blocks)
+        return out
 
     @classmethod
     def _adopt(cls, blocks):
@@ -255,8 +267,11 @@ class QuadraticBlockProblem(BlockProblem):
         # views of the block rows A[s_j, :] and diagonal blocks A[s_j, s_j]
         self._rows = [A[s, :] for s in self._slices]
         self._diagonal = [A[s, s] for s in self._slices]
-        # QR factors of the diagonal blocks, made on first use
-        self._factors = [None] * len(dims)
+        # inverses of the diagonal blocks, each formed once from QR on first
+        # use (numerics.factor_linear)
+        self._inverses = [None] * len(dims)
+        # the last block update partial_minimizer returned, a fresh array
+        self._fresh = None
         # (x, x as one vector, gradient) of the last evaluate
         self._last = None
 
@@ -286,10 +301,19 @@ class QuadraticBlockProblem(BlockProblem):
         rhs = (-self.linear[s] - self._rows[j].dot(v)
                + self._diagonal[j].dot(v[s]))
         if self._dims[j] == 1:
-            return rhs / self._diagonal[j].ravel()
-        if self._factors[j] is None:
-            self._factors[j] = numerics.factor_linear(self._diagonal[j])
-        return numerics.solve_factored(self._factors[j], rhs)
+            self._fresh = rhs / self._diagonal[j].ravel()
+        else:
+            if self._inverses[j] is None:
+                self._inverses[j] = numerics.factor_linear(self._diagonal[j])
+            self._fresh = numerics.solve_factored(self._inverses[j], rhs)
+        return self._fresh
+
+    def apply_update(self, x, j, new_block):
+        # the update partial_minimizer made is adopted without a copy
+        if new_block is self._fresh:
+            self._fresh = None
+            return x._adopting(j, new_block)
+        return x.with_block(j, new_block)
 
     def objective_decrease(self, x, j, new_block):
         # f(x) - f(new) = -(g_j^T delta + 0.5 delta^T A_jj delta) for the move
@@ -364,39 +388,18 @@ class ConvergenceBound:
         return 1.0 - 1.0 / ((self.d - 1) * self.kappa)
 
 
-def theoretical_bound(bound, k, f0_gap_bound=None, kappas=None):
+def theoretical_bound(bound, k):
     """Upper bound on the objective gap after k >= 1 greedy steps.
 
-    The leading term is ||grad f(x_0)||^2 / (2 alpha), or ``f0_gap_bound``
-    when a tighter initial-gap bound is known; it is contracted once by
-    (1 - 1/(d kappa)) and then by (1 - 1/((d-1) kappa_i)) per later step.
-    ``kappas`` optionally supplies per-step condition estimates for steps
-    1..k-1 (defaults to the single starting kappa).
+    The leading term ||grad f(x_0)||^2 / (2 alpha) is contracted once by
+    (1 - 1/(d kappa)) and then by (1 - 1/((d-1) kappa)) per later step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if bound.d < 2 or bound.alpha <= 0 or bound.kappa < 1:
         raise ValueError("invalid bound data")
     lead = bound.grad0_norm ** 2 / (2.0 * bound.alpha)
-    if f0_gap_bound is not None:
-        lead = min(lead, float(f0_gap_bound))
-    value = lead * bound.first_step_factor
-    if kappas is None:
-        return value * bound.later_step_factor ** (k - 1)
-    for i in range(1, k):
-        kap = float(kappas[i - 1])
-        if kap < 1:
-            raise ValueError("invalid bound data")
-        value *= 1.0 - 1.0 / ((bound.d - 1) * kap)
-    return value
-
-
-def distance_bound_sq(bound, k, alpha_k=None, f0_gap_bound=None, kappas=None):
-    """Upper bound on ||x_k - x*||^2: the objective-gap bound times 2/alpha(t_k)."""
-    a = bound.alpha if alpha_k is None else float(alpha_k)
-    if a <= 0:
-        raise ValueError("invalid bound data")
-    return theoretical_bound(bound, k, f0_gap_bound, kappas) * 2.0 / a
+    return lead * bound.first_step_factor * bound.later_step_factor ** (k - 1)
 
 
 def estimate_alpha_beta(problem, points):

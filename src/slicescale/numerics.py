@@ -1,14 +1,15 @@
 """Dense linear algebra helpers, thin wrappers over ``numpy.linalg`` (LAPACK).
 
 Null spaces of symmetric matrices come from ``eigh``, symmetric eigenvalues
-from ``eigvalsh`` and linear solves from QR. A null space is a plain N x k
-array of orthonormal columns, with each column's sign fixed (its entry of
-largest magnitude is positive), so the same input gives the same basis on a fixed numpy/LAPACK build. Inside a
-multi-dimensional subspace the orientation is whatever LAPACK returns.
-Nothing the solvers report or store depends on it: their iterates are
-ambient exponent blocks, and the frame's bases enter only through projectors
-and norms, where their orientation cancels. Everything operates on plain
-float64 numpy arrays.
+from ``eigvalsh``, and repeated linear solves with one matrix from its
+inverse, formed once from QR. A null space is a plain N x k array of
+orthonormal columns, with each column's sign fixed (its entry of largest
+magnitude is positive), so the same input gives the same basis on a fixed
+numpy/LAPACK build. Inside a multi-dimensional subspace the orientation is
+whatever LAPACK returns. Nothing the solvers report or store depends on it:
+their iterates are ambient exponent blocks, and the frame's bases enter only
+through projectors and norms, where their orientation cancels. Everything
+operates on plain float64 numpy arrays.
 """
 
 import numpy as np
@@ -69,7 +70,13 @@ def symmetric_eigs(M):
 
 
 def factor_linear(A):
-    """QR factors (Q, R) of a square nonsingular A, for :func:`solve_factored`."""
+    """A^-1 for a square nonsingular A, for :func:`solve_factored`.
+
+    QR refuses a singular A: a diagonal entry of R at most 1e-13 of the
+    largest raises ValueError. The inverse is R^-1 Q^T, from one
+    ``np.linalg.solve(R, Q^T)`` with the columns of Q^T as right-hand sides,
+    so each later solve is one matrix-vector product.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -77,11 +84,11 @@ def factor_linear(A):
     diag = np.abs(np.diag(R))
     if diag.size and diag.min() <= 1e-13 * max(diag.max(), np.finfo(float).tiny):
         raise ValueError("matrix is singular to working precision")
-    return Q, R
+    return np.linalg.solve(R, Q.T)
 
 
-def solve_factored(factors, b):
-    """Solve A x = b from the factors ``factor_linear(A)`` returned."""
-    Q, R = factors
-    # R is upper triangular, so LU with partial pivoting is back substitution.
-    return np.linalg.solve(R, Q.T @ np.asarray(b, dtype=float))
+def solve_factored(inverse, b):
+    """Solve A x = b from the inverse ``factor_linear(A)`` returned: one
+    product, which gives the same bits for the same ``b`` every time."""
+    # ndarray.dot: the BLAS call of @, without the ufunc dispatch
+    return inverse.dot(np.asarray(b, dtype=float))

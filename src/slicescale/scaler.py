@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockmin
-from .blockmin import BlockProblem, BlockVector
+from .blockmin import BlockProblem, BlockVector, _extreme
 from .objective import ScalingProblem
 from .tensor import (EXP_LIMIT, CofactorPlan, DenseTensor, slice_sums,
                      support_exponent)
@@ -64,11 +64,13 @@ GUARD_EXP_BUDGET = 560.0
 REBASE_DISTANCE = 16.0
 
 
-# The vectors of one step are short, so call overhead dominates: the
-# reductions are the ufunc methods behind ndarray.min/.max/.sum, without the
-# method wrappers, and products use ndarray.dot, the BLAS call @ makes on
-# 1-d and 2-d operands without its ufunc dispatch.
-_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+# The vectors of one step are short, so call overhead dominates: extremes
+# are read by arg-index (blockmin._extreme), sums use the ufunc method
+# behind ndarray.sum without the method wrapper, and products use
+# ndarray.dot, the BLAS call @ makes on 1-d and 2-d operands without its
+# ufunc dispatch. A scalar applied to a vector stays the numpy scalar a
+# product returned, which numpy takes without converting it.
+_sum = np.add.reduce
 
 
 def default_divergence_guard(d):
@@ -86,25 +88,25 @@ def closed_form_block_update(problem, x, j, sigma=None):
     overflowing intermediates. Returns the ambient block (length m_j) as a
     new array.
     """
-    if sigma is None:
-        sigma = slice_sums(problem.scaled(x), j)
+    sigma = (slice_sums(problem.scaled(x), j) if sigma is None
+             else np.asarray(sigma, dtype=float))
     s = problem.targets.vectors[j]
     return _block_update(x.blocks[j], sigma, s, np.log(s), float(_sum(s)))
 
 
 def _in_plane(v, s, ss):
     """The component of ``v`` orthogonal to the target ``s`` (ss = s.s)."""
-    return v - (float(v.dot(s)) / ss) * s
+    return v - (v.dot(s) / ss) * s
 
 
 def _block_update(block, sigma, s, log_s, s_sum):
     """The closed-form update of ``block`` from its mode's slice sums
     ``sigma``, given the target ``s`` with its log and its sum."""
-    if _min(sigma) <= 0:
+    if _extreme(sigma, np.ndarray.argmin) <= 0:
         raise ValueError("zero slice encountered")
     tilde = block + log_s
     tilde -= np.log(sigma)
-    tilde -= float(s.dot(tilde)) / s_sum
+    tilde -= s.dot(tilde) / s_sum
     return tilde
 
 
@@ -170,7 +172,7 @@ class ScalingBlockProblem(BlockProblem):
                          for s in targets]
         self._total = problem.targets.total
         self._target_all = np.concatenate(targets)
-        self._peak_scales = np.repeat([1.0 / _max(s) for s in targets], dims)
+        self._peak_scales = np.repeat([1.0 / s.max() for s in targets], dims)
         # the slice sums of every mode end to end, and a work buffer as long
         self._sigma_all = np.empty(sum(dims))
         self._sigmas = self.frame.split(self._sigma_all)
@@ -236,7 +238,7 @@ class ScalingBlockProblem(BlockProblem):
         distances = self._distances
         for k in moved:
             delta = x.blocks[k] - base[k]
-            distances[k] = float(_max(np.absolute(delta)))
+            distances[k] = _extreme(np.absolute(delta))
             factors[k] = np.exp(delta)
         distance = sum(distances)
         # the margin covers rounding in the bound on the exponents at x
@@ -258,10 +260,10 @@ class ScalingBlockProblem(BlockProblem):
         for sigma, (s, _, _, ss), gradient_map in zip(
                 self._slice_sums(x), self._targets, self._gradient_maps):
             y = _in_plane(sigma, s, ss)
-            square = float(y.dot(y))
+            square = y.dot(y)
             if gradient_map is not None:
                 z = gradient_map.dot(y)
-                square += float(z.dot(z))
+                square += z.dot(z)
             norms.append(math.sqrt(square))
         return self._mass, norms
 
@@ -272,7 +274,7 @@ class ScalingBlockProblem(BlockProblem):
         np.subtract(gap, self._target_all, gap)
         np.absolute(gap, gap)
         np.multiply(gap, self._peak_scales, gap)
-        return float(_max(gap))
+        return _extreme(gap)
 
     def partial_minimizer(self, x, j):
         sigma = self._slice_sums(x)[j]

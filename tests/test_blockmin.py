@@ -7,8 +7,7 @@ from helpers import alternating_scaling
 from slicescale import blockmin, numerics
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  NumericalOverflowError, QuadraticBlockProblem,
-                                 distance_bound_sq, estimate_alpha_beta, run,
-                                 theoretical_bound)
+                                 estimate_alpha_beta, run, theoretical_bound)
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import ScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -91,6 +90,50 @@ class TestBlockVector:
                 b[0] = 0.0
         with pytest.raises(ValueError, match="wrong length"):
             x.with_block(0, [1.0, 2.0, 3.0])
+
+
+class TestExtreme:
+    """The arg-index extremes equal the ufunc reductions they replace."""
+
+    VECTORS = [
+        [3.0, -1.0, 2.5],
+        [2.0, 7.0, 7.0, -7.0, 7.0],  # ties
+        [1.0, np.nan, 5.0, np.nan],  # NaN propagates
+        [-np.inf, 4.0, np.inf, 0.0],
+        [-np.inf, -np.inf],
+        [np.inf],
+        [-0.0, 0.0, -0.0],
+        [1e-300, -1e308, 1e308],
+    ]
+
+    @staticmethod
+    def same(a, b):
+        # equal values, both NaN counting as equal; the sign of a zero may
+        # differ, which no caller can see
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    @pytest.mark.parametrize("values", VECTORS)
+    def test_matches_the_reductions(self, values):
+        v = np.array(values)
+        for arg, reduce in ((np.ndarray.argmax, np.maximum.reduce),
+                            (np.ndarray.argmin, np.minimum.reduce)):
+            got = blockmin._extreme(v, arg)
+            assert type(got) is float
+            assert self.same(got, float(reduce(v)))
+        assert self.same(blockmin._extreme(v), float(np.maximum.reduce(v)))
+        # the guard's sup norm reads the absolute values
+        assert self.same(blockmin._sup_norm(v),
+                         float(np.maximum.reduce(np.absolute(v))))
+
+    def test_empty_block(self):
+        empty = np.zeros(0)
+        for arg, reduce in ((np.ndarray.argmax, np.maximum.reduce),
+                            (np.ndarray.argmin, np.minimum.reduce)):
+            with pytest.raises(ValueError):
+                reduce(empty)
+            with pytest.raises(ValueError):
+                blockmin._extreme(empty, arg)
+        assert blockmin._sup_norm(empty) == 0.0
 
 
 def one_step(problem, x0):
@@ -295,26 +338,10 @@ class TestBounds:
         b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=1.0)
         assert theoretical_bound(b, 3) == pytest.approx(0.5 * 0.75 * 0.25)
 
-    def test_distance_bound(self):
-        b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=1.0)
-        assert distance_bound_sq(b, 3, alpha_k=0.5) == pytest.approx(
-            theoretical_bound(b, 3) * 2.0 / 0.5
-        )
-
-    def test_gap_bound_taken_when_tighter(self):
-        b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=10.0)
-        tight = theoretical_bound(b, 1, f0_gap_bound=1.0)
-        assert tight == pytest.approx(1.0 * 0.75)
-
-    def test_per_step_kappas(self):
-        b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=1.0)
-        v = theoretical_bound(b, 3, kappas=[2.0, 4.0])
-        assert v == pytest.approx(0.5 * 0.75 * 0.5 * 0.75)
-
     @pytest.mark.parametrize("d, beta", [(4, 10.0), (3, 40.0), (2, 300.0)])
     def test_curve_matches_step_by_step_product(self, d, beta):
-        # without per-step kappas the bound is lead * first * later**(k-1),
-        # the product of the per-step contractions taken one at a time
+        # the bound is lead * first * later**(k-1), the product of the
+        # per-step contractions taken one at a time
         b = ConvergenceBound(d=d, alpha=1.0, beta=beta, grad0_norm=2.0)
         value = theoretical_bound(b, 1)
         for k in range(2, 2001):
@@ -460,6 +487,22 @@ class TestQuadraticCaches:
                 assert p.objective_decrease(x, j, new) == \
                     ref.objective_decrease(x, j, new)
                 np.testing.assert_array_equal(new, ref.partial_minimizer(x, j))
+
+    def test_fresh_update_is_adopted_and_caller_arrays_copied(self):
+        A, b = self.spd_instance(2303)
+        p = QuadraticBlockProblem(A, b, (10, 10, 10))
+        x = BlockVector.zeros((10, 10, 10))
+        for j in (1, 0):
+            fresh = p.partial_minimizer(x, j)
+            source = fresh.copy()
+            copied = p.apply_update(x, j, source)
+            assert copied.blocks[j] is not source
+            source[0] += 1.0
+            assert copied.blocks[j][0] == fresh[0]
+            adopted = p.apply_update(x, j, fresh)
+            assert adopted.blocks[j] is fresh and not fresh.flags.writeable
+            assert all(a is c for k, (a, c) in
+                       enumerate(zip(x.blocks, adopted.blocks)) if k != j)
 
     def test_singular_block_refused_at_first_use(self):
         A = np.eye(4)

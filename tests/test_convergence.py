@@ -81,6 +81,8 @@ class TestFaults:
         sol = solve(problem_of([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
                                 [1.0, 0.0, 0.0]]))
         assert sol.status == blockmin.DIVERGING
+        # the step at which the guard's sup norm first passes its bound
+        assert sol.trace.n_steps == 605
         assert sol.scaled is None
         assert min(sol.trace.stop_values) >= 0.8 - 1e-12
 
@@ -88,6 +90,7 @@ class TestFaults:
         array, targets = unscalable_blocks()
         sol = solve(problem_of(array, SliceTargets(targets)))
         assert sol.status == blockmin.DIVERGING
+        assert sol.trace.n_steps == 1753
         assert min(sol.trace.stop_values) >= 0.2 - 1e-12
 
     def test_forced_cli_run_exits_numerical(self, tmp_path):
