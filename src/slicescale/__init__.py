@@ -16,7 +16,7 @@ from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)
 from .numerics import null_space, symmetric_eigs
-from .objective import ScalingProblem, SubspaceFrame, build_frame
+from .objective import ScalingProblem, build_frame
 from .scaler import ScalingSolution, closed_form_block_update, normalize, solve
 from .tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
                      check_compatibility, rank_one_target, scale, slice_sums)

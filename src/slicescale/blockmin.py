@@ -150,16 +150,10 @@ class BlockVector:
         out.blocks = tuple(blocks)
         return out
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if self.dims != other.dims:
             raise ValueError("block dims mismatch")
-        return BlockVector([op(a, b) for a, b in zip(self.blocks, other.blocks)])
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __mul__(self, scalar):
         s = float(scalar)
@@ -305,7 +299,8 @@ class QuadraticBlockProblem(BlockProblem):
         else:
             if self._inverses[j] is None:
                 self._inverses[j] = numerics.factor_linear(self._diagonal[j])
-            self._fresh = numerics.solve_factored(self._inverses[j], rhs)
+            # ndarray.dot: the BLAS call of @, without the ufunc dispatch
+            self._fresh = self._inverses[j].dot(rhs)
         return self._fresh
 
     def apply_update(self, x, j, new_block):
@@ -356,9 +351,9 @@ class IterateTrace:
     def n_steps(self):
         return len(self.chosen_blocks)
 
-    def gaps(self, reference=None):
-        """Objective gaps t_k - reference (default: the final objective)."""
-        ref = self.objectives[-1] if reference is None else reference
+    def gaps(self):
+        """Objective gaps t_k - t_final to the final objective."""
+        ref = self.objectives[-1]
         return [t - ref for t in self.objectives]
 
 

@@ -105,7 +105,7 @@ def load_problem(args):
     return tensor, SliceTargets(inline_targets)
 
 
-def bound_certificate(working_problem, trace, seed):
+def bound_certificate(problem, trace, seed):
     """Sampled rate certificate for a converged trace with recorded iterates.
 
     Hessian extremes are sampled at every iterate, the final point, and 16
@@ -117,9 +117,9 @@ def bound_certificate(working_problem, trace, seed):
     rng = np.random.default_rng(seed)
     points = list(trace.iterates)
     points += blockmin.sample_convex_combinations(points, 16, rng)
-    alpha, beta = blockmin.estimate_alpha_beta(working_problem, points)
+    alpha, beta = blockmin.estimate_alpha_beta(problem, points)
     bound = ConvergenceBound(
-        d=working_problem.d,
+        d=problem.d,
         alpha=alpha,
         beta=beta,
         grad0_norm=trace.full_grad_norms[0],
@@ -183,7 +183,7 @@ def cmd_scale(args):
     x0 = None
     if args.random_start:
         rng = np.random.default_rng(args.seed)
-        x0 = scaler.random_reduced_point(problem.frame, rng)
+        x0 = scaler.random_reduced_point(problem, rng)
     solution = scaler.solve(problem, x0=x0, tol=args.tol,
                             max_iters=args.max_iters,
                             divergence_guard=args.guard,
@@ -199,8 +199,7 @@ def cmd_scale(args):
             "dims": list(solution.scaled.dims),
             "values": [float(v) for v in solution.scaled.values],
         }
-        certificate = bound_certificate(solution.working_problem,
-                                        solution.trace, args.seed)
+        certificate = bound_certificate(problem, solution.trace, args.seed)
         if certificate is not None:
             report["certificate"] = certificate
         emit(report, args)

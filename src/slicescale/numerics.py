@@ -7,7 +7,7 @@ orthonormal columns, with each column's sign fixed (its entry of largest
 magnitude is positive), so the same input gives the same basis on a fixed
 numpy/LAPACK build. Inside a multi-dimensional subspace the orientation is
 whatever LAPACK returns. Nothing the solvers report or store depends on it:
-their iterates are ambient exponent blocks, and the frame's bases enter only
+their iterates are ambient exponent blocks, and the gauge basis enters only
 through projectors and norms, where their orientation cancels. Everything
 operates on plain float64 numpy arrays.
 """
@@ -18,7 +18,6 @@ __all__ = [
     "null_space",
     "symmetric_eigs",
     "factor_linear",
-    "solve_factored",
 ]
 
 # Eigenvalue magnitudes at or below this fraction of the largest one count
@@ -70,12 +69,13 @@ def symmetric_eigs(M):
 
 
 def factor_linear(A):
-    """A^-1 for a square nonsingular A, for :func:`solve_factored`.
+    """A^-1 for a square nonsingular A, for repeated solves with A.
 
     QR refuses a singular A: a diagonal entry of R at most 1e-13 of the
     largest raises ValueError. The inverse is R^-1 Q^T, from one
     ``np.linalg.solve(R, Q^T)`` with the columns of Q^T as right-hand sides,
-    so each later solve is one matrix-vector product.
+    so each later solve is one matrix-vector product, which gives the same bits
+    for the same right-hand side every time.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -85,10 +85,3 @@ def factor_linear(A):
     if diag.size and diag.min() <= 1e-13 * max(diag.max(), np.finfo(float).tiny):
         raise ValueError("matrix is singular to working precision")
     return np.linalg.solve(R, Q.T)
-
-
-def solve_factored(inverse, b):
-    """Solve A x = b from the inverse ``factor_linear(A)`` returned: one
-    product, which gives the same bits for the same ``b`` every time."""
-    # ndarray.dot: the BLAS call of @, without the ufunc dispatch
-    return inverse.dot(np.asarray(b, dtype=float))

@@ -1,5 +1,5 @@
-"""The convex mass objective of exponent scalings: the rescaled tensor and
-ambient Hessian at a point, and the frames of the constrained working spaces.
+"""The convex mass objective of exponent scalings, and the greedy engine's
+problem for one scaling instance.
 
 For a tensor B and exponent blocks x the objective is the total mass of the
 rescaled tensor, f(x) = sum_e B_e exp(x_1[i_1] + ... + x_d[i_d]). Its
@@ -9,105 +9,38 @@ the targets. When the tensor has zeros, some directions inside that space
 leave every supported entry unchanged (gauge directions); the objective is
 strictly convex only on their orthogonal complement, the reduced space where
 the solver keeps its iterates. A tensor without zeros has no gauge, and its
-frame is built without any factorization.
+gauge basis is built without any factorization.
+
+:class:`ScalingProblem` is the whole instance: the tensor, its targets, the
+gauge basis, and the factored state the greedy engine drives.
 """
+
+import math
 
 import numpy as np
 
 from . import numerics
-from .tensor import scale
+from .blockmin import BlockProblem, BlockVector, _extreme
+from .tensor import EXP_LIMIT, CofactorPlan, scale, support_exponent
 
 __all__ = [
-    "SubspaceFrame",
     "ScalingProblem",
     "build_frame",
     "ambient_second_moments",
 ]
 
+# The factored state rebases once the exponents have moved this far from its
+# base point, summed over modes in sup norm; its factors then stay within
+# exp(+-16) (about 1e7) of one.
+REBASE_DISTANCE = 16.0
 
-class SubspaceFrame:
-    """The subspaces of the scaling working spaces, as ambient data.
-
-    Ambient space is R^N with N = sum of the mode sizes, split into per-mode
-    blocks. The working space is the product of the hyperplanes orthogonal
-    to the targets s_j, of dimension N - d. The frame holds the targets and
-    ``gauge_basis``, an N x g array whose orthonormal columns G span the
-    gauge: the exponent vectors in the working space whose sum vanishes on
-    every supported entry (they rescale nothing), the flat directions of
-    the objective.
-
-    The reduced space, where the objective is strictly convex, is the
-    complement of the gauge inside the working space, of dimension
-    N - d - g; :meth:`project` is its orthogonal projector, applied in
-    ambient form. On full support G is N x 0. When the support has a zero, G
-    comes from one LAPACK ``eigh`` with fixed column signs, so on a fixed
-    numpy/LAPACK build its orientation is reproducible.
-    Inside the gauge the orientation is otherwise arbitrary, and nothing the
-    solvers report or store depends on it: the iterates are ambient exponent
-    blocks, and G enters only through the projector G G^T and the norms of
-    the block gradients.
-    """
-
-    def __init__(self, targets, gauge_basis):
-        self.targets = targets
-        self.dims = targets.dims
-        self.ambient_dim = sum(self.dims)
-        offsets = [0]
-        for m in self.dims:
-            offsets.append(offsets[-1] + m)
-        self.offsets = tuple(offsets)
-        self.gauge_basis = gauge_basis
-
-    @property
-    def d(self):
-        return len(self.dims)
-
-    @property
-    def working_dim(self):
-        return self.ambient_dim - self.d
-
-    @property
-    def gauge_dim(self):
-        return self.gauge_basis.shape[1]
-
-    @property
-    def reduced_dim(self):
-        return self.working_dim - self.gauge_dim
-
-    def block_slice(self, j):
-        return slice(self.offsets[j], self.offsets[j + 1])
-
-    def split(self, vec):
-        """Split an ambient vector into per-mode blocks."""
-        vec = np.asarray(vec, dtype=float)
-        return [vec[self.block_slice(j)] for j in range(self.d)]
-
-    def project(self, v):
-        """Orthogonal projection onto the reduced space of an ambient vector,
-        or of an N x k matrix column by column, as a new array.
-
-        Each block loses its component along its target, then G (G^T v) is
-        removed; G lies in the working space, so the two projectors commute.
-        """
-        out = np.array(v, dtype=float)
-        for j, s in enumerate(self.targets.vectors):
-            block = out[self.block_slice(j)]
-            block -= np.multiply.outer(s, (s @ block) / float(s @ s))
-        if self.gauge_dim:
-            G = self.gauge_basis
-            out -= G @ (G.T @ out)
-        return out
-
-    def reduced_residual(self, x):
-        """Sup-norm distance of an ambient block vector from the reduced space."""
-        vec = x.concat()
-        return float(np.abs(vec - self.project(vec)).max())
-
-    def __repr__(self):
-        return (
-            f"SubspaceFrame(dims={self.dims}, working_dim={self.working_dim}, "
-            f"gauge_dim={self.gauge_dim})"
-        )
+# The vectors of one step are short, so call overhead dominates: extremes
+# are read by arg-index (blockmin._extreme), sums use the ufunc method
+# behind ndarray.sum without the method wrapper, and products use
+# ndarray.dot, the BLAS call @ makes on 1-d and 2-d operands without its
+# ufunc dispatch. A scalar applied to a vector stays the numpy scalar a
+# product returned, which numpy takes without converting it.
+_sum = np.add.reduce
 
 
 def ambient_second_moments(array):
@@ -135,7 +68,8 @@ def ambient_second_moments(array):
 
 
 def build_frame(tensor, targets):
-    """Construct the SubspaceFrame of a tensor/targets pair.
+    """The gauge basis of a tensor/targets pair: an N x g array of
+    orthonormal columns.
 
     The gauge is ker R ∩ ker T, with R the nnz x N support-incidence matrix
     and T the d x N matrix holding target s_j in block j of row j. That
@@ -144,7 +78,9 @@ def build_frame(tensor, targets):
     the outer product of s_j / ||s_j|| in diagonal block j. Normalizing a row
     of T leaves its kernel unchanged and makes the gauge independent of the
     targets' scale. That null space is the only factorization made, and only
-    when the support has a zero.
+    when the support has a zero; it comes from one LAPACK ``eigh`` with
+    fixed column signs, so on a fixed numpy/LAPACK build its orientation is
+    reproducible.
 
     On full support the gauge is {0}, so G is N x 0 and no Gram matrix is
     formed. Then ker R is exactly the per-mode constant shifts c_k·1 with
@@ -157,31 +93,171 @@ def build_frame(tensor, targets):
     if targets.dims != tensor.dims:
         raise ValueError("target dims do not match tensor dims")
     if tensor.support.all():
-        return SubspaceFrame(targets, np.zeros((sum(tensor.dims), 0)))
+        return np.zeros((sum(tensor.dims), 0))
     gram = ambient_second_moments(tensor.support.astype(float))
     start = 0
     for s in targets.vectors:
         unit = s / np.linalg.norm(s)
         gram[start:start + s.size, start:start + s.size] += np.outer(unit, unit)
         start += s.size
-    return SubspaceFrame(targets, numerics.null_space(gram))
+    return numerics.null_space(gram)
 
 
-class ScalingProblem:
-    """A tensor, its slice-sum targets, and the subspace frame tying them together."""
+def _in_plane(v, s, ss):
+    """The component of ``v`` orthogonal to the target ``s`` (ss = s.s)."""
+    return v - (v.dot(s) / ss) * s
 
-    __slots__ = ("tensor", "targets", "frame")
 
-    def __init__(self, tensor, targets, frame=None):
-        if targets.dims != tensor.dims:
-            raise ValueError("target dims do not match tensor dims")
-        self.tensor = tensor
-        self.targets = targets
-        self.frame = frame if frame is not None else build_frame(tensor, targets)
+def _block_update(block, sigma, s, log_s, s_sum):
+    """The closed-form update of ``block`` from its mode's slice sums
+    ``sigma``, given the target ``s`` with its log and its sum."""
+    if _extreme(sigma, np.ndarray.argmin) <= 0:
+        raise ValueError("zero slice encountered")
+    tilde = block + log_s
+    tilde -= np.log(sigma)
+    tilde -= s.dot(tilde) / s_sum
+    return tilde
+
+
+class ScalingProblem(BlockProblem):
+    """A tensor and its slice-sum targets, as the greedy engine's problem.
+
+    Ambient space is R^N with N = sum of the mode sizes, split into per-mode
+    blocks (:meth:`split`). The iterates are BlockVectors of ambient exponent
+    blocks: block j has length m_j and lies in the hyperplane orthogonal to
+    target s_j. ``gauge_basis`` (from :func:`build_frame`) is an N x g array
+    whose orthonormal columns G span the gauge: the exponent vectors in that
+    product of hyperplanes whose sum vanishes on every supported entry. They
+    rescale nothing, so they are the flat directions of the objective. The
+    reduced space, where the objective is strictly convex, is their
+    complement, of dimension N - d - g; :meth:`project` is its orthogonal
+    projector, applied in ambient form. Inside the gauge the orientation of
+    G is arbitrary, and nothing a solve reports or stores depends on it: G
+    enters only through G G^T and the norms of the block gradients.
+
+    The object is stateful, so one object runs one solve at a time. Slice
+    sums come from a factored state, not from a rescaled tensor. The state
+    holds a kernel K, the tensor rescaled at a base point xb (through
+    :meth:`scaled`), the factors u_k = exp(x_k - xb_k) of its current point
+    x, and the slice sums sigma_k = u_k * w_k at x, where w_k contracts K
+    with every factor but u_k. A step on block j computes one exp of length
+    m_j (the new u_j) and the stale w_k, k != j: one contraction of K along
+    mode j, which for a matrix is the other mode's w itself (one
+    matrix-vector product), and for d >= 3 contractions of the smaller array
+    it leaves (a ``tensor.CofactorPlan`` per block, made once). It writes the
+    products u_k * w_k in place into one preallocated buffer of all N slice
+    sums and stores their mass. evaluate, stop_value and objective_decrease
+    read that buffer, and stop_value works in a second one. The target
+    constants of the closed-form update and the gradient (log s_j, the sum
+    and the square norm of s_j, 1 / ||s_j||_inf) are computed once. The block
+    update is a fresh array, and apply_update adopts it into the next
+    iterate without a copy, as read-only.
+
+    evaluate, partial_minimizer and objective_decrease read the state when
+    called at its point. A call at the output of the last apply_update from
+    that point advances the state; a call at any other point rebases there,
+    and so does the first call of each solve, so a reused object gives
+    exactly what a fresh one gives. An advance rebases instead once
+    sum_k ||x_k - xb_k||_inf passes REBASE_DISTANCE, or once that distance
+    plus the largest support exponent at xb could pass EXP_LIMIT. The second
+    rule makes the rebase's rescale raise ScalingOverflowError at exactly the
+    iterate where rescaling every step would, and keeps every partial
+    product of K and the factors inside the range of that rescale.
+    ``rebases`` counts the rescales.
+
+    When g > 0 the iterates stay in the reduced space: apply_update removes
+    G (G^T x) from the updated point, which moves every block. Write G_j for
+    the rows of G in block j and S_j = I_g - G_j^T G_j. S_j is positive
+    definite: a gauge vector v zero off block j sums to v_j[i_j] on a
+    supported entry, so v_j vanishes at every index of mode j that lies on a
+    supported entry, which is every index since no slice is zero. The
+    block-j gradient of the reduced problem, taken along the image of block
+    j's hyperplane under that projection, has the squared norm
+    ||y||^2 + (G_j^T y)^T S_j^-1 (G_j^T y), with y the in-plane gradient
+    sigma_j - (sigma_j.s_j / s_j.s_j) s_j. evaluate returns that norm as
+    sqrt(y.y + z.z) with z = L_j^-1 G_j^T y (L_j L_j^T = S_j); with g = 0 it
+    is sqrt(y.y). stop_value reads the relative slice-sum mismatch
+    max_k ||sigma_k S / F - s_k||_inf / ||s_k||_inf (mass F, target total S)
+    from the state's slice sums, all modes end to end against the
+    concatenated targets.
+    """
+
+    def __init__(self, tensor, targets):
+        self.gauge_basis = build_frame(tensor, targets)
+        self.tensor, self.targets = tensor, targets
+        self._dims = dims = tensor.dims
+        offsets = np.cumsum((0,) + dims)
+        self._blocks = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        vectors = targets.vectors
+        # per mode: s_k, log s_k, sum s_k, s_k . s_k
+        self._targets = [(s, np.log(s), float(_sum(s)), float(s @ s))
+                         for s in vectors]
+        self._total = targets.total
+        self._target_all = np.concatenate(vectors)
+        self._peak_scales = np.repeat([1.0 / s.max() for s in vectors], dims)
+        # the slice sums of every mode end to end, and a work buffer as long
+        self._sigma_all = np.empty(sum(dims))
+        self._sigmas = self.split(self._sigma_all)
+        self._gap = np.empty(sum(dims))
+        modes = range(len(dims))
+        # the cofactors a step on block j alone leaves stale (w_j does not
+        # depend on u_j), and those of any other move
+        self._plans = [
+            ((j,), CofactorPlan(len(dims), [k for k in modes if k != j]))
+            for j in modes]
+        self._full_plan = (modes, CofactorPlan(len(dims), modes))
+        self.hessian_null_dim = len(dims) + self.gauge_dim
+        self._rebases = 0
+        self._restart()
+        self._fresh = None
+        self._gradient_maps = [None] * len(dims)
+        if self.gauge_dim:
+            gauge_blocks = self.split(self.gauge_basis)
+            for j, rows in enumerate(gauge_blocks):
+                # I - G_j^T G_j as the sum over the other blocks, which is
+                # the same for an orthonormal G but free of cancellation
+                S = sum(other.T @ other for k, other in
+                        enumerate(gauge_blocks) if k != j)
+                try:
+                    L = np.linalg.cholesky(S)
+                except np.linalg.LinAlgError:
+                    raise ValueError("zero slice or invalid tensor") from None
+                self._gradient_maps[j] = np.linalg.solve(L, rows.T)
 
     @property
-    def d(self):
-        return self.tensor.d
+    def block_dims(self):
+        return self._dims
+
+    @property
+    def gauge_dim(self):
+        return self.gauge_basis.shape[1]
+
+    @property
+    def rebases(self):
+        """Rescales of the tensor made so far to (re)build the state."""
+        return self._rebases
+
+    def split(self, vec):
+        """Split an ambient vector, or the rows of an N x k matrix, into
+        per-mode blocks (views)."""
+        vec = np.asarray(vec, dtype=float)
+        return [vec[b] for b in self._blocks]
+
+    def project(self, v):
+        """Orthogonal projection onto the reduced space of an ambient vector,
+        or of an N x k matrix column by column, as a new array.
+
+        Each block loses its component along its target, then G (G^T v) is
+        removed; G lies in the product of the target hyperplanes, so the two
+        projectors commute.
+        """
+        out = np.array(v, dtype=float)
+        for block, s in zip(self.split(out), self.targets.vectors):
+            block -= np.multiply.outer(s, (s @ block) / float(s @ s))
+        if self.gauge_dim:
+            G = self.gauge_basis
+            out -= G @ (G.T @ out)
+        return out
 
     def scaled(self, x):
         """The rescaled tensor at ambient blocks ``x``."""
@@ -191,3 +267,129 @@ class ScalingProblem:
         """Ambient Hessian: diagonal blocks are slice sums, off-diagonal
         blocks are two-mode marginals of the rescaled tensor."""
         return ambient_second_moments(self.scaled(x).array)
+
+    def _restart(self):
+        """Forget the state's point, so that the next call rebases."""
+        self._point = self._successor = self._positive = None
+
+    def _slice_sums(self, x):
+        """The slice sums of every mode at ``x``."""
+        if x is not self._point:
+            if x is self._successor:
+                self._advance(x)
+            else:
+                self._rebase(x)
+        return self._sigmas
+
+    def _rebase(self, x):
+        self._point = self._successor = self._kernel = None
+        self._rebases += 1
+        kernel = self.scaled(x).array
+        self._kernel, self._base = kernel, x
+        self._base_exponent = support_exponent(self.tensor, x)
+        self._distances = [0.0] * len(self._dims)
+        self._factors = [np.ones(m) for m in self._dims]
+        self._cofactors = [None] * len(self._dims)
+        self._full_plan[1](kernel, self._factors, self._cofactors)
+        self._settle(x)
+
+    def _advance(self, x):
+        moved, plan = self._move
+        base, factors = self._base.blocks, self._factors
+        distances = self._distances
+        for k in moved:
+            delta = x.blocks[k] - base[k]
+            distances[k] = _extreme(np.absolute(delta))
+            factors[k] = np.exp(delta)
+        distance = sum(distances)
+        # the margin covers rounding in the bound on the exponents at x
+        if (distance > REBASE_DISTANCE or self._base_exponent + distance
+                > EXP_LIMIT * (1.0 - 1e-12)):
+            self._rebase(x)
+            return
+        plan(self._kernel, factors, self._cofactors)
+        self._settle(x)
+
+    def _settle(self, x):
+        for u, w, sigma in zip(self._factors, self._cofactors, self._sigmas):
+            np.multiply(u, w, sigma)
+        self._mass = float(_sum(self._sigmas[0]))
+        self._point, self._successor, self._positive = x, None, None
+
+    def evaluate(self, x):
+        norms = []
+        for sigma, (s, _, _, ss), gradient_map in zip(
+                self._slice_sums(x), self._targets, self._gradient_maps):
+            y = _in_plane(sigma, s, ss)
+            square = y.dot(y)
+            if gradient_map is not None:
+                z = gradient_map.dot(y)
+                square += z.dot(z)
+            norms.append(math.sqrt(square))
+        return self._mass, norms
+
+    def stop_value(self, x, grad_norm):
+        self._slice_sums(x)
+        gap, ratio = self._gap, self._total / self._mass
+        np.multiply(self._sigma_all, ratio, gap)
+        np.subtract(gap, self._target_all, gap)
+        np.absolute(gap, gap)
+        np.multiply(gap, self._peak_scales, gap)
+        return _extreme(gap)
+
+    def partial_minimizer(self, x, j):
+        sigma = self._slice_sums(x)[j]
+        s, log_s, s_sum, _ = self._targets[j]
+        self._fresh = _block_update(x.blocks[j], sigma, s, log_s, s_sum)
+        # the update has checked that sigma_j > 0 at this point
+        self._positive = j
+        return self._fresh
+
+    def apply_update(self, x, j, new_block):
+        if new_block is self._fresh:
+            self._fresh = None
+            x_new = x._adopting(j, new_block)
+        else:
+            x_new = x.with_block(j, new_block)
+        move = self._plans[j]
+        if self.gauge_dim:
+            G, vec = self.gauge_basis, x_new.concat()
+            vec -= G.dot(G.T.dot(vec))
+            x_new = BlockVector._adopt(self.split(vec))
+            move = self._full_plan
+        if x is self._point:
+            self._successor, self._move = x_new, move
+        return x_new
+
+    def objective_decrease(self, x, j, new_block):
+        # f(new) - f(x) = sum_e B_e(x) * expm1(delta[i_j]) over the support,
+        # for the move delta of block j alone, and B(x) summed over the other
+        # modes is its mode-j slice sums, m_j terms from the state.
+        # apply_update then moves only along the gauge, where the objective
+        # is constant, so this is also the drop to the iterate it returns.
+        # Each stored block lies in its target hyperplane only up to
+        # rounding of order eps * |x|, and a drift along the target s_j
+        # rescales the mass by about that much whatever the step. The drift
+        # is not part of the step, so the difference of the blocks is
+        # projected onto the hyperplane, where it lies in exact arithmetic;
+        # the exponent change then carries errors proportional to the step
+        # itself, and the expm1 form keeps the drop's sign reliable far below
+        # the resolution of the objective values.
+        marginal = self._slice_sums(x)[j]
+        s, _, _, ss = self._targets[j]
+        move = _in_plane(new_block - x.blocks[j], s, ss)
+        if self._positive != j:
+            # no update has checked the slice sums: drop the empty slices
+            positive = marginal > 0
+            marginal, move = marginal[positive], move[positive]
+        terms = np.expm1(move)
+        terms *= marginal
+        return -math.fsum(terms.tolist())
+
+    def hessian(self, x):
+        """P H P, with H the ambient Hessian and P the projector onto the
+        reduced space: zero on the d + g dimensional complement and H's
+        (positive definite) compression on the reduced space, so its
+        spectrum is the reduced one plus ``hessian_null_dim`` zeros."""
+        project = self.project
+        return project(project(self.hessian_ambient(x)).T)

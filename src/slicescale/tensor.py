@@ -7,7 +7,6 @@ __all__ = [
     "SliceTargets",
     "ScalingOverflowError",
     "slice_sums",
-    "cofactor_sums",
     "CofactorPlan",
     "support_exponent",
     "scale",
@@ -182,6 +181,12 @@ def _contract(array, u, axis):
 class CofactorPlan:
     """The contractions that give the cofactor sums of a set of modes.
 
+    For a plain d-mode array K and one factor vector u_l per mode, the
+    cofactor sums of mode k are w_k, the mode-k slice sums of K with every
+    other mode l weighted by u_l. The mode-k slice sums of
+    K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the rescaled tensor is
+    never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0.
+
     A plan for ``modes`` of a ``ndim``-mode array is a list of contractions,
     ``steps``, each of an earlier result along one axis by the factor of the
     mode that axis carries, as (source, axis, mode): result 0 is the array
@@ -230,19 +235,6 @@ class CofactorPlan:
         for mode, index in self.outputs:
             out[mode] = results[index]
         return out
-
-
-def cofactor_sums(array, factors, modes):
-    """Slice sums of a factored rescaling with one factor left out.
-
-    ``array`` is a plain d-mode array K and ``factors`` one vector u_l per
-    mode. For each mode k in ``modes`` the result maps k to w_k, the mode-k
-    slice sums of K with every other mode l weighted by u_l. The mode-k slice
-    sums of K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the rescaled tensor
-    is never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0. The
-    contractions are those of :class:`CofactorPlan`.
-    """
-    return CofactorPlan(array.ndim, modes)(array, factors, {})
 
 
 def _exponents(t, x):

@@ -2,8 +2,9 @@
 ambient and in-plane gradients from a rescaled tensor, the entrywise
 objective drop, the relative slice-sum mismatch, a masked rescale that
 evaluates the supported entries only, explicit orthonormal bases
-of a frame's mode, working and reduced spaces with the projector and
-projected mode bases built from them, the gauge found by two null spaces, a
+of a scaling problem's mode, working and reduced spaces with the projector,
+the distance from the reduced space and the projected mode bases built from
+them, the gauge found by two null spaces, a
 greedy scaler that rescales the tensor at every step, the primal witness
 system of the scalability LP, and random instance generators."""
 
@@ -223,8 +224,13 @@ def orthonormalize(vectors):
     return _fix_signs(U[:, s > tol])
 
 
-def reference_bases(frame):
-    """Explicit orthonormal bases of a frame's subspaces, built from
+def _block_slices(dims):
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    return [slice(offsets[j], offsets[j + 1]) for j in range(len(dims))]
+
+
+def reference_bases(problem):
+    """Explicit orthonormal bases of a scaling problem's subspaces, built from
     ``scipy.linalg.null_space`` (an SVD):
 
     - ``mode_bases[j]``: the hyperplane orthogonal to target s_j, shape
@@ -234,16 +240,17 @@ def reference_bases(frame):
     - ``reduced_basis``: the complement of the gauge inside the working
       space, shape (N, n - g); the working basis itself when g = 0.
     """
+    dims = problem.block_dims
     mode_bases = [scipy.linalg.null_space(s.reshape(1, -1))
-                  for s in frame.targets.vectors]
-    working = np.zeros((frame.ambient_dim, frame.working_dim))
+                  for s in problem.targets.vectors]
+    working = np.zeros((sum(dims), sum(dims) - len(dims)))
     col = 0
-    for j, basis in enumerate(mode_bases):
-        working[frame.block_slice(j), col:col + basis.shape[1]] = basis
+    for block, basis in zip(_block_slices(dims), mode_bases):
+        working[block, col:col + basis.shape[1]] = basis
         col += basis.shape[1]
     reduced = working
-    if frame.gauge_dim:
-        gauge_in_working = working.T @ frame.gauge_basis
+    if problem.gauge_dim:
+        gauge_in_working = working.T @ problem.gauge_basis
         reduced = working @ scipy.linalg.null_space(gauge_in_working.T)
     return SimpleNamespace(mode_bases=mode_bases, working_basis=working,
                            reduced_basis=reduced)
@@ -267,20 +274,28 @@ def two_step_gauge(tensor, targets):
     return kernel @ vt[rank:].T
 
 
-def reduced_projector(frame):
-    """The N x N orthogonal projector onto the frame's reduced space."""
-    reduced = reference_bases(frame).reduced_basis
+def reduced_projector(problem):
+    """The N x N orthogonal projector onto the problem's reduced space."""
+    reduced = reference_bases(problem).reduced_basis
     return reduced @ reduced.T
 
 
-def projected_mode_bases(frame):
+def reduced_residual(problem, x):
+    """Sup-norm distance of an ambient block vector from the problem's
+    reduced space, through the problem's own ambient projector."""
+    vec = x.concat()
+    return float(np.abs(vec - problem.project(vec)).max())
+
+
+def projected_mode_bases(problem):
     """Per mode j, an orthonormal basis of the image of block j's target
     hyperplane under the reduced projector, shape (N, rank). The rank is
     m_j - 1 for every valid tensor."""
-    bases = reference_bases(frame)
+    bases = reference_bases(problem)
     reduced = bases.reduced_basis
-    return [orthonormalize((reduced @ (reduced[frame.block_slice(j)].T @ q)).T)
-            for j, q in enumerate(bases.mode_bases)]
+    return [orthonormalize((reduced @ (reduced[block].T @ q)).T)
+            for block, q in zip(_block_slices(problem.block_dims),
+                                bases.mode_bases)]
 
 
 class PerStepRescaleProblem(BlockProblem):
@@ -292,15 +307,15 @@ class PerStepRescaleProblem(BlockProblem):
     entrywise reference above, taken to the point with block j replaced.
     Patterned tensors with gauge directions take the projected path:
     gradients along the projected mode bases, updates projected onto the
-    reduced working space, both built here from the frame's reduced basis.
+    reduced working space, both built here from the problem's reduced basis.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self.projected = problem.frame.gauge_dim != 0
+        self.projected = problem.gauge_dim != 0
         if self.projected:
-            self._bases = projected_mode_bases(problem.frame)
-            self._projector = reduced_projector(problem.frame)
+            self._bases = projected_mode_bases(problem)
+            self._projector = reduced_projector(problem)
         self._memo = None
 
     @property
@@ -334,7 +349,7 @@ class PerStepRescaleProblem(BlockProblem):
         updated = x.with_block(j, new_block)
         if not self.projected:
             return updated
-        return BlockVector(self.problem.frame.split(
+        return BlockVector(self.problem.split(
             self._projector @ updated.concat()))
 
     def objective_decrease(self, x, j, new_block):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import (fd_gradient, fd_hessian, projected_mode_bases,
-                     reference_bases, sinkhorn_reference, slice_sum_gradient)
+                     reduced_residual, reference_bases, sinkhorn_reference,
+                     slice_sum_gradient)
 from slicescale import blockmin
 from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  QuadraticBlockProblem, estimate_alpha_beta,
@@ -60,7 +61,7 @@ def bound_violations(problem, solution, seed, label):
     rng = np.random.default_rng(seed)
     points = list(trace.iterates)
     points += sample_convex_combinations(points, 16, rng)
-    alpha, beta = estimate_alpha_beta(solution.working_problem, points)
+    alpha, beta = estimate_alpha_beta(problem, points)
     cb = ConvergenceBound(d=problem.d, alpha=alpha, beta=beta,
                           grad0_norm=trace.full_grad_norms[0])
     gaps = trace.gaps()
@@ -238,15 +239,14 @@ def test_criterion_7_derivative_checks():
         total = sum(v.sum() for v in vecs) / 3
         targets = SliceTargets([v * total / v.sum() for v in vecs])
         problem = ScalingProblem(tensor, targets)
-        frame = problem.frame
-        Q = reference_bases(frame).reduced_basis
+        Q = reference_bases(problem).reduced_basis
         for _ in range(10):
             count += 1
             x = BlockVector([rng.uniform(-1.2, 1.2, m) for m in (2, 2, 2)])
             vec = x.concat()
 
             def f(v):
-                return problem.scaled(BlockVector(frame.split(v))).total
+                return problem.scaled(BlockVector(problem.split(v))).total
 
             grad = slice_sum_gradient(problem, x)
             grad_err = np.abs(grad - fd_gradient(f, vec, h=1e-5)).max()
@@ -268,16 +268,15 @@ def test_criterion_7_derivative_checks():
 def test_criterion_8_degenerate_patterns(pattern_runs):
     violations = []
     for i, (problem, sol) in enumerate(pattern_runs):
-        frame = problem.frame
         if sol.method != "greedy-projected":
             violations.append(f"pattern[{i}] took method {sol.method}")
         if sol.status != blockmin.CONVERGED:
             violations.append(f"pattern[{i}] status {sol.status}")
             continue
         for k, x in enumerate(sol.trace.iterates):
-            if frame.reduced_residual(x) > 1e-12:
+            if reduced_residual(problem, x) > 1e-12:
                 violations.append(f"pattern[{i}] iterate {k} left the reduced space")
-        bases = projected_mode_bases(frame)
+        bases = projected_mode_bases(problem)
         for j, m in enumerate(problem.tensor.dims):
             if bases[j].shape[1] != m - 1:
                 violations.append(f"pattern[{i}] projected mode basis {j} deficient")
@@ -347,10 +346,10 @@ def test_criterion_10_bridge():
     if first.column_residual > 1e-8:
         violations.append(f"column residual {first.column_residual:.2e}")
     reduced, rows, cols = reduce_to_scaling(problem)
-    frame = ScalingProblem(DenseTensor(reduced), SliceTargets([rows, cols])).frame
+    scaling = ScalingProblem(DenseTensor(reduced), SliceTargets([rows, cols]))
     rng = np.random.default_rng(123)
     second = solve_bridge(problem, tol=RUN_TOL,
-                          x0=random_reduced_point(frame, rng))
+                          x0=random_reduced_point(scaling, rng))
     diff = np.abs(first.matrix - second.matrix).max()
     if diff > 1e-7:
         violations.append(f"two starts disagree by {diff:.2e}")

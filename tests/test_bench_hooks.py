@@ -1,7 +1,7 @@
 """The benchmark's layer timers wrap package bindings by name; a refactor
 that removes one of them breaks ``bench/tracing.py`` at install time, and one
 that rescales around the wrapped binding makes ``tensor.scale_calls`` miss
-real rescales (the rebases of the working problem's factored state)."""
+real rescales (the rebases of the problem's factored state)."""
 
 import json
 import os
@@ -24,7 +24,7 @@ problem = ScalingProblem(DenseTensor(rng.uniform(0.1, 1.0, (12, 12))),
 solution = scaler.solve(problem)
 assert solution.status == "converged"
 print(json.dumps(dict(tracer.totals(),
-                      rebases=solution.working_problem.rebases)))
+                      rebases=problem.rebases)))
 """
 
 # A block-diagonal 7 x 7 support with equal row and column mass per block:
@@ -39,7 +39,7 @@ array[3:, 4:] = np.exp(rng.uniform(-2.0, 2.0, (4, 3)))
 rows = np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)])
 cols = np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])
 problem = ScalingProblem(DenseTensor(array), SliceTargets([rows, cols]))
-assert problem.frame.gauge_dim == 1
+assert problem.gauge_dim == 1
 """)
 
 
@@ -89,7 +89,7 @@ def test_traced_scale_calls_count_every_rescale():
     assert totals["rebases"] >= 1
     # one rescale per rebase of the factored state, one in normalize
     assert totals["calls"]["tensor.scale"] == totals["rebases"] + 1
-    # full support has no gauge: the frame makes no null space
+    # full support has no gauge: build_frame makes no null space
     assert totals["calls"]["objective.build_frame"] == 1
     assert totals["calls"].get("numerics.null_space", 0) == 0
 
@@ -104,7 +104,7 @@ def test_traced_scale_calls_on_a_gauge_solve():
 
 def test_traced_cli_scale_on_a_gauge_input():
     # one symmetric eigendecomposition per certificate sample, and the
-    # frame's one null space (the gauge) inside build_frame
+    # one null space (the gauge) inside build_frame
     totals = json.loads(run_traced(TRACED_GAUGE_CLI).splitlines()[-1])
     samples = totals["counts"]["blockmin.hessian_samples"]
     assert samples > 16

@@ -1,0 +1,42 @@
+"""The library entry points the benchmark calls, run in process through
+``bench/worker.py``'s ``solve_case``: a change that breaks one of them fails
+here, before any benchmark run. The benchmark's own oracles judge the
+outputs."""
+
+import importlib
+import os
+
+import numpy as np
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's corpus, oracles and worker modules."""
+    monkeypatch.syspath_prepend(BENCH)
+    return [importlib.import_module(name)
+            for name in ("corpus", "oracles", "worker")]
+
+
+def test_solve_case_on_a_dense_solve_case(bench):
+    corpus, oracles, worker = bench
+    case = corpus.dense_solve(3)[0]
+    scaled = worker.solve_case(case)
+    reference = oracles.alternating_scaling(case["array"], case["targets"])
+    assert oracles.check_scaled(scaled, case["array"], case["targets"],
+                                reference) == []
+
+
+def test_solve_case_on_a_quadratic_case(bench):
+    _, oracles, worker = bench
+    rng = np.random.default_rng(2700)
+    m = rng.standard_normal((7, 7))
+    case = {"name": "quadratic-3x4", "kind": "quadratic",
+            "matrix": m.T @ m + 0.5 * np.eye(7),
+            "linear": rng.standard_normal(7), "block_dims": [3, 4]}
+    x = worker.solve_case(case)
+    assert oracles.check_quadratic(x, case["matrix"], case["linear"],
+                                   worker.TOL) == []

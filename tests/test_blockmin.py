@@ -9,7 +9,6 @@ from slicescale.blockmin import (BlockVector, ConvergenceBound,
                                  NumericalOverflowError, QuadraticBlockProblem,
                                  estimate_alpha_beta, run, theoretical_bound)
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import ScalingBlockProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
 
@@ -58,7 +57,7 @@ class BlowUpProblem(blockmin.BlockProblem):
 def ones_scaling_problem():
     tensor = DenseTensor(np.ones((2, 2)))
     targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
-    return ScalingBlockProblem(ScalingProblem(tensor, targets))
+    return ScalingProblem(tensor, targets)
 
 
 class TestBlockVector:
@@ -202,8 +201,8 @@ class TestRun:
         tensor = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
         problem = ScalingProblem(tensor, targets)
-        wp = ScalingBlockProblem(problem)
-        x, trace, status = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500)
+        x, trace, status = run(problem, BlockVector.zeros(problem.block_dims),
+                               1e-12, 500)
         assert status == blockmin.CONVERGED
         scaled = problem.scaled(x)
         final = scaled.array / (scaled.total / targets.total)
@@ -383,7 +382,7 @@ class TestEstimateAlphaBeta:
     def test_iterate_sampling_orders(self):
         tensor = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         targets = SliceTargets([[1.0, 1.0], [1.0, 1.0]])
-        wp = ScalingBlockProblem(ScalingProblem(tensor, targets))
+        wp = ScalingProblem(tensor, targets)
         y, trace, _ = run(wp, BlockVector.zeros(wp.block_dims), 1e-12, 500,
                           record_iterates=True)
         alpha, beta = estimate_alpha_beta(wp, trace.iterates)
@@ -392,9 +391,8 @@ class TestEstimateAlphaBeta:
     def test_projected_problem_hessian(self):
         p = ScalingProblem(DenseTensor(np.diag([2.0, 3.0, 5.0])),
                            SliceTargets.uniform((3, 3)))
-        assert p.frame.gauge_dim > 0
-        wp = ScalingBlockProblem(p)
-        alpha, beta = estimate_alpha_beta(wp, [BlockVector.zeros(wp.block_dims)])
+        assert p.gauge_dim > 0
+        alpha, beta = estimate_alpha_beta(p, [BlockVector.zeros(p.block_dims)])
         assert 0 < alpha <= beta
 
 
@@ -438,8 +436,7 @@ class UncachedQuadratic(QuadraticBlockProblem):
         s = slice(start, start + self.block_dims[j])
         v = x.concat()
         rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
-        return numerics.solve_factored(
-            numerics.factor_linear(self.matrix[s, s]), rhs)
+        return numerics.factor_linear(self.matrix[s, s]).dot(rhs)
 
     def objective_decrease(self, x, j, new_block):
         start = sum(self.block_dims[:j])

@@ -102,9 +102,9 @@ class TestSolveBridge:
         p = column_stochastic_example()
         first = solve_bridge(p, tol=1e-12)
         reduced, rows, cols = reduce_to_scaling(p)
-        frame = ScalingProblem(DenseTensor(reduced),
-                               SliceTargets([rows, cols])).frame
+        scaling = ScalingProblem(DenseTensor(reduced),
+                                 SliceTargets([rows, cols]))
         rng = np.random.default_rng(77)
         second = solve_bridge(p, tol=1e-12,
-                              x0=random_reduced_point(frame, rng))
+                              x0=random_reduced_point(scaling, rng))
         assert np.abs(first.matrix - second.matrix).max() <= 1e-7

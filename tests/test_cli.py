@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import reduced_residual
 from slicescale import cli, feasibility, scaler
 from slicescale.objective import ScalingProblem
 from slicescale.tensor import DenseTensor, SliceTargets
@@ -161,10 +162,9 @@ class TestScaleCommand:
         assert (texts["a"]["trace"]["objectives"][0]
                 != texts["c"]["trace"]["objectives"][0])
         problem = ScalingProblem(DenseTensor(array), targets)
-        assert problem.frame.gauge_dim == 1
-        x0 = scaler.random_reduced_point(problem.frame,
-                                         np.random.default_rng(3))
-        assert problem.frame.reduced_residual(x0) <= 1e-12
+        assert problem.gauge_dim == 1
+        x0 = scaler.random_reduced_point(problem, np.random.default_rng(3))
+        assert reduced_residual(problem, x0) <= 1e-12
         assert problem.scaled(x0).total == pytest.approx(
             texts["a"]["trace"]["objectives"][0], rel=1e-12)
 

@@ -13,7 +13,7 @@ from slicescale.blockmin import BlockVector
 from slicescale.numerics import null_space, symmetric_eigs
 from slicescale.objective import (ScalingProblem, ambient_second_moments,
                                   build_frame)
-from slicescale.scaler import ScalingBlockProblem, solve
+from slicescale.scaler import solve
 from slicescale.tensor import DenseTensor, SliceTargets, rank_one_target
 
 
@@ -37,35 +37,38 @@ def random_cube_problem(seed):
 class TestBuildFrame:
     def test_positive_matrix_has_no_gauge(self):
         p = ones_problem()
-        frame = p.frame
-        assert frame.gauge_dim == 0
-        assert frame.working_dim == 2
-        assert frame.reduced_dim == 2
+        assert p.gauge_dim == 0
+        bases = reference_bases(p)
+        assert bases.working_basis.shape[1] == 2
+        assert bases.reduced_basis.shape[1] == 2
         for j in range(2):
-            assert reference_bases(frame).mode_bases[j].shape == (2, 1)
+            assert bases.mode_bases[j].shape == (2, 1)
 
     def test_identity_pattern_gauge(self):
-        frame = identity_pattern_problem().frame
-        assert frame.gauge_dim == 1
-        assert frame.reduced_dim == 1
-        gauge = frame.gauge_basis[:, 0]
+        p = identity_pattern_problem()
+        assert p.gauge_dim == 1
+        assert reference_bases(p).reduced_basis.shape[1] == 1
+        gauge = p.gauge_basis[:, 0]
         expected = np.array([1.0, -1.0, -1.0, 1.0]) / 2
         np.testing.assert_allclose(np.outer(gauge, gauge),
                                    np.outer(expected, expected), atol=1e-12)
 
     def test_projectors_symmetric_idempotent(self):
-        # the projector matrix is built in the test: the frame keeps none,
+        # the projector matrix is built in the test: the problem keeps none,
         # and its ambient project() must apply the same map
         for problem in (ones_problem(), identity_pattern_problem()):
-            P = reduced_projector(problem.frame)
+            P = reduced_projector(problem)
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.abs(P @ P - P).max() <= 1e-12
-            np.testing.assert_allclose(problem.frame.project(np.eye(4)), P,
+            np.testing.assert_allclose(problem.project(np.eye(4)), P,
                                        rtol=0, atol=1e-12)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError, match="dims"):
             build_frame(DenseTensor(np.ones((2, 2))), SliceTargets.uniform((3, 3)))
+        with pytest.raises(ValueError, match="dims"):
+            ScalingProblem(DenseTensor(np.ones((2, 2))),
+                           SliceTargets.uniform((3, 3)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_projected_mode_dims_on_random_patterns(self, seed):
@@ -73,15 +76,15 @@ class TestBuildFrame:
         dims = (3, 3) if seed % 2 else (2, 3, 2)
         tensor = random_pattern_tensor(rng, dims)
         targets = random_compatible_targets(rng, dims)
-        frame = build_frame(tensor, targets)
-        bases = projected_mode_bases(frame)
+        p = ScalingProblem(tensor, targets)
+        bases = projected_mode_bases(p)
         for j, m in enumerate(dims):
             assert bases[j].shape == (sum(dims), m - 1)
-        assert frame.reduced_dim == frame.working_dim - frame.gauge_dim
+        assert (reference_bases(p).reduced_basis.shape[1]
+                == sum(dims) - len(dims) - p.gauge_dim)
 
     def test_working_basis_block_structure(self):
-        frame = ones_problem().frame
-        Q = reference_bases(frame).working_basis
+        Q = reference_bases(ones_problem()).working_basis
         assert Q.shape == (4, 2)
         np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
         # each column supported on one block
@@ -157,18 +160,19 @@ def kernel_case(name):
 
 
 class TestFrameKernelOracle:
-    """Frame subspaces against ranks of the explicit incidence matrix R."""
+    """The support kernel and the gauge against ranks of the explicit
+    incidence matrix R."""
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_kernel_and_gauge_dimensions(self, name):
         tensor, targets = kernel_case(name)
-        frame = build_frame(tensor, targets)
+        G = build_frame(tensor, targets)
         R = incidence_matrix(tensor)
         T = target_matrix(targets)
         N = sum(tensor.dims)
         gram = ambient_second_moments(tensor.support.astype(float))
         np.testing.assert_array_equal(gram, R.T @ R)
-        K, G = null_space(gram), frame.gauge_basis
+        K = null_space(gram)
         assert K.shape == (N, N - np.linalg.matrix_rank(R))
         assert G.shape == (N, N - np.linalg.matrix_rank(np.vstack([R, T])))
         assert np.abs(R @ K).max() <= 1e-10
@@ -182,17 +186,17 @@ class TestFrameKernelOracle:
         # three blocks: one shift per block in the kernel; equal row and
         # column mass per block leaves all but one of them in the gauge
         tensor, targets = kernel_case("block-diagonal")
-        frame = build_frame(tensor, targets)
+        G = build_frame(tensor, targets)
         kernel = null_space(ambient_second_moments(tensor.support.astype(float)))
         assert kernel.shape[1] == 3
-        assert frame.gauge_dim == 2
+        assert G.shape[1] == 2
 
     @staticmethod
     def traced_dense_frame():
-        """Build the frame of a dense 150 x 150 input with one zero entry
-        under tracemalloc; returns (bytes retained by the frame, peak bytes,
-        N). The zero keeps the frame on its Gram path, which full support
-        skips."""
+        """Build the gauge basis of a dense 150 x 150 input with one zero
+        entry under tracemalloc; returns (bytes retained by the basis, peak
+        bytes, N). The zero keeps build_frame on its Gram path, which full
+        support skips."""
         rng = np.random.default_rng(1300)
         dims = (150, 150)
         array = rng.uniform(0.1, 1.0, dims)
@@ -201,11 +205,11 @@ class TestFrameKernelOracle:
         targets = random_compatible_targets(rng, dims)
         tracemalloc.start()
         try:
-            frame = build_frame(tensor, targets)
+            G = build_frame(tensor, targets)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert frame.gauge_dim == 0
+        assert G.shape[1] == 0
         return retained, peak, sum(dims)
 
     def test_dense_frame_memory_stays_quadratic_in_ambient_dim(self):
@@ -218,7 +222,7 @@ class TestFrameKernelOracle:
 
     def test_dense_frame_retains_no_projector(self):
         # A connected support has a one-dimensional kernel and no gauge, so
-        # the frame keeps no N x N or N x n array.
+        # build_frame keeps no N x N or N x n array.
         retained, _, N = self.traced_dense_frame()
         assert retained <= 0.1 * N * N * 8
 
@@ -266,7 +270,7 @@ class TestGaugeAgainstTwoStep:
         for _ in range(25):
             tensor, targets = self.draw(kind, rng)
             targets = SliceTargets([target_scale * s for s in targets.vectors])
-            G = build_frame(tensor, targets).gauge_basis
+            G = build_frame(tensor, targets)
             ref = two_step_gauge(tensor, targets)
             assert G.shape == ref.shape
             assert np.abs(G @ G.T - ref @ ref.T).max() <= 1e-10
@@ -289,7 +293,7 @@ def gram_path_gauge(tensor, targets):
 
 class TestFullSupportFrame:
     """Full support takes no factorization: its N x 0 gauge agrees with the
-    Gram path, and a single zero entry sends the frame back to that path."""
+    Gram path, and a single zero entry sends build_frame back to that path."""
 
     @staticmethod
     def spread_targets(rng, dims):
@@ -326,9 +330,9 @@ class TestFullSupportFrame:
             else:
                 targets = random_compatible_targets(rng, dims)
                 targets = SliceTargets([targets_kind * s for s in targets.vectors])
-            frame = build_frame(tensor, targets)
-            assert frame.gauge_dim == 0
-            assert frame.gauge_basis.shape == (sum(dims), 0)
+            G = build_frame(tensor, targets)
+            assert G.shape[1] == 0
+            assert G.shape == (sum(dims), 0)
             assert not calls
             assert gram_path_gauge(tensor, targets).shape == (sum(dims), 0)
 
@@ -341,11 +345,11 @@ class TestFullSupportFrame:
         tensor = DenseTensor(array)
         targets = random_compatible_targets(rng, dims)
         calls = self.count_null_spaces(monkeypatch)
-        frame = build_frame(tensor, targets)
+        basis = build_frame(tensor, targets)
         assert calls == [(sum(dims), sum(dims))]
         G = gram_path_gauge(tensor, targets)
-        assert frame.gauge_basis.shape == G.shape
-        np.testing.assert_array_equal(frame.gauge_basis, G)
+        assert basis.shape == G.shape
+        np.testing.assert_array_equal(basis, G)
 
     def test_positive_solve_allocates_no_ambient_square(self):
         # A seeded 400 x 400 positive matrix: building the problem and
@@ -379,13 +383,12 @@ class TestObjective:
 
     def test_gauge_translation_invariance(self):
         p = identity_pattern_problem((2.0, 5.0))
-        frame = p.frame
         rng = np.random.default_rng(3)
-        z = BlockVector(frame.split(frame.gauge_basis[:, 0]))
-        working = reference_bases(frame).working_basis
+        z = BlockVector(p.split(p.gauge_basis[:, 0]))
+        working = reference_bases(p).working_basis
         for _ in range(5):
-            x = BlockVector(frame.split(
-                working @ rng.uniform(-2, 2, frame.working_dim)))
+            x = BlockVector(p.split(
+                working @ rng.uniform(-2, 2, working.shape[1])))
             fx = p.scaled(x).total
             assert p.scaled(x + z).total == pytest.approx(fx, rel=1e-10)
             assert p.scaled(x + 3.7 * z).total == pytest.approx(fx, rel=1e-10)
@@ -396,7 +399,7 @@ class TestGradients:
         p, rng = random_cube_problem(11)
         x = ambient_point(rng, (2, 2, 2))
         scaled = p.scaled(x)
-        got = p.frame.split(slice_sum_gradient(p, x))
+        got = p.split(slice_sum_gradient(p, x))
         for j in range(3):
             want = scaled.array.sum(axis=tuple(a for a in range(3) if a != j))
             np.testing.assert_array_equal(got[j], want)
@@ -409,13 +412,12 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_fd_gradient(self, seed):
         p, rng = random_cube_problem(20 + seed)
-        frame = p.frame
         for _ in range(4):
             x = ambient_point(rng, (2, 2, 2), radius=1.5)
             vec = x.concat()
 
             def f(v):
-                return p.scaled(BlockVector(frame.split(v))).total
+                return p.scaled(BlockVector(p.split(v))).total
 
             analytic = slice_sum_gradient(p, x)
             numeric = fd_gradient(f, vec, h=1e-5)
@@ -439,10 +441,9 @@ class TestGradients:
     def test_norm_pythagoras(self, seed):
         # squared working-space gradient norm equals the sum over modes
         p, rng = random_cube_problem(40 + seed)
-        frame = p.frame
         x = ambient_point(rng, (2, 2, 2))
         ghat = slice_sum_gradient(p, x)
-        working = reference_bases(frame).working_basis
+        working = reference_bases(p).working_basis
         full_sq = float(((working.T @ ghat) ** 2).sum())
         parts = sum(float((in_plane_gradient(p, x, j) ** 2).sum())
                     for j in range(3))
@@ -450,9 +451,9 @@ class TestGradients:
 
 
 def w_norm(p, x, j):
-    """Block-j gradient norm of the scaling working problem: on a gauge
+    """Block-j gradient norm the scaling problem reports: on a gauge
     instance, the norm of the coordinates along the projected mode-j basis."""
-    return ScalingBlockProblem(p).evaluate(x)[1][j]
+    return p.evaluate(x)[1][j]
 
 
 class TestWGradient:
@@ -476,10 +477,9 @@ class TestWGradient:
         tensor = random_pattern_tensor(rng, (3, 3))
         targets = random_compatible_targets(rng, (3, 3))
         p = ScalingProblem(tensor, targets)
-        frame = p.frame
-        reduced = reference_bases(frame).reduced_basis
-        coeffs = rng.uniform(-1, 1, frame.reduced_dim)
-        x = BlockVector(frame.split(reduced @ coeffs))
+        reduced = reference_bases(p).reduced_basis
+        coeffs = rng.uniform(-1, 1, reduced.shape[1])
+        x = BlockVector(p.split(reduced @ coeffs))
         ghat = slice_sum_gradient(p, x)
         reduced_sq = float(((reduced.T @ ghat) ** 2).sum())
         w_sq = sum(w_norm(p, x, j) ** 2 for j in range(2))
@@ -491,10 +491,9 @@ class TestWGradient:
         tensor = random_pattern_tensor(rng, (2, 4))
         targets = random_compatible_targets(rng, (2, 4))
         p = ScalingProblem(tensor, targets)
-        frame = p.frame
-        reduced = reference_bases(frame).reduced_basis
-        coeffs = rng.uniform(-1, 1, frame.reduced_dim)
-        x = BlockVector(frame.split(reduced @ coeffs))
+        reduced = reference_bases(p).reduced_basis
+        coeffs = rng.uniform(-1, 1, reduced.shape[1])
+        x = BlockVector(p.split(reduced @ coeffs))
         for j in range(2):
             restricted = np.sqrt((in_plane_gradient(p, x, j) ** 2).sum())
             w = w_norm(p, x, j)
@@ -515,7 +514,7 @@ class TestHessian:
 
     def test_ones_restricted_is_twice_identity(self):
         p = ones_problem()
-        Q = reference_bases(p.frame).working_basis
+        Q = reference_bases(p).working_basis
         H = Q.T @ p.hessian_ambient(BlockVector.zeros((2, 2))) @ Q
         np.testing.assert_allclose(H, 2.0 * np.eye(2), atol=1e-12)
 
@@ -529,12 +528,11 @@ class TestHessian:
     @pytest.mark.parametrize("seed", range(2))
     def test_fd_hessian(self, seed):
         p, rng = random_cube_problem(90 + seed)
-        frame = p.frame
         x = ambient_point(rng, (2, 2, 2), radius=1.2)
         vec = x.concat()
 
         def f(v):
-            return p.scaled(BlockVector(frame.split(v))).total
+            return p.scaled(BlockVector(p.split(v))).total
 
         H = p.hessian_ambient(x)
         H_fd = fd_hessian(f, vec, h=1e-4)
@@ -550,12 +548,11 @@ class TestHessian:
             tensor = random_positive_tensor(rng, (2, 3))
             targets = random_compatible_targets(rng, (2, 3))
         p = ScalingProblem(tensor, targets)
-        frame = p.frame
-        Q = reference_bases(frame).reduced_basis
+        Q = reference_bases(p).reduced_basis
         for _ in range(4):
-            coeffs = rng.uniform(-1, 1, frame.reduced_dim)
+            coeffs = rng.uniform(-1, 1, Q.shape[1])
             coeffs *= 5.0 / max(5.0, np.abs(coeffs).max())
-            x = BlockVector(frame.split(Q @ coeffs))
+            x = BlockVector(p.split(Q @ coeffs))
             H = Q.T @ p.hessian_ambient(x) @ Q
             vals = symmetric_eigs(H)
             assert vals[0] > 0

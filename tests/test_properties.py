@@ -12,7 +12,7 @@ from helpers import (alternating_scaling, projected_mode_bases,
                      slice_sum_gradient)
 from slicescale.blockmin import CONVERGED, estimate_alpha_beta
 from slicescale.objective import ScalingProblem
-from slicescale.scaler import ScalingBlockProblem, random_reduced_point, solve
+from slicescale.scaler import random_reduced_point, solve
 from slicescale.tensor import DenseTensor, SliceTargets
 
 PROPERTY_SETTINGS = settings(max_examples=40)
@@ -47,17 +47,16 @@ def block_diagonal_gauge_problems(draw):
 @PROPERTY_SETTINGS
 @given(block_diagonal_gauge_problems())
 def test_gauge_block_gradient_norms_match_projected_bases(case):
-    # The working problem's block-j gradient norm on a gauge instance, the
+    # The problem's block-j gradient norm on a gauge instance, the
     # in-plane norm with a rank-g correction, must be the norm of the
     # slice-sum gradient along an explicit orthonormal basis of block j's
     # hyperplane projected onto the reduced space.
     problem, gauge_dim, rng = case
-    frame = problem.frame
-    assert frame.gauge_dim == gauge_dim
-    x = random_reduced_point(frame, rng)
-    objective, norms = ScalingBlockProblem(problem).evaluate(x)
+    assert problem.gauge_dim == gauge_dim
+    x = random_reduced_point(problem, rng)
+    objective, norms = problem.evaluate(x)
     ghat = slice_sum_gradient(problem, x)
-    for j, basis in enumerate(projected_mode_bases(frame)):
+    for j, basis in enumerate(projected_mode_bases(problem)):
         explicit = np.linalg.norm(basis.T @ ghat)
         assert abs(norms[j] - explicit) <= 1e-12 * objective
 
@@ -100,10 +99,9 @@ def test_certificate_matches_reduced_basis_congruence(case):
     # zeros; they must be the extremes of Q^T H Q for an explicit
     # orthonormal basis Q of that space.
     problem, rng = case
-    frame = problem.frame
-    points = [random_reduced_point(frame, rng) for _ in range(3)]
-    alpha, beta = estimate_alpha_beta(ScalingBlockProblem(problem), points)
-    Q = reference_bases(frame).reduced_basis
+    points = [random_reduced_point(problem, rng) for _ in range(3)]
+    alpha, beta = estimate_alpha_beta(problem, points)
+    Q = reference_bases(problem).reduced_basis
     spectra = [np.linalg.eigvalsh(Q.T @ problem.hessian_ambient(x) @ Q)
                for x in points]
     ref_alpha = min(vals[0] for vals in spectra)

@@ -6,12 +6,12 @@ import pytest
 from helpers import (PerStepRescaleProblem, alternating_scaling,
                      in_plane_gradient, objective_decrease_reference, per_step_rescale_reference,
                      random_compatible_targets, random_positive_tensor,
-                     reference_bases, sinkhorn_reference)
+                     reduced_residual, reference_bases, sinkhorn_reference)
 from slicescale import blockmin, objective
 from slicescale.blockmin import BlockVector
-from slicescale.objective import ScalingProblem, SubspaceFrame
-from slicescale.scaler import (ScalingBlockProblem, closed_form_block_update,
-                               normalize, random_reduced_point, solve)
+from slicescale.objective import ScalingProblem
+from slicescale.scaler import (closed_form_block_update, normalize,
+                               random_reduced_point, solve)
 from slicescale.tensor import (DenseTensor, ScalingOverflowError,
                                SliceTargets, rank_one_target, slice_sums)
 
@@ -21,6 +21,11 @@ def problem_of(array, targets=None):
     if targets is None:
         targets = SliceTargets.uniform(tensor.dims)
     return ScalingProblem(tensor, targets)
+
+
+def fresh_copy(problem):
+    """A new ScalingProblem of the same tensor and targets."""
+    return ScalingProblem(problem.tensor, problem.targets)
 
 
 class TestClosedFormUpdate:
@@ -103,7 +108,7 @@ class TestSolvePositive:
         # 5 sqrt(2) / 6 > 1. A guard between the two sup norms stops the run
         # before its first step only if it reads the exponents.
         p = problem_of(np.random.default_rng(1500).uniform(0.5, 1.5, (6, 6)))
-        Q = reference_bases(p.frame).mode_bases[0]
+        Q = reference_bases(p).mode_bases[0]
         row = int(np.abs(Q).sum(axis=1).argmax())
         z = 10.0 * np.where(Q[row] < 0, -1.0, 1.0)
         x0 = BlockVector([Q @ z, np.zeros(6)])
@@ -143,21 +148,21 @@ class TestSolveModified:
     def test_iterates_stay_reduced(self):
         p = problem_of(np.diag([2.0, 3.0, 5.0]))
         rng = np.random.default_rng(5)
-        x0 = random_reduced_point(p.frame, rng)
+        x0 = random_reduced_point(p, rng)
         sol = solve(p, x0=x0, tol=1e-12)
         assert sol.method == "greedy-projected"
         for x in sol.trace.iterates:
-            assert p.frame.reduced_residual(x) <= 1e-12
+            assert reduced_residual(p, x) <= 1e-12
 
     def test_rejects_start_outside_reduced_space(self):
         p = problem_of(np.eye(2))
-        z = BlockVector(p.frame.split(2.0 * p.frame.gauge_basis[:, 0]))
+        z = BlockVector(p.split(2.0 * p.gauge_basis[:, 0]))
         with pytest.raises(ValueError, match="reduced"):
             solve(p, x0=z)
 
 
 class TestStartChecks:
-    """``solve`` checks a given start against the frame before running."""
+    """``solve`` checks a given start against the problem before running."""
 
     def test_valid_point(self):
         p = problem_of(np.ones((2, 2)))
@@ -173,7 +178,7 @@ class TestStartChecks:
 
     def test_gauge_component_not_reduced(self):
         p = problem_of(np.eye(2))
-        z = BlockVector(p.frame.split(p.frame.gauge_basis[:, 0]))
+        z = BlockVector(p.split(p.gauge_basis[:, 0]))
         with pytest.raises(ValueError, match="reduced"):
             solve(p, x0=z)
 
@@ -211,16 +216,15 @@ class TestNormalize:
 
     def test_residuals_are_the_stop_value(self):
         # normalize refuses no point; at an unconverged one its residuals
-        # are the relative mismatch the working problem reports there
+        # are the relative mismatch the problem reports there
         p = problem_of([[1.0, 2.0], [3.0, 4.0]])
         x = BlockVector.zeros((2, 2))
         _, factor, residuals = normalize(p, x)
         assert factor == pytest.approx(5.0)
         np.testing.assert_allclose(residuals, [0.4, 0.2], rtol=1e-14)
-        wp = ScalingBlockProblem(p)
-        wp.evaluate(x)
-        assert wp.stop_value(x, None) == pytest.approx(max(residuals),
-                                                       rel=1e-14)
+        p.evaluate(x)
+        assert p.stop_value(x, None) == pytest.approx(max(residuals),
+                                                      rel=1e-14)
 
     def test_doubly_stochastic_sums(self):
         sol = solve(problem_of([[1.0, 2.0], [3.0, 4.0]]), tol=1e-12)
@@ -289,24 +293,16 @@ class TestProportionality:
 class TestWorkingProblems:
     def test_projected_update_projects(self):
         p = problem_of(np.diag([2.0, 3.0, 5.0]))
-        wp = ScalingBlockProblem(p)
-        x = BlockVector.zeros(wp.block_dims)
-        v = wp.partial_minimizer(x, 0)
-        x2 = wp.apply_update(x, 0, v)
-        assert p.frame.reduced_residual(x2) <= 1e-12
+        x = BlockVector.zeros(p.block_dims)
+        v = p.partial_minimizer(x, 0)
+        x2 = p.apply_update(x, 0, v)
+        assert reduced_residual(p, x2) <= 1e-12
 
 
 def random_orthogonal(rng, k):
     """Seeded random orthogonal k x k matrix, reflections included."""
     q, _ = np.linalg.qr(rng.standard_normal((k, k)))
     return q
-
-
-def rotated_frame(frame, rng):
-    """The same subspaces as ``frame``, its gauge basis turned by a random
-    orthogonal change of coordinates."""
-    G = frame.gauge_basis
-    return SubspaceFrame(frame.targets, G @ random_orthogonal(rng, G.shape[1]))
 
 
 def gauge_instance(rng):
@@ -319,10 +315,10 @@ def gauge_instance(rng):
 
 
 class TestOrientationInvariance:
-    """Nothing a solve reports depends on how the frame's bases are turned."""
+    """Nothing a solve reports depends on how the gauge basis is turned."""
 
     @pytest.mark.parametrize("case", ["positive", "gauge"])
-    def test_solve_ignores_basis_orientation(self, case):
+    def test_solve_ignores_basis_orientation(self, case, monkeypatch):
         rng = np.random.default_rng(1400)
         if case == "positive":
             dims = (4, 5, 3)
@@ -331,9 +327,13 @@ class TestOrientationInvariance:
         else:
             tensor, targets = gauge_instance(rng)
         plain = ScalingProblem(tensor, targets)
-        turned = ScalingProblem(tensor, targets,
-                                frame=rotated_frame(plain.frame, rng))
-        assert (plain.frame.gauge_dim > 0) == (case == "gauge")
+        # the same gauge, its basis turned by a random orthogonal change of
+        # coordinates
+        G = plain.gauge_basis @ random_orthogonal(rng, plain.gauge_dim)
+        monkeypatch.setattr(objective, "build_frame", lambda *args: G)
+        turned = ScalingProblem(tensor, targets)
+        assert turned.gauge_basis is G
+        assert (plain.gauge_dim > 0) == (case == "gauge")
         a, b = solve(plain, tol=1e-11), solve(turned, tol=1e-11)
         assert a.status == b.status == blockmin.CONVERGED
         assert a.trace.n_steps == b.trace.n_steps > 0
@@ -376,7 +376,7 @@ def steep_kernel_problem():
 
 
 class TestOneRescalePerStep:
-    """A solve rescales the tensor once per rebase of the working problem's
+    """A solve rescales the tensor once per rebase of the problem's
     factored state and once in normalize, with or without a gauge."""
 
     @pytest.mark.parametrize("case", ["matrix", "gauge"])
@@ -395,7 +395,7 @@ class TestOneRescalePerStep:
         assert sol.method == ("greedy-projected" if case == "gauge"
                               else "greedy-standard")
         assert sol.trace.n_steps > 10
-        rebases = sol.working_problem.rebases
+        rebases = problem.rebases
         assert rebases == 1
         assert len(calls) <= rebases + 2
 
@@ -406,9 +406,8 @@ class TestObjectiveDecrease:
     @pytest.mark.parametrize("case", ["matrix", "cube", "gauge"])
     def test_matches_entrywise_reference(self, case):
         problem = seeded_case(case, np.random.default_rng(1600))
-        wp = ScalingBlockProblem(problem)
-        x0 = random_reduced_point(problem.frame, np.random.default_rng(1601))
-        _, trace, _ = blockmin.run(wp, x0, 1e-10, 400, record_iterates=True)
+        x0 = random_reduced_point(problem, np.random.default_rng(1601))
+        _, trace, _ = blockmin.run(problem, x0, 1e-10, 400, record_iterates=True)
         assert trace.n_steps > 10
         eps = np.finfo(float).eps
         for k in range(trace.n_steps):
@@ -429,8 +428,8 @@ class TestObjectiveDecrease:
         kernel = np.exp(-cost / cost.max() / 0.005)
         problem = ScalingProblem(DenseTensor(kernel), SliceTargets.uniform((n, n)))
         tol = 1e-10
-        _, trace, _ = blockmin.run(ScalingBlockProblem(problem),
-                                   BlockVector.zeros((n, n)), tol, 10000)
+        _, trace, _ = blockmin.run(problem, BlockVector.zeros((n, n)), tol,
+                                   10000)
         assert trace.n_steps > 100
         for k in range(trace.n_steps):
             if trace.full_grad_norms[k] > tol:
@@ -438,7 +437,7 @@ class TestObjectiveDecrease:
 
 
 class TestRescaleMemo:
-    """Reusing a working problem gives exactly what a fresh one gives."""
+    """Reusing a problem gives exactly what a fresh one gives."""
 
     @staticmethod
     def run_from(wp, x0):
@@ -451,32 +450,55 @@ class TestRescaleMemo:
     def test_reused_problem_matches_fresh(self, case):
         problem = seeded_case(case, np.random.default_rng(1800))
         rng = np.random.default_rng(1801)
-        starts = [random_reduced_point(problem.frame, rng) for _ in range(2)]
-        reused = ScalingBlockProblem(problem)
+        starts = [random_reduced_point(problem, rng) for _ in range(2)]
         for x0 in starts:
-            assert self.run_from(reused, x0) == self.run_from(
-                ScalingBlockProblem(problem), x0)
+            assert self.run_from(problem, x0) == self.run_from(
+                fresh_copy(problem), x0)
+
+    @staticmethod
+    def solve_record(problem, x0):
+        """Everything one solve reports, and the rebases it made."""
+        before = problem.rebases
+        sol = solve(problem, x0=x0, tol=1e-10)
+        trace = sol.trace
+        return (sol.status, sol.method, trace.chosen_blocks, trace.objectives,
+                trace.full_grad_norms, trace.stop_values,
+                trace.post_step_block_norms, trace.objective_decreases,
+                [v.concat().tolist() for v in trace.iterates],
+                sol.scaled.array.tobytes(), problem.rebases - before)
+
+    @pytest.mark.parametrize("case", ["matrix", "gauge"])
+    def test_repeated_solves_match_fresh(self, case):
+        problem = seeded_case(case, np.random.default_rng(2600))
+        assert (problem.gauge_dim > 0) == (case == "gauge")
+        x0 = random_reduced_point(problem, np.random.default_rng(2601))
+        for start in (None, x0, None):
+            assert self.solve_record(problem, start) == self.solve_record(
+                fresh_copy(problem), start)
+        # a start at the end point of a solve, where the state sits
+        end = solve(problem, tol=1e-10).x_star
+        assert self.solve_record(problem, end) == self.solve_record(
+            fresh_copy(problem), end)
 
     @pytest.mark.parametrize("case", ["matrix", "gauge"])
     def test_calls_off_the_cached_point(self, case):
         problem = seeded_case(case, np.random.default_rng(1900))
         rng = np.random.default_rng(1901)
-        cached, other = (random_reduced_point(problem.frame, rng)
+        cached, other = (random_reduced_point(problem, rng)
                          for _ in range(2))
         twin = BlockVector(cached.blocks)
         assert twin is not cached
-        wp = ScalingBlockProblem(problem)
+        wp = problem
         wp.evaluate(cached)
         for j in range(problem.d):
             for x in (other, twin, cached):
-                fresh = ScalingBlockProblem(problem)
+                fresh = fresh_copy(problem)
                 np.testing.assert_array_equal(wp.partial_minimizer(x, j),
                                               fresh.partial_minimizer(x, j))
             new_block = wp.partial_minimizer(other, j)
             wp.evaluate(cached)
             assert wp.objective_decrease(other, j, new_block) == \
-                ScalingBlockProblem(problem).objective_decrease(
-                    other, j, new_block)
+                fresh_copy(problem).objective_decrease(other, j, new_block)
 
 
 class TestFactoredState:
@@ -485,8 +507,7 @@ class TestFactoredState:
 
     @staticmethod
     def assert_parity(problem, x0, tol=1e-10):
-        wp = ScalingBlockProblem(problem)
-        _, trace, status = blockmin.run(wp, x0, tol, 10000, None)
+        _, trace, status = blockmin.run(problem, x0, tol, 10000, None)
         _, ref, ref_status = per_step_rescale_reference(problem, x0, tol, 10000)
         assert status == ref_status == blockmin.CONVERGED
         assert trace.n_steps == ref.n_steps > 10
@@ -504,22 +525,21 @@ class TestFactoredState:
         for k, drop in enumerate(trace.objective_decreases):
             if trace.full_grad_norms[k] > tol:
                 assert drop > 0.0, k
-        return wp
 
     @pytest.mark.parametrize("case", ["matrix", "cube", "gauge"])
     def test_matches_per_step_rescale(self, case):
         problem = seeded_case(case, np.random.default_rng(2000))
-        x0 = random_reduced_point(problem.frame, np.random.default_rng(2001))
-        wp = self.assert_parity(problem, x0)
-        assert wp.rebases == 1
+        x0 = random_reduced_point(problem, np.random.default_rng(2001))
+        self.assert_parity(problem, x0)
+        assert problem.rebases == 1
 
     def test_steep_kernel_across_rebases(self):
         problem = steep_kernel_problem()
         # a far start, so the exponents travel well past the rebase distance
-        x0 = random_reduced_point(problem.frame, np.random.default_rng(2200),
+        x0 = random_reduced_point(problem, np.random.default_rng(2200),
                                   radius=20.0)
-        wp = self.assert_parity(problem, x0)
-        assert wp.rebases >= 2
+        self.assert_parity(problem, x0)
+        assert problem.rebases >= 2
 
     def test_overflow_at_the_same_step(self):
         # No scaling gives this support unit row and column sums (rows 1 and
@@ -527,7 +547,7 @@ class TestFactoredState:
         # the support passes EXP_LIMIT.
         problem = problem_of([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0],
                               [1.0, 0.0, 0.0]])
-        assert problem.frame.gauge_dim == 0
+        assert problem.gauge_dim == 0
 
         def steps_to_overflow(wp):
             steps = []
@@ -544,9 +564,8 @@ class TestFactoredState:
 
         ref = steps_to_overflow(PerStepRescaleProblem(problem))
         assert len(ref) >= 1
-        wp = ScalingBlockProblem(problem)
-        assert steps_to_overflow(wp) == ref
-        assert wp.rebases < len(ref)
+        assert steps_to_overflow(problem) == ref
+        assert problem.rebases < len(ref)
 
 
 class TestSinkhornObservation:
@@ -599,7 +618,7 @@ class TestBlockOwnership:
 
     def test_caller_arrays_are_copied(self):
         problem = seeded_case("matrix", np.random.default_rng(2401))
-        wp = ScalingBlockProblem(problem)
+        wp = problem
         x = BlockVector.zeros(problem.tensor.dims)
         fresh = wp.partial_minimizer(x, 0)
         source = fresh.copy()
@@ -617,9 +636,8 @@ class TestStepAllocations:
         # has built the kernel, no step may allocate an m x m' array.
         dims = (300, 300)
         rng = np.random.default_rng(2500)
-        problem = ScalingProblem(random_positive_tensor(rng, dims),
-                                 random_compatible_targets(rng, dims))
-        wp = ScalingBlockProblem(problem)
+        wp = ScalingProblem(random_positive_tensor(rng, dims),
+                            random_compatible_targets(rng, dims))
         x0 = BlockVector.zeros(dims)
         wp.evaluate(x0)
         tracemalloc.start()
