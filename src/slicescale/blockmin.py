@@ -178,7 +178,7 @@ class BlockProblem(abc.ABC):
     ``apply_update(x, j, ·)`` on the same object ``x``, and then
     ``evaluate(x_new)`` on the object ``apply_update`` returned. A problem may
     keep work from one call for the next: the scaling problem keeps the slice
-    sums at ``x`` and advances them to ``x_new`` from the moved blocks, and
+    sums at ``x`` and advances them to ``x_new`` from the moved block, and
     the quadratic keeps its gradient and block factors. Results must not
     depend on that order: a call at any other point recomputes from scratch.
     """
@@ -208,8 +208,17 @@ class BlockProblem(abc.ABC):
     def partial_minimizer(self, x, j):
         """The block-j vector minimizing the objective with other blocks fixed."""
 
+    # The block update partial_minimizer last returned, when it is a fresh
+    # array that nothing else writes to; apply_update adopts it.
+    _fresh = None
+
     def apply_update(self, x, j, new_block):
-        """Produce the next iterate from a block-j update (default: replace block j)."""
+        """Produce the next iterate from a block-j update (default: replace
+        block j). The array stored in ``_fresh`` becomes block j itself, as
+        read-only; any other array is copied."""
+        if new_block is self._fresh:
+            self._fresh = None
+            return x._adopting(j, new_block)
         return x.with_block(j, new_block)
 
     def stop_value(self, x, grad_norm):
@@ -264,8 +273,6 @@ class QuadraticBlockProblem(BlockProblem):
         # inverses of the diagonal blocks, each formed once from QR on first
         # use (numerics.factor_linear)
         self._inverses = [None] * len(dims)
-        # the last block update partial_minimizer returned, a fresh array
-        self._fresh = None
         # (x, x as one vector, gradient) of the last evaluate
         self._last = None
 
@@ -302,13 +309,6 @@ class QuadraticBlockProblem(BlockProblem):
             # ndarray.dot: the BLAS call of @, without the ufunc dispatch
             self._fresh = self._inverses[j].dot(rhs)
         return self._fresh
-
-    def apply_update(self, x, j, new_block):
-        # the update partial_minimizer made is adopted without a copy
-        if new_block is self._fresh:
-            self._fresh = None
-            return x._adopting(j, new_block)
-        return x.with_block(j, new_block)
 
     def objective_decrease(self, x, j, new_block):
         # f(x) - f(new) = -(g_j^T delta + 0.5 delta^T A_jj delta) for the move

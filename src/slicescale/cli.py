@@ -68,8 +68,8 @@ def load_tensor_file(path):
     """Read a tensor JSON file; returns (DenseTensor, targets list or None)."""
     with open(path) as fh:
         data = json.load(fh)
-    if "dims" not in data or "values" not in data:
-        raise ValueError("tensor file needs 'dims' and 'values'")
+    if not isinstance(data, dict) or "dims" not in data or "values" not in data:
+        raise ValueError("tensor file needs an object with 'dims' and 'values'")
     tensor = DenseTensor.from_flat(data["dims"], data["values"])
     targets = data.get("targets")
     return tensor, targets

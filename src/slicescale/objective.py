@@ -8,7 +8,7 @@ target vector are exactly the scalings whose slice sums are proportional to
 the targets. When the tensor has zeros, some directions inside that space
 leave every supported entry unchanged (gauge directions); the objective is
 strictly convex only on their orthogonal complement, the reduced space where
-the solver keeps its iterates. A tensor without zeros has no gauge, and its
+a solve returns its iterates. A tensor without zeros has no gauge, and its
 gauge basis is built without any factorization.
 
 :class:`ScalingProblem` is the whole instance: the tensor, its targets, the
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .blockmin import BlockProblem, BlockVector, _extreme
+from .blockmin import BlockProblem, _extreme
 from .tensor import EXP_LIMIT, CofactorPlan, scale, support_exponent
 
 __all__ = [
@@ -165,14 +165,27 @@ class ScalingProblem(BlockProblem):
     product of K and the factors inside the range of that rescale.
     ``rebases`` counts the rescales.
 
-    When g > 0 the iterates stay in the reduced space: apply_update removes
-    G (G^T x) from the updated point, which moves every block. Write G_j for
-    the rows of G in block j and S_j = I_g - G_j^T G_j. S_j is positive
-    definite: a gauge vector v zero off block j sums to v_j[i_j] on a
-    supported entry, so v_j vanishes at every index of mode j that lies on a
-    supported entry, which is every index since no slice is zero. The
-    block-j gradient of the reduced problem, taken along the image of block
-    j's hyperplane under that projection, has the squared norm
+    Every step, with or without a gauge, replaces block j and nothing else:
+    apply_update adopts the update as block j, and the state advances by
+    block j's plan. The loop needs no projection onto the reduced space,
+    because the block updates commute with gauge shifts. A gauge vector
+    v = G a changes no exponent sum on the support, so the slice sums, the
+    mass and everything read from them are the same at x + v as at x. The
+    update of block j is its block plus log s_j - log sigma_j, shifted along
+    the ones vector to be orthogonal to s_j, and v_j is orthogonal to s_j
+    already, so U_j(x + v) = U_j(x) + v_j. By induction the loop from a start
+    in the reduced space visits points x_k whose projections P x_k are the
+    iterates of the loop that projects after every step. Both loops choose
+    the same blocks and see the same objectives, block-gradient norms, stop
+    values and drops; only x_k carries a gauge component, which
+    ``scaler.solve`` removes once, from the result.
+
+    Write G_j for the rows of G in block j and S_j = I_g - G_j^T G_j. S_j is
+    positive definite: a gauge vector v zero off block j sums to v_j[i_j] on
+    a supported entry, so v_j vanishes at every index of mode j that lies on
+    a supported entry, which is every index since no slice is zero. The
+    block-j gradient of the reduced problem at P x, taken along the image of
+    block j's hyperplane under P, has the squared norm
     ||y||^2 + (G_j^T y)^T S_j^-1 (G_j^T y), with y the in-plane gradient
     sigma_j - (sigma_j.s_j / s_j.s_j) s_j. evaluate returns that norm as
     sqrt(y.y + z.z) with z = L_j^-1 G_j^T y (L_j L_j^T = S_j); with g = 0 it
@@ -200,16 +213,14 @@ class ScalingProblem(BlockProblem):
         self._sigmas = self.split(self._sigma_all)
         self._gap = np.empty(sum(dims))
         modes = range(len(dims))
-        # the cofactors a step on block j alone leaves stale (w_j does not
-        # depend on u_j), and those of any other move
-        self._plans = [
-            ((j,), CofactorPlan(len(dims), [k for k in modes if k != j]))
-            for j in modes]
-        self._full_plan = (modes, CofactorPlan(len(dims), modes))
+        # the cofactors a step on block j leaves stale (w_j does not depend
+        # on u_j), and all of them for a rebase
+        self._plans = [CofactorPlan(len(dims), [k for k in modes if k != j])
+                       for j in modes]
+        self._full_plan = CofactorPlan(len(dims), modes)
         self.hessian_null_dim = len(dims) + self.gauge_dim
         self._rebases = 0
         self._restart()
-        self._fresh = None
         self._gradient_maps = [None] * len(dims)
         if self.gauge_dim:
             gauge_blocks = self.split(self.gauge_basis)
@@ -290,24 +301,21 @@ class ScalingProblem(BlockProblem):
         self._distances = [0.0] * len(self._dims)
         self._factors = [np.ones(m) for m in self._dims]
         self._cofactors = [None] * len(self._dims)
-        self._full_plan[1](kernel, self._factors, self._cofactors)
+        self._full_plan(kernel, self._factors, self._cofactors)
         self._settle(x)
 
     def _advance(self, x):
-        moved, plan = self._move
-        base, factors = self._base.blocks, self._factors
-        distances = self._distances
-        for k in moved:
-            delta = x.blocks[k] - base[k]
-            distances[k] = _extreme(np.absolute(delta))
-            factors[k] = np.exp(delta)
-        distance = sum(distances)
+        j = self._moved
+        delta = x.blocks[j] - self._base.blocks[j]
+        self._distances[j] = _extreme(np.absolute(delta))
+        self._factors[j] = np.exp(delta)
+        distance = sum(self._distances)
         # the margin covers rounding in the bound on the exponents at x
         if (distance > REBASE_DISTANCE or self._base_exponent + distance
                 > EXP_LIMIT * (1.0 - 1e-12)):
             self._rebase(x)
             return
-        plan(self._kernel, factors, self._cofactors)
+        self._plans[j](self._kernel, self._factors, self._cofactors)
         self._settle(x)
 
     def _settle(self, x):
@@ -346,27 +354,15 @@ class ScalingProblem(BlockProblem):
         return self._fresh
 
     def apply_update(self, x, j, new_block):
-        if new_block is self._fresh:
-            self._fresh = None
-            x_new = x._adopting(j, new_block)
-        else:
-            x_new = x.with_block(j, new_block)
-        move = self._plans[j]
-        if self.gauge_dim:
-            G, vec = self.gauge_basis, x_new.concat()
-            vec -= G.dot(G.T.dot(vec))
-            x_new = BlockVector._adopt(self.split(vec))
-            move = self._full_plan
+        x_new = super().apply_update(x, j, new_block)
         if x is self._point:
-            self._successor, self._move = x_new, move
+            self._successor, self._moved = x_new, j
         return x_new
 
     def objective_decrease(self, x, j, new_block):
         # f(new) - f(x) = sum_e B_e(x) * expm1(delta[i_j]) over the support,
         # for the move delta of block j alone, and B(x) summed over the other
         # modes is its mode-j slice sums, m_j terms from the state.
-        # apply_update then moves only along the gauge, where the objective
-        # is constant, so this is also the drop to the iterate it returns.
         # Each stored block lies in its target hyperplane only up to
         # rounding of order eps * |x|, and a drift along the target s_j
         # rescales the mass by about that much whatever the step. The drift

@@ -1,12 +1,12 @@
 """End-to-end slice-sum scaling on the greedy block engine.
 
 :func:`solve` is the one entry point, and it runs the engine on the
-caller's :class:`~slicescale.objective.ScalingProblem` itself. Tensors
-without gauge directions (positive tensors among them) are solved on the
-product of per-mode target hyperplanes; for patterned tensors with gauge
-directions the same closed-form block update is followed by removing the
-iterate's gauge component, a correction of rank g (the gauge dimension), so
-iterates stay in the reduced working space.
+caller's :class:`~slicescale.objective.ScalingProblem` itself. Every step
+is the closed-form update of one block, with or without gauge directions.
+On a tensor with zeros the loop's iterates then drift along the gauge, where
+nothing the loop reads changes (see ScalingProblem), and :func:`solve`
+removes that component once, from the final point and every recorded
+iterate, so what it returns lies in the reduced working space.
 A run has converged when ``tol`` bounds the relative slice-sum mismatch
 max_k ||sigma_k S / F - s_k||_inf / ||s_k||_inf (slice sums sigma_k, mass F,
 targets s_k of total S), which is what :func:`normalize` leaves (it divides
@@ -107,12 +107,14 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     run on that object itself.
 
     Without gauge directions (always the case for strictly positive tensors)
-    the engine runs on the product of target hyperplanes
-    (``"greedy-standard"``). Otherwise it runs on the reduced working space
-    (``"greedy-projected"``), and the start must lie in that space. ``x0``
-    may be None (the zero start, valid on both paths) or an ambient block
-    vector with each block orthogonal to its target. ``tol`` bounds the
-    relative slice-sum mismatch.
+    the working space is the product of target hyperplanes
+    (``"greedy-standard"``). Otherwise it is the reduced working space
+    (``"greedy-projected"``): the start must lie in it, and the gauge
+    component the steps pick up is removed from ``x_star`` and from
+    ``trace.iterates`` after the loop. The divergence guard reads the loop's
+    iterates before that removal. ``x0`` may be None (the zero start, valid
+    on both) or an ambient block vector with each block orthogonal to its
+    target. ``tol`` bounds the relative slice-sum mismatch.
     """
     method = "greedy-projected" if problem.gauge_dim else "greedy-standard"
     if x0 is None:
@@ -125,10 +127,22 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     problem._restart()
     x, trace, status = blockmin.run(problem, x0, tol, max_iters,
                                     divergence_guard, record_iterates)
+    if problem.gauge_dim:
+        x = _without_gauge(problem, x)
+        if record_iterates:
+            trace.iterates = [_without_gauge(problem, v)
+                              for v in trace.iterates[:-1]] + [x]
     scaled = factor = residuals = None
     if status == blockmin.CONVERGED:
         scaled, factor, residuals = normalize(problem, x)
     return ScalingSolution(x, scaled, factor, trace, status, residuals, method)
+
+
+def _without_gauge(problem, x):
+    """``x`` less its gauge component G (G^T x), as a new BlockVector."""
+    G, vec = problem.gauge_basis, x.concat()
+    vec -= G.dot(G.T.dot(vec))
+    return BlockVector._adopt(problem.split(vec))
 
 
 def _check_start(problem, x0, tol=1e-10):

@@ -23,6 +23,14 @@ class ScalingOverflowError(ArithmeticError):
     """A scaling exponent is too large in magnitude to evaluate safely."""
 
 
+def _floats(value, what):
+    """``value`` as a new float array; ValueError when it is not numeric."""
+    try:
+        return np.array(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be numbers") from None
+
+
 class DenseTensor:
     """Nonnegative dense array with at least two modes, each of size >= 2.
 
@@ -63,12 +71,15 @@ class DenseTensor:
 
     @classmethod
     def from_flat(cls, dims, values):
-        """Build from a flat value list in row-major order (last index fastest)."""
-        dims = tuple(int(m) for m in dims)
-        values = np.asarray(values, dtype=float)
-        if values.size != int(np.prod(dims)):
+        """Build from a flat value list in row-major order (last index
+        fastest). Each dim must be an integral number; 2.0 counts as 2."""
+        sizes = _floats(dims, "dims")
+        if sizes.ndim != 1 or not all(m.is_integer() for m in sizes.tolist()):
+            raise ValueError(f"dims must be a list of integers, not {dims!r}")
+        values = _floats(values, "values")
+        if values.size != int(np.prod(sizes)):
             raise ValueError("value count does not match dims")
-        return cls(values.reshape(dims))
+        return cls._adopt(values.reshape(sizes.astype(int)))
 
     @property
     def dims(self):
@@ -122,15 +133,16 @@ class SliceTargets:
     __slots__ = ("vectors", "total")
 
     def __init__(self, vectors):
-        vs = []
-        for v in vectors:
-            v = np.array(v, dtype=float)
+        try:
+            vs = [_floats(v, "target entries") for v in vectors]
+        except TypeError:
+            raise ValueError("targets must be a list of vectors") from None
+        for v in vs:
             if v.ndim != 1 or v.size < 2:
                 raise ValueError("each target vector needs length >= 2")
             if not np.all(np.isfinite(v)) or np.any(v <= 0):
                 raise ValueError("target entries must be positive and finite")
             v.setflags(write=False)
-            vs.append(v)
         if len(vs) < 2:
             raise ValueError("at least 2 target vectors are required")
         self.total = check_compatibility(vs)

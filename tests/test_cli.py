@@ -110,6 +110,20 @@ class TestScaleCommand:
     def test_missing_file_exit_one(self, tmp_path):
         assert cli.main(["scale", str(tmp_path / "nope.json")]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("document", [
+        {"dims": 3, "values": [1.0, 2.0, 3.0, 4.0],
+         "targets": [[1.0, 1.0], [1.0, 1.0]]},
+        {"dims": [2, 2], "values": [1.0, 2.0, 3.0, 4.0], "targets": 5},
+        7,
+        {"dims": [2.5, 2], "values": [1.0, 2.0, 3.0, 4.0],
+         "targets": [[1.0, 1.0], [1.0, 1.0]]},
+    ], ids=["scalar-dims", "scalar-targets", "bare-number", "fractional-dims"])
+    def test_malformed_file_exit_one(self, document, tmp_path, capsys):
+        path = str(tmp_path / "malformed.json")
+        write_json(path, document)
+        assert cli.main(["scale", path]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_targets_exit_one(self, tmp_path):
         path = str(tmp_path / "no_targets.json")
         write_json(path, {"dims": [2, 2], "values": [1.0, 1.0, 1.0, 1.0]})

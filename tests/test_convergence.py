@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import relative_mismatch
+from helpers import reduced_residual, relative_mismatch
 from slicescale import blockmin, cli
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import solve
@@ -92,6 +92,21 @@ class TestFaults:
         assert sol.status == blockmin.DIVERGING
         assert sol.trace.n_steps == 1753
         assert min(sol.trace.stop_values) >= 0.2 - 1e-12
+
+    def test_approximately_scalable_gauge_input_runs_out(self):
+        # [[1, 1], [0, 1]] (+) [[1, 2], [3, 4]]: the first block's mismatch
+        # falls like 1/k, so the run spends its whole budget, all of it with
+        # the gauge drift of its steps left in the loop
+        array = np.zeros((4, 4))
+        array[:2, :2] = [[1.0, 1.0], [0.0, 1.0]]
+        array[2:, 2:] = [[1.0, 2.0], [3.0, 4.0]]
+        problem = problem_of(array)
+        assert problem.gauge_dim > 0
+        sol = solve(problem)
+        assert sol.status == blockmin.MAX_ITERS_REACHED
+        assert sol.trace.n_steps == 10000
+        assert sol.scaled is None
+        assert reduced_residual(problem, sol.x_star) <= 1e-12
 
     def test_forced_cli_run_exits_numerical(self, tmp_path):
         array, targets = unscalable_blocks()

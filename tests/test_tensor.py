@@ -22,6 +22,12 @@ class TestDenseTensor:
         t = DenseTensor.from_flat((2, 3), [1, 2, 3, 4, 5, 6])
         np.testing.assert_array_equal(t.array, [[1, 2, 3], [4, 5, 6]])
 
+    def test_from_flat_refuses_fractional_dims(self):
+        # a dim of 2.5 is not read as 2; an integral 2.0 is a dim of 2
+        with pytest.raises(ValueError, match="integers"):
+            DenseTensor.from_flat([2.5, 2], [1, 2, 3, 4])
+        assert DenseTensor.from_flat([2.0, 2], [1, 2, 3, 4]).dims == (2, 2)
+
     def test_from_flat_length_mismatch(self):
         with pytest.raises(ValueError, match="value count"):
             DenseTensor.from_flat((2, 2), [1, 2, 3])
