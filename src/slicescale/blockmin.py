@@ -2,10 +2,11 @@
 
 The engine repeatedly replaces the block whose gradient norm is largest by
 that block's exact partial minimizer. Problems supply the objective with the
-per-block gradient norms (one ``evaluate`` call) and the partial minimizer;
-the engine owns block selection, stopping, the divergence guard, and the
-iterate trace. A run converges once the problem's ``stop_value`` (the
-full-gradient norm unless overridden) is at most ``tol``.
+per-block gradient norms (one ``evaluate`` call) and the step (one ``step``
+call, which returns the next iterate and the objective drop); the engine
+owns block selection, stopping, the divergence guard, and the iterate
+trace. A run converges once the problem's ``stop_value`` (the full-gradient
+norm unless overridden) is at most ``tol``.
 
 Immediately after a step on block j the partial-minimization contract makes
 that block's gradient vanish, so the engine carries an exact zero for it in
@@ -169,18 +170,18 @@ class BlockProblem(abc.ABC):
     """Contract for problems driven by the greedy engine.
 
     Subclasses must be strictly convex on their working space and must
-    implement the partial minimizer exactly: after replacing block j by its
-    output, the block-j gradient norm must not exceed ``partial_min_tol``.
-    ``tol`` in :func:`run` bounds ``stop_value``: the gradient norm by default.
+    make each step an exact partial minimization: after ``step(x, j)`` the
+    block-j gradient norm must not exceed ``partial_min_tol``. ``tol`` in
+    :func:`run` bounds ``stop_value``: the gradient norm by default.
 
-    :func:`run` calls ``evaluate(x)`` before ``stop_value(x, ·)``,
-    ``partial_minimizer(x, j)``, ``objective_decrease(x, j, ·)`` and
-    ``apply_update(x, j, ·)`` on the same object ``x``, and then
-    ``evaluate(x_new)`` on the object ``apply_update`` returned. A problem may
-    keep work from one call for the next: the scaling problem keeps the slice
-    sums at ``x`` and advances them to ``x_new`` from the moved block, and
-    the quadratic keeps its gradient and block factors. Results must not
-    depend on that order: a call at any other point recomputes from scratch.
+    :func:`run` calls ``evaluate(x)`` and then ``stop_value(x, ·)`` once at
+    each point it visits, and ``step(x, j)`` once per step, at the point it
+    has just evaluated; the next point is the iterate ``step`` returned. A
+    problem may keep work from one call for the next: the scaling problem
+    keeps the slice sums at ``x`` and advances them in ``step`` from the
+    moved block, and the quadratic keeps its gradient and block factors.
+    Results must not depend on that order: a call at any other point
+    recomputes from scratch.
     """
 
     # Accuracy the partial minimizer is held to.
@@ -205,39 +206,22 @@ class BlockProblem(abc.ABC):
         block gradients, as floats (the engine writes to that list)."""
 
     @abc.abstractmethod
-    def partial_minimizer(self, x, j):
-        """The block-j vector minimizing the objective with other blocks fixed."""
+    def step(self, x, j):
+        """The next iterate, ``x`` with block j replaced by its partial
+        minimizer (the other blocks the same arrays), and the objective drop
+        from ``x`` to it, or None to have the difference of the objectives
+        recorded instead.
 
-    # The block update partial_minimizer last returned, when it is a fresh
-    # array that nothing else writes to; apply_update adopts it.
-    _fresh = None
-
-    def apply_update(self, x, j, new_block):
-        """Produce the next iterate from a block-j update (default: replace
-        block j). The array stored in ``_fresh`` becomes block j itself, as
-        read-only; any other array is copied."""
-        if new_block is self._fresh:
-            self._fresh = None
-            return x._adopting(j, new_block)
-        return x.with_block(j, new_block)
+        The divergence guard of :func:`run` re-reads block j alone. Near
+        convergence the drop falls below the resolution of the objective
+        itself, so problems that can compute it without cancellation (from
+        the exact difference of the old and new block) should return it.
+        """
 
     def stop_value(self, x, grad_norm):
         """What :func:`run` compares with ``tol`` at ``x``; by default the
         full-gradient norm ``grad_norm`` there."""
         return grad_norm
-
-    def objective_decrease(self, x, j, new_block):
-        """Objective drop from ``x`` to ``x`` with block j replaced by
-        ``new_block``, or None.
-
-        The engine records it in the trace as the drop of the step, which
-        holds because ``apply_update`` may move the updated point only along
-        directions where the objective is constant. Near convergence the drop
-        falls below the resolution of the objective itself, so problems that
-        can evaluate it in a cancellation-free way (from the exact difference
-        of the old and new block) should override this.
-        """
-        return None
 
     def hessian(self, x):
         """Hessian at ``x`` as a symmetric matrix whose spectrum is the
@@ -267,9 +251,6 @@ class QuadraticBlockProblem(BlockProblem):
         for m in dims:
             self._slices.append(slice(pos, pos + m))
             pos += m
-        # views of the block rows A[s_j, :] and diagonal blocks A[s_j, s_j]
-        self._rows = [A[s, :] for s in self._slices]
-        self._diagonal = [A[s, s] for s in self._slices]
         # inverses of the diagonal blocks, each formed once from QR on first
         # use (numerics.factor_linear)
         self._inverses = [None] * len(dims)
@@ -296,29 +277,19 @@ class QuadraticBlockProblem(BlockProblem):
         obj = 0.5 * float(v.dot(g + self.linear))
         return obj, [math.sqrt(float(g[s].dot(g[s]))) for s in self._slices]
 
-    def partial_minimizer(self, x, j):
+    def step(self, x, j):
+        # The minimizer over block j is v_j - A_jj^-1 g_j, with g the
+        # gradient at x. For that move delta = -A_jj^-1 g_j the drop
+        # -(g_j^T delta + 0.5 delta^T A_jj delta) is -0.5 g_j^T delta, which
+        # stays accurate far below the resolution of the objective values.
         s = self._slices[j]
-        v = self._at(x)[0]
-        rhs = (-self.linear[s] - self._rows[j].dot(v)
-               + self._diagonal[j].dot(v[s]))
-        if self._dims[j] == 1:
-            self._fresh = rhs / self._diagonal[j].ravel()
-        else:
-            if self._inverses[j] is None:
-                self._inverses[j] = numerics.factor_linear(self._diagonal[j])
-            # ndarray.dot: the BLAS call of @, without the ufunc dispatch
-            self._fresh = self._inverses[j].dot(rhs)
-        return self._fresh
-
-    def objective_decrease(self, x, j, new_block):
-        # f(x) - f(new) = -(g_j^T delta + 0.5 delta^T A_jj delta) for the move
-        # delta of block j alone; the difference of the blocks is exact, so
-        # this stays accurate far below the resolution of the objective
-        # values themselves.
-        g = self._at(x)[1][self._slices[j]]
-        delta = np.asarray(new_block, dtype=float) - x.blocks[j]
-        return float(-g.dot(delta)
-                     - (0.5 * delta).dot(self._diagonal[j]).dot(delta))
+        g = self._at(x)[1][s]
+        if self._inverses[j] is None:
+            self._inverses[j] = numerics.factor_linear(self.matrix[s, s])
+        # ndarray.dot: the BLAS call of @, without the ufunc dispatch
+        newton = self._inverses[j].dot(g)
+        return (x._adopting(j, x.blocks[j] - newton),
+                0.5 * float(g.dot(newton)))
 
     def hessian(self, x):
         return self.matrix
@@ -460,8 +431,8 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     if not guard > 0:
         raise ValueError("divergence guard must be positive")
     x = x0
-    # per-block sup norms for the guard, if there is one; a step recomputes
-    # only the blocks whose array changed
+    # per-block sup norms for the guard, if there is one; a step on block j
+    # recomputes only sups[j]
     sups = [_sup_norm(b) for b in x.blocks] if guard < math.inf else None
     obj, norms = problem.evaluate(x)
     _check_finite(obj, norms, x, 0)
@@ -489,13 +460,9 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
             break
         # the norms are finite, so the first largest is the first argmax
         j = norms.index(max(norms))
-        new_block = np.asarray(problem.partial_minimizer(x, j), dtype=float)
-        decrease = problem.objective_decrease(x, j, new_block)
-        x_old, x = x, problem.apply_update(x, j, new_block)
+        x, decrease = problem.step(x, j)
         if sups is not None:
-            for i, block in enumerate(x.blocks):
-                if block is not x_old.blocks[i]:
-                    sups[i] = _sup_norm(block)
+            sups[j] = _sup_norm(x.blocks[j])
         prev_obj = obj
         obj, norms = problem.evaluate(x)
         _check_finite(obj, norms, x, k + 1)

@@ -27,7 +27,7 @@ from .blockmin import (BlockVector, ConvergenceBound, NumericalOverflowError,
 from .bridge import BridgeProblem, solve_bridge
 from .feasibility import InfeasibleScalingError, check_scalable
 from .objective import ScalingProblem
-from .tensor import DenseTensor, ScalingOverflowError, SliceTargets
+from .tensor import DenseTensor, ScalingOverflowError, SliceTargets, _floats
 
 logger = logging.getLogger("slicescale")
 
@@ -220,13 +220,16 @@ def cmd_feasible(args):
 def load_bridge_file(path, stochastic):
     with open(path) as fh:
         data = json.load(fh)
-    A = np.asarray(data["matrix"], dtype=float)
-    a = np.asarray(data["source"], dtype=float)
-    b = np.asarray(data["target"], dtype=float)
+    if not isinstance(data, dict):
+        raise ValueError("bridge file needs an object with 'matrix', "
+                         "'source' and 'target'")
+    A, a, b = (_floats(data[key], key)
+               for key in ("matrix", "source", "target"))
     if stochastic or "column_sums" not in data:
-        c = np.ones(A.shape[1])
+        # (n,) for an m x n matrix; BridgeProblem refuses any other shape
+        c = np.ones(A.shape[1:2])
     else:
-        c = np.asarray(data["column_sums"], dtype=float)
+        c = _floats(data["column_sums"], "column_sums")
     return BridgeProblem(A, a, b, c)
 
 

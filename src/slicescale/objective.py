@@ -146,39 +146,40 @@ class ScalingProblem(BlockProblem):
     matrix-vector product), and for d >= 3 contractions of the smaller array
     it leaves (a ``tensor.CofactorPlan`` per block, made once). It writes the
     products u_k * w_k in place into one preallocated buffer of all N slice
-    sums and stores their mass. evaluate, stop_value and objective_decrease
-    read that buffer, and stop_value works in a second one. The target
-    constants of the closed-form update and the gradient (log s_j, the sum
-    and the square norm of s_j, 1 / ||s_j||_inf) are computed once. The block
-    update is a fresh array, and apply_update adopts it into the next
-    iterate without a copy, as read-only.
+    sums and stores their mass. evaluate, stop_value and step read that
+    buffer, and stop_value works in a second one. The target constants of
+    the closed-form update and the gradient (log s_j, the sum and the square
+    norm of s_j, 1 / ||s_j||_inf) are computed once. The block update is a
+    fresh array, and step adopts it into the next iterate without a copy, as
+    read-only.
 
-    evaluate, partial_minimizer and objective_decrease read the state when
-    called at its point. A call at the output of the last apply_update from
-    that point advances the state; a call at any other point rebases there,
-    and so does the first call of each solve, so a reused object gives
-    exactly what a fresh one gives. An advance rebases instead once
-    sum_k ||x_k - xb_k||_inf passes REBASE_DISTANCE, or once that distance
-    plus the largest support exponent at xb could pass EXP_LIMIT. The second
-    rule makes the rebase's rescale raise ScalingOverflowError at exactly the
-    iterate where rescaling every step would, and keeps every partial
-    product of K and the factors inside the range of that rescale.
+    evaluate, stop_value and step read the state when called at its point;
+    a call at any other point rebases there, and so does the first call of
+    each solve, so a reused object gives exactly what a fresh one gives. One
+    step call makes the whole step: the closed-form update of block j, the
+    objective drop from the state's slice sums, and the advance of the state
+    to the new iterate, which becomes its point. An advance rebases instead
+    once sum_k ||x_k - xb_k||_inf passes REBASE_DISTANCE, or once that
+    distance plus the largest support exponent at xb could pass EXP_LIMIT.
+    The second rule makes the rebase's rescale raise ScalingOverflowError at
+    exactly the iterate where rescaling every step would, and keeps every
+    partial product of K and the factors inside the range of that rescale.
     ``rebases`` counts the rescales.
 
-    Every step, with or without a gauge, replaces block j and nothing else:
-    apply_update adopts the update as block j, and the state advances by
-    block j's plan. The loop needs no projection onto the reduced space,
-    because the block updates commute with gauge shifts. A gauge vector
-    v = G a changes no exponent sum on the support, so the slice sums, the
-    mass and everything read from them are the same at x + v as at x. The
-    update of block j is its block plus log s_j - log sigma_j, shifted along
-    the ones vector to be orthogonal to s_j, and v_j is orthogonal to s_j
-    already, so U_j(x + v) = U_j(x) + v_j. By induction the loop from a start
-    in the reduced space visits points x_k whose projections P x_k are the
-    iterates of the loop that projects after every step. Both loops choose
-    the same blocks and see the same objectives, block-gradient norms, stop
-    values and drops; only x_k carries a gauge component, which
-    ``scaler.solve`` removes once, from the result.
+    Every step, with or without a gauge, replaces block j and nothing else,
+    and the state advances by block j's plan. The loop needs no projection
+    onto the reduced space, because the block updates commute with gauge
+    shifts. A gauge vector v = G a changes no exponent sum on the support,
+    so the slice sums, the mass and everything read from them are the same
+    at x + v as at x. The update of block j is its block plus
+    log s_j - log sigma_j, shifted along the ones vector to be orthogonal to
+    s_j, and v_j is orthogonal to s_j already, so U_j(x + v) = U_j(x) + v_j.
+    By induction the loop from a start in the reduced space visits points
+    x_k whose projections P x_k are the iterates of the loop that projects
+    after every step. Both loops choose the same blocks and see the same
+    objectives, block-gradient norms, stop values and drops; only x_k
+    carries a gauge component, which ``scaler.solve`` removes once, from the
+    result.
 
     Write G_j for the rows of G in block j and S_j = I_g - G_j^T G_j. S_j is
     positive definite: a gauge vector v zero off block j sums to v_j[i_j] on
@@ -281,19 +282,16 @@ class ScalingProblem(BlockProblem):
 
     def _restart(self):
         """Forget the state's point, so that the next call rebases."""
-        self._point = self._successor = self._positive = None
+        self._point = None
 
     def _slice_sums(self, x):
         """The slice sums of every mode at ``x``."""
         if x is not self._point:
-            if x is self._successor:
-                self._advance(x)
-            else:
-                self._rebase(x)
+            self._rebase(x)
         return self._sigmas
 
     def _rebase(self, x):
-        self._point = self._successor = self._kernel = None
+        self._point = self._kernel = None
         self._rebases += 1
         kernel = self.scaled(x).array
         self._kernel, self._base = kernel, x
@@ -304,8 +302,9 @@ class ScalingProblem(BlockProblem):
         self._full_plan(kernel, self._factors, self._cofactors)
         self._settle(x)
 
-    def _advance(self, x):
-        j = self._moved
+    def _advance(self, x, j):
+        """Move the state to ``x``, which differs from its point in block j
+        alone."""
         delta = x.blocks[j] - self._base.blocks[j]
         self._distances[j] = _extreme(np.absolute(delta))
         self._factors[j] = np.exp(delta)
@@ -322,7 +321,7 @@ class ScalingProblem(BlockProblem):
         for u, w, sigma in zip(self._factors, self._cofactors, self._sigmas):
             np.multiply(u, w, sigma)
         self._mass = float(_sum(self._sigmas[0]))
-        self._point, self._successor, self._positive = x, None, None
+        self._point = x
 
     def evaluate(self, x):
         norms = []
@@ -345,21 +344,11 @@ class ScalingProblem(BlockProblem):
         np.multiply(gap, self._peak_scales, gap)
         return _extreme(gap)
 
-    def partial_minimizer(self, x, j):
-        sigma = self._slice_sums(x)[j]
-        s, log_s, s_sum, _ = self._targets[j]
-        self._fresh = _block_update(x.blocks[j], sigma, s, log_s, s_sum)
-        # the update has checked that sigma_j > 0 at this point
-        self._positive = j
-        return self._fresh
-
-    def apply_update(self, x, j, new_block):
-        x_new = super().apply_update(x, j, new_block)
-        if x is self._point:
-            self._successor, self._moved = x_new, j
-        return x_new
-
-    def objective_decrease(self, x, j, new_block):
+    def step(self, x, j):
+        marginal = self._slice_sums(x)[j]
+        s, log_s, s_sum, ss = self._targets[j]
+        # raises unless every slice sum of the mode is positive
+        new_block = _block_update(x.blocks[j], marginal, s, log_s, s_sum)
         # f(new) - f(x) = sum_e B_e(x) * expm1(delta[i_j]) over the support,
         # for the move delta of block j alone, and B(x) summed over the other
         # modes is its mode-j slice sums, m_j terms from the state.
@@ -371,16 +360,12 @@ class ScalingProblem(BlockProblem):
         # the exponent change then carries errors proportional to the step
         # itself, and the expm1 form keeps the drop's sign reliable far below
         # the resolution of the objective values.
-        marginal = self._slice_sums(x)[j]
-        s, _, _, ss = self._targets[j]
-        move = _in_plane(new_block - x.blocks[j], s, ss)
-        if self._positive != j:
-            # no update has checked the slice sums: drop the empty slices
-            positive = marginal > 0
-            marginal, move = marginal[positive], move[positive]
-        terms = np.expm1(move)
+        terms = np.expm1(_in_plane(new_block - x.blocks[j], s, ss))
         terms *= marginal
-        return -math.fsum(terms.tolist())
+        drop = -math.fsum(terms.tolist())
+        x_new = x._adopting(j, new_block)
+        self._advance(x_new, j)
+        return x_new, drop
 
     def hessian(self, x):
         """P H P, with H the ambient Hessian and P the projector onto the

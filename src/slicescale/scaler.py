@@ -128,21 +128,29 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     x, trace, status = blockmin.run(problem, x0, tol, max_iters,
                                     divergence_guard, record_iterates)
     if problem.gauge_dim:
-        x = _without_gauge(problem, x)
+        # x on its own: a one-row product is a matrix-vector product, so x
+        # and the normalized tensor do not depend on how many iterates the
+        # stacked product below holds
+        x, = _without_gauge(problem, [x])
         if record_iterates:
-            trace.iterates = [_without_gauge(problem, v)
-                              for v in trace.iterates[:-1]] + [x]
+            trace.iterates = _without_gauge(problem, trace.iterates[:-1]) + [x]
     scaled = factor = residuals = None
     if status == blockmin.CONVERGED:
         scaled, factor, residuals = normalize(problem, x)
     return ScalingSolution(x, scaled, factor, trace, status, residuals, method)
 
 
-def _without_gauge(problem, x):
-    """``x`` less its gauge component G (G^T x), as a new BlockVector."""
-    G, vec = problem.gauge_basis, x.concat()
-    vec -= G.dot(G.T.dot(vec))
-    return BlockVector._adopt(problem.split(vec))
+def _without_gauge(problem, points):
+    """The block vectors ``points`` less their gauge components, as new
+    BlockVectors: one stacked product V - (V G) G^T over the rows V of the
+    concatenated points."""
+    G, k = problem.gauge_basis, len(points)
+    V = np.hstack([np.reshape([x.blocks[j] for x in points], (k, m))
+                   for j, m in enumerate(problem.block_dims)])
+    V -= V.dot(G).dot(G.T)
+    # the k x m_j column blocks of V, whose rows are the new blocks
+    modes = [b.T for b in problem.split(V.T)]
+    return [BlockVector._adopt(row) for row in zip(*modes)]
 
 
 def _check_start(problem, x0, tol=1e-10):

@@ -308,6 +308,8 @@ class PerStepRescaleProblem(BlockProblem):
     Patterned tensors with gauge directions take the projected path:
     gradients along the projected mode bases, updates projected onto the
     reduced working space, both built here from the problem's reduced basis.
+    A projected step moves every block, so the engine's divergence guard,
+    which re-reads block j alone, does not hold for it: run it without one.
     """
 
     def __init__(self, problem):
@@ -341,20 +343,14 @@ class PerStepRescaleProblem(BlockProblem):
     def stop_value(self, x, grad_norm):
         return relative_mismatch(self._scaled(x), self.problem.targets)
 
-    def partial_minimizer(self, x, j):
-        return closed_form_block_update(
-            self.problem, x, j, sigma=slice_sums(self._scaled(x), j))
-
-    def apply_update(self, x, j, new_block):
-        updated = x.with_block(j, new_block)
-        if not self.projected:
-            return updated
-        return BlockVector(self.problem.split(
-            self._projector @ updated.concat()))
-
-    def objective_decrease(self, x, j, new_block):
-        return objective_decrease_reference(
-            self.problem, x, x.with_block(j, new_block))[0]
+    def step(self, x, j):
+        updated = x.with_block(j, closed_form_block_update(
+            self.problem, x, j, sigma=slice_sums(self._scaled(x), j)))
+        drop = objective_decrease_reference(self.problem, x, updated)[0]
+        if self.projected:
+            updated = BlockVector(self.problem.split(
+                self._projector @ updated.concat()))
+        return updated, drop
 
 
 def per_step_rescale_reference(problem, x0, tol=1e-10, max_iters=10000,

@@ -37,11 +37,22 @@ def test_problem_without_evaluate_is_abstract():
     class NoEvaluate(blockmin.BlockProblem):
         block_dims = (1, 1)
 
-        def partial_minimizer(self, x, j):
-            return x.blocks[j]
+        def step(self, x, j):
+            return x, None
 
     with pytest.raises(TypeError, match="evaluate"):
         NoEvaluate()
+
+
+def test_problem_without_step_is_abstract():
+    class NoStep(blockmin.BlockProblem):
+        block_dims = (1, 1)
+
+        def evaluate(self, x):
+            return 0.0, [0.0, 0.0]
+
+    with pytest.raises(TypeError, match="step"):
+        NoStep()
 
 
 class Separable(blockmin.BlockProblem):
@@ -60,11 +71,11 @@ class Separable(blockmin.BlockProblem):
         squares = [float(v @ v) for v in g]
         return 0.5 * sum(squares), [math.sqrt(s) for s in squares]
 
-    def partial_minimizer(self, x, j):
-        return np.ones(self.block_dims[j])
+    def step(self, x, j):
+        return x.with_block(j, np.ones(self.block_dims[j])), None
 
 
-def test_evaluate_and_partial_minimizer_suffice():
+def test_evaluate_and_step_suffice():
     x, trace, status = blockmin.run(Separable((1, 1)),
                                     blockmin.BlockVector.zeros((1, 1)), 1e-12, 10)
     assert status == blockmin.CONVERGED

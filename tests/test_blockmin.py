@@ -25,8 +25,8 @@ class FixedGradientProblem(blockmin.BlockProblem):
     def evaluate(self, x):
         return 0.0, list(self._norms)
 
-    def partial_minimizer(self, x, j):
-        return x.blocks[j]
+    def step(self, x, j):
+        return x.with_block(j, x.blocks[j]), None
 
 
 class DriftProblem(blockmin.BlockProblem):
@@ -37,8 +37,8 @@ class DriftProblem(blockmin.BlockProblem):
     def evaluate(self, x):
         return -(x.blocks[0][0] + x.blocks[1][0]), [1.0, 1.0]
 
-    def partial_minimizer(self, x, j):
-        return x.blocks[j] + 100.0
+    def step(self, x, j):
+        return x.with_block(j, x.blocks[j] + 100.0), None
 
 
 class BlowUpProblem(blockmin.BlockProblem):
@@ -50,8 +50,8 @@ class BlowUpProblem(blockmin.BlockProblem):
         v = x.blocks[0][0]
         return math.inf if v > 500 else -v, [1.0, 1.0]
 
-    def partial_minimizer(self, x, j):
-        return x.blocks[j] + 400.0
+    def step(self, x, j):
+        return x.with_block(j, x.blocks[j] + 400.0), None
 
 
 def ones_scaling_problem():
@@ -326,6 +326,67 @@ class TestRunInvariants:
             assert j == int(np.argmax(trace.block_grad_norms[k]))
 
 
+class CountingQuadratic(QuadraticBlockProblem):
+    """Records every call the engine makes; with ``plain_drop`` its steps
+    return None for the drop."""
+
+    def __init__(self, matrix, linear, block_dims, plain_drop=False):
+        super().__init__(matrix, linear, block_dims)
+        self.plain_drop = plain_drop
+        self.calls = []
+
+    def evaluate(self, x):
+        self.calls.append(("evaluate", x))
+        return super().evaluate(x)
+
+    def stop_value(self, x, grad_norm):
+        self.calls.append(("stop_value", x))
+        return super().stop_value(x, grad_norm)
+
+    def step(self, x, j):
+        self.calls.append(("step", x, j))
+        x_new, drop = super().step(x, j)
+        return x_new, None if self.plain_drop else drop
+
+
+class TestEngineContract:
+    """run calls evaluate, then stop_value, once at each visited point, and
+    step once per step at the point it has just evaluated."""
+
+    A = [[4.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 2.0]]
+    b = [1.0, -2.0, 0.5]
+
+    @pytest.mark.parametrize("max_iters, status", [
+        (3, blockmin.MAX_ITERS_REACHED), (500, blockmin.CONVERGED)])
+    def test_one_call_of_each_per_point_and_step(self, max_iters, status):
+        p = CountingQuadratic(self.A, self.b, (1, 2))
+        _, trace, got = run(p, BlockVector([[3.0], [-1.0, 2.0]]), 1e-12,
+                            max_iters, record_iterates=True)
+        assert got == status
+        assert trace.n_steps > 2
+        expected = []
+        for k, x in enumerate(trace.iterates):
+            expected += [("evaluate", x), ("stop_value", x)]
+            if k < trace.n_steps:
+                expected.append(("step", x, trace.chosen_blocks[k]))
+        # BlockVector compares by identity: each call saw the very iterate
+        assert p.calls == expected
+
+    def test_no_drop_records_the_objective_difference(self):
+        runs = []
+        for plain in (False, True):
+            p = CountingQuadratic(self.A, self.b, (1, 2), plain_drop=plain)
+            x0 = BlockVector([[3.0], [-1.0, 2.0]])
+            runs.append(run(p, x0, 1e-12, 500)[1])
+        exact, plain = runs
+        assert plain.chosen_blocks == exact.chosen_blocks
+        assert plain.objectives == exact.objectives
+        objectives = plain.objectives
+        assert plain.objective_decreases == [
+            a - b for a, b in zip(objectives, objectives[1:])]
+        assert len(exact.objective_decreases) == exact.n_steps > 2
+
+
 class TestBounds:
     def test_kappa_one_first_step(self):
         b = ConvergenceBound(d=2, alpha=2.0, beta=2.0, grad0_norm=1.0)
@@ -428,22 +489,15 @@ class TestConvexityCheck:
 
 
 class UncachedQuadratic(QuadraticBlockProblem):
-    """Refactors the diagonal block at every partial minimization and
-    recomputes the gradient for every objective drop."""
+    """Refactors the diagonal block and recomputes the gradient at every
+    step."""
 
-    def partial_minimizer(self, x, j):
+    def step(self, x, j):
         start = sum(self.block_dims[:j])
         s = slice(start, start + self.block_dims[j])
-        v = x.concat()
-        rhs = -self.linear[s] - self.matrix[s, :] @ v + self.matrix[s, s] @ v[s]
-        return numerics.factor_linear(self.matrix[s, s]).dot(rhs)
-
-    def objective_decrease(self, x, j, new_block):
-        start = sum(self.block_dims[:j])
-        s = slice(start, start + self.block_dims[j])
-        delta = new_block - x.blocks[j]
-        g = self.matrix @ x.concat() + self.linear
-        return float(-(g[s] @ delta) - 0.5 * delta @ self.matrix[s, s] @ delta)
+        g = (self.matrix @ x.concat() + self.linear)[s]
+        newton = numerics.factor_linear(self.matrix[s, s]).dot(g)
+        return x.with_block(j, x.blocks[j] - newton), 0.5 * float(g @ newton)
 
 
 class TestQuadraticCaches:
@@ -480,33 +534,34 @@ class TestQuadraticCaches:
         p.evaluate(evaluated)
         for j in (2, 0, 2):
             for x in (other, evaluated):
-                new = p.partial_minimizer(x, j)
-                assert p.objective_decrease(x, j, new) == \
-                    ref.objective_decrease(x, j, new)
-                np.testing.assert_array_equal(new, ref.partial_minimizer(x, j))
+                new, drop = p.step(x, j)
+                ref_new, ref_drop = ref.step(x, j)
+                assert drop == ref_drop
+                np.testing.assert_array_equal(new.concat(), ref_new.concat())
 
     def test_fresh_update_is_adopted_and_caller_arrays_copied(self):
         A, b = self.spd_instance(2303)
         p = QuadraticBlockProblem(A, b, (10, 10, 10))
         x = BlockVector.zeros((10, 10, 10))
         for j in (1, 0):
-            fresh = p.partial_minimizer(x, j)
+            adopted, _ = p.step(x, j)
+            fresh = adopted.blocks[j]
+            assert not fresh.flags.writeable
+            assert not any(np.shares_memory(fresh, a) for a in x.blocks)
+            assert all(a is c for k, (a, c) in
+                       enumerate(zip(x.blocks, adopted.blocks)) if k != j)
             source = fresh.copy()
-            copied = p.apply_update(x, j, source)
+            copied = x.with_block(j, source)
             assert copied.blocks[j] is not source
             source[0] += 1.0
             assert copied.blocks[j][0] == fresh[0]
-            adopted = p.apply_update(x, j, fresh)
-            assert adopted.blocks[j] is fresh and not fresh.flags.writeable
-            assert all(a is c for k, (a, c) in
-                       enumerate(zip(x.blocks, adopted.blocks)) if k != j)
 
     def test_singular_block_refused_at_first_use(self):
         A = np.eye(4)
         A[2:, 2:] = [[1.0, 1.0], [1.0, 1.0]]
         p = QuadraticBlockProblem(A, np.ones(4), (2, 2))
         x = BlockVector.zeros((2, 2))
-        p.partial_minimizer(x, 0)
+        p.step(x, 0)
         for _ in range(2):
             with pytest.raises(ValueError, match="singular"):
-                p.partial_minimizer(x, 1)
+                p.step(x, 1)

@@ -283,6 +283,20 @@ class TestBridgeCommand:
         B = np.array(report["matrix"])
         np.testing.assert_allclose(B.sum(axis=0), 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("document", [
+        7,
+        {"matrix": {"a": 1}, "source": [0.5, 0.5], "target": [0.6, 0.4]},
+        {"matrix": 5.0, "source": [0.5, 0.5], "target": [0.6, 0.4]},
+    ], ids=["bare-number", "object-matrix", "scalar-matrix"])
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_malformed_bridge_file_exit_one(self, document, stochastic,
+                                            tmp_path, capsys):
+        path = str(tmp_path / "bridge.json")
+        write_json(path, document)
+        args = ["bridge", path] + (["--stochastic"] if stochastic else [])
+        assert cli.main(args) == cli.EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_infeasible_bridge_exit_two(self, tmp_path):
         path = str(tmp_path / "bridge.json")
         write_json(path, {"matrix": [[1.0, 1.0], [0.0, 1.0]],

@@ -309,7 +309,7 @@ class TestWorkingProblems:
         x = (BlockVector.zeros(p.block_dims) if start == "zero"
              else random_reduced_point(p, np.random.default_rng(2600)))
         for j in (0, 1, 0):
-            x = p.apply_update(x, j, p.partial_minimizer(x, j))
+            x, _ = p.step(x, j)
             y = BlockVector(p.split(p.project(x.concat())))
             assert reduced_residual(p, x) > 1e-3
             mass, norms = p.evaluate(x)
@@ -512,16 +512,14 @@ class TestRescaleMemo:
         twin = BlockVector(cached.blocks)
         assert twin is not cached
         wp = problem
-        wp.evaluate(cached)
         for j in range(problem.d):
             for x in (other, twin, cached):
-                fresh = fresh_copy(problem)
-                np.testing.assert_array_equal(wp.partial_minimizer(x, j),
-                                              fresh.partial_minimizer(x, j))
-            new_block = wp.partial_minimizer(other, j)
-            wp.evaluate(cached)
-            assert wp.objective_decrease(other, j, new_block) == \
-                fresh_copy(problem).objective_decrease(other, j, new_block)
+                # a step moves the state on, so it is put back at cached
+                wp.evaluate(cached)
+                got, drop = wp.step(x, j)
+                ref, ref_drop = fresh_copy(problem).step(x, j)
+                np.testing.assert_array_equal(got.concat(), ref.concat())
+                assert drop == ref_drop
 
 
 class TestFactoredState:
@@ -574,13 +572,13 @@ class TestFactoredState:
 
         def steps_to_overflow(wp):
             steps = []
-            update = wp.apply_update
+            update = wp.step
 
-            def counted(x, j, new_block):
+            def counted(x, j):
                 steps.append(j)
-                return update(x, j, new_block)
+                return update(x, j)
 
-            wp.apply_update = counted
+            wp.step = counted
             with pytest.raises(ScalingOverflowError):
                 blockmin.run(wp, BlockVector.zeros((3, 3)), 1e-300, 10000, None)
             return steps
@@ -643,14 +641,16 @@ class TestBlockOwnership:
         problem = seeded_case("matrix", np.random.default_rng(2401))
         wp = problem
         x = BlockVector.zeros(problem.tensor.dims)
-        fresh = wp.partial_minimizer(x, 0)
+        adopted, _ = wp.step(x, 0)
+        fresh = adopted.blocks[0]
+        assert not fresh.flags.writeable
+        assert not any(np.shares_memory(fresh, a) for a in x.blocks)
+        assert adopted.blocks[1] is x.blocks[1]
         source = fresh.copy()
-        for y in (wp.apply_update(x, 0, source), x.with_block(0, source)):
-            assert y.blocks[0] is not source
-            source[0] += 1.0
-            assert y.blocks[0][0] == fresh[0]
-        adopted = wp.apply_update(x, 0, fresh)
-        assert adopted.blocks[0] is fresh and not fresh.flags.writeable
+        y = x.with_block(0, source)
+        assert y.blocks[0] is not source
+        source[0] += 1.0
+        assert y.blocks[0][0] == fresh[0]
 
 
 class TestStepAllocations:
