@@ -8,10 +8,9 @@ tensors, and the reduction of discrete Schrodinger-bridge style matrix
 problems to this scaling.
 """
 
-from .blockmin import (BlockProblem, BlockVector, ConvergenceBound,
-                       IterateTrace, NumericalOverflowError,
-                       QuadraticBlockProblem, estimate_alpha_beta, run,
-                       theoretical_bound)
+from .blockmin import (BlockProblem, BlockVector, IterateTrace,
+                       NumericalOverflowError, QuadraticBlockProblem,
+                       estimate_alpha_beta, rate_certificate, run)
 from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)

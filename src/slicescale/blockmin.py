@@ -30,13 +30,12 @@ __all__ = [
     "BlockProblem",
     "QuadraticBlockProblem",
     "IterateTrace",
-    "ConvergenceBound",
     "NumericalOverflowError",
     "CONVERGED",
     "MAX_ITERS_REACHED",
     "DIVERGING",
     "run",
-    "theoretical_bound",
+    "rate_certificate",
     "estimate_alpha_beta",
     "sample_convex_combinations",
 ]
@@ -328,44 +327,27 @@ class IterateTrace:
         return [t - ref for t in self.objectives]
 
 
-@dataclass
-class ConvergenceBound:
-    """Geometric-rate certificate data for a greedy run.
+def rate_certificate(problem, trace, points):
+    """Sampled geometric-rate certificate of a greedy run of ``problem``.
 
-    alpha and beta bound the working-space Hessian eigenvalues over the
-    starting sublevel set; in practice they are sampled estimates.
+    Returns (alpha, beta, kappa, curve). alpha and beta are the Hessian
+    extremes that :func:`estimate_alpha_beta` samples at ``points``, and
+    kappa = beta / alpha. ``curve[k - 1]`` bounds the objective gap after
+    k = 1, ..., ``trace.n_steps`` greedy steps: the leading term
+    ||grad f(x_0)||^2 / (2 alpha) contracted once by (1 - 1/(d kappa)) and
+    then by (1 - 1/((d-1) kappa)) per later step. alpha and beta estimate
+    the extremes over the starting sublevel set and are not proven bounds,
+    so neither is the curve.
     """
-
-    d: int
-    alpha: float
-    beta: float
-    grad0_norm: float
-
-    @property
-    def kappa(self):
-        return self.beta / self.alpha
-
-    @property
-    def first_step_factor(self):
-        return 1.0 - 1.0 / (self.d * self.kappa)
-
-    @property
-    def later_step_factor(self):
-        return 1.0 - 1.0 / ((self.d - 1) * self.kappa)
-
-
-def theoretical_bound(bound, k):
-    """Upper bound on the objective gap after k >= 1 greedy steps.
-
-    The leading term ||grad f(x_0)||^2 / (2 alpha) is contracted once by
-    (1 - 1/(d kappa)) and then by (1 - 1/((d-1) kappa)) per later step.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if bound.d < 2 or bound.alpha <= 0 or bound.kappa < 1:
-        raise ValueError("invalid bound data")
-    lead = bound.grad0_norm ** 2 / (2.0 * bound.alpha)
-    return lead * bound.first_step_factor * bound.later_step_factor ** (k - 1)
+    d = problem.d
+    if d < 2:
+        raise ValueError("the rate bound needs at least 2 blocks")
+    alpha, beta = estimate_alpha_beta(problem, points)
+    kappa = beta / alpha
+    lead = trace.full_grad_norms[0] ** 2 / (2.0 * alpha)
+    first = lead * (1.0 - 1.0 / (d * kappa))
+    later = 1.0 - 1.0 / ((d - 1) * kappa)
+    return alpha, beta, kappa, [first * later ** k for k in range(trace.n_steps)]
 
 
 def estimate_alpha_beta(problem, points):

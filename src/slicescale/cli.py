@@ -5,9 +5,11 @@ Tensor files are JSON objects {"dims": [...], "values": [...], "targets":
 exact zeros marking the support pattern. Matrices may instead be CSV with
 targets passed as flags. Reports are JSON on stdout or --output.
 
-Exit codes: 0 success, 1 usage, I/O or validation error, 2 not scalable
-(witness in the report), 3 numerical failure (overflow, divergence,
-iteration budget).
+Exit codes: 0 success, 1 usage, I/O or validation error or out of memory,
+2 not scalable (witness in the report), 3 numerical failure (overflow,
+divergence, iteration budget). A negative --seed, and a --guard that is not
+positive (NaN included), exit 1 with --tol and --max-iters, before the input
+is read.
 An unscalable input under ``scale --force`` ends diverging or out of budget.
 """
 
@@ -22,8 +24,7 @@ import time
 import numpy as np
 
 from . import blockmin, scaler
-from .blockmin import (BlockVector, ConvergenceBound, NumericalOverflowError,
-                       QuadraticBlockProblem)
+from .blockmin import BlockVector, NumericalOverflowError, QuadraticBlockProblem
 from .bridge import BridgeProblem, solve_bridge
 from .feasibility import InfeasibleScalingError, check_scalable
 from .objective import ScalingProblem
@@ -47,10 +48,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_run_limits(args):
+    """Refuse out-of-range run options before any input is read."""
     if not 0 < args.tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if args.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be a non-negative integer")
+    guard = getattr(args, "guard", None)
+    if guard is not None and not guard > 0:
+        raise ValueError("divergence guard must be positive")
 
 
 def _setup_logging():
@@ -117,21 +124,13 @@ def bound_certificate(problem, trace, seed):
     rng = np.random.default_rng(seed)
     points = list(trace.iterates)
     points += blockmin.sample_convex_combinations(points, 16, rng)
-    alpha, beta = blockmin.estimate_alpha_beta(problem, points)
-    bound = ConvergenceBound(
-        d=problem.d,
-        alpha=alpha,
-        beta=beta,
-        grad0_norm=trace.full_grad_norms[0],
-    )
-    curve = [blockmin.theoretical_bound(bound, k) for k in range(1, trace.n_steps + 1)]
-    gaps = trace.gaps()
+    alpha, beta, kappa, curve = blockmin.rate_certificate(problem, trace, points)
     return {
         "sampled_alpha": alpha,
         "sampled_beta": beta,
-        "sampled_kappa": bound.kappa,
+        "sampled_kappa": kappa,
         "bound_curve": curve,
-        "observed_gaps": gaps[1:],
+        "observed_gaps": trace.gaps()[1:],
     }
 
 
@@ -177,8 +176,7 @@ def cmd_scale(args):
         report["feasibility"] = _witness_payload(feas)
         if not feas.scalable:
             report["status"] = "not_scalable"
-            emit(report, args)
-            return EXIT_INFEASIBLE
+            return report, EXIT_INFEASIBLE
     problem = ScalingProblem(tensor, targets)
     x0 = None
     if args.random_start:
@@ -192,20 +190,18 @@ def cmd_scale(args):
     report["method"] = solution.method
     report["iterations"] = solution.trace.n_steps
     report["trace"] = _trace_payload(solution.trace)
-    if solution.status == blockmin.CONVERGED:
-        report["proportionality"] = solution.proportionality
-        report["residuals"] = solution.residuals
-        report["scaled"] = {
-            "dims": list(solution.scaled.dims),
-            "values": [float(v) for v in solution.scaled.values],
-        }
-        certificate = bound_certificate(problem, solution.trace, args.seed)
-        if certificate is not None:
-            report["certificate"] = certificate
-        emit(report, args)
-        return EXIT_OK
-    emit(report, args)
-    return EXIT_NUMERICAL
+    if solution.status != blockmin.CONVERGED:
+        return report, EXIT_NUMERICAL
+    report["proportionality"] = solution.proportionality
+    report["residuals"] = solution.residuals
+    report["scaled"] = {
+        "dims": list(solution.scaled.dims),
+        "values": [float(v) for v in solution.scaled.values],
+    }
+    certificate = bound_certificate(problem, solution.trace, args.seed)
+    if certificate is not None:
+        report["certificate"] = certificate
+    return report, EXIT_OK
 
 
 def cmd_feasible(args):
@@ -213,8 +209,7 @@ def cmd_feasible(args):
     feas = check_scalable(tensor, targets)
     report = {"command": "feasible"}
     report.update(_witness_payload(feas))
-    emit(report, args)
-    return EXIT_OK if feas.scalable else EXIT_INFEASIBLE
+    return report, EXIT_OK if feas.scalable else EXIT_INFEASIBLE
 
 
 def load_bridge_file(path, stochastic):
@@ -244,18 +239,15 @@ def cmd_bridge(args):
     except InfeasibleScalingError as err:
         report["status"] = "not_scalable"
         report["feasibility"] = _witness_payload(err.report)
-        emit(report, args)
-        return EXIT_INFEASIBLE
+        return report, EXIT_INFEASIBLE
     report["status"] = result.status
     report["iterations"] = result.trace.n_steps
-    if result.matrix is not None:
-        report["matrix"] = [[float(v) for v in row] for row in result.matrix]
-        report["source_residual"] = result.source_residual
-        report["column_residual"] = result.column_residual
-        emit(report, args)
-        return EXIT_OK
-    emit(report, args)
-    return EXIT_NUMERICAL
+    if result.matrix is None:
+        return report, EXIT_NUMERICAL
+    report["matrix"] = [[float(v) for v in row] for row in result.matrix]
+    report["source_residual"] = result.source_residual
+    report["column_residual"] = result.column_residual
+    return report, EXIT_OK
 
 
 def cmd_demo_quadratic(args):
@@ -275,11 +267,7 @@ def cmd_demo_quadratic(args):
     x0 = BlockVector([[v] for v in rng.uniform(-2.0, 2.0, n)])
     x, trace, status = blockmin.run(problem, x0, args.tol, args.max_iters,
                                     divergence_guard=None, record_iterates=True)
-    alpha, beta = blockmin.estimate_alpha_beta(problem, [x0])
-    bound = ConvergenceBound(d=n, alpha=alpha, beta=beta,
-                             grad0_norm=trace.full_grad_norms[0])
-    curve = [blockmin.theoretical_bound(bound, k)
-             for k in range(1, trace.n_steps + 1)]
+    alpha, beta, kappa, curve = blockmin.rate_certificate(problem, trace, [x0])
     report = {
         "command": "demo-quadratic",
         "config": {"dim": n, "seed": args.seed, "diagonal": args.diagonal,
@@ -288,14 +276,13 @@ def cmd_demo_quadratic(args):
         "iterations": trace.n_steps,
         "alpha": alpha,
         "beta": beta,
-        "kappa": bound.kappa,
+        "kappa": kappa,
         "bound_curve": curve,
         "observed_gaps": trace.gaps()[1:],
         "solution": [float(v) for v in x.concat()],
         "trace": _trace_payload(trace),
     }
-    emit(report, args)
-    return EXIT_OK if status == blockmin.CONVERGED else EXIT_NUMERICAL
+    return report, EXIT_OK if status == blockmin.CONVERGED else EXIT_NUMERICAL
 
 
 def build_parser():
@@ -373,11 +360,14 @@ def main(argv=None):
         "demo-quadratic": cmd_demo_quadratic,
     }
     try:
-        return dispatch[args.command](args)
+        report, code = dispatch[args.command](args)
+        emit(report, args)
+        return code
     except (ScalingOverflowError, NumericalOverflowError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

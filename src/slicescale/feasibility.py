@@ -37,6 +37,8 @@ NOT_SCALABLE = "not_scalable"
 PIVOT_TOL = 1e-9
 FEASIBLE_TOL = 1e-7
 MAX_PIVOTS = 50000
+# Tolerance of the re-checks of a certificate and of a witness.
+CHECK_TOL = 1e-9
 # Largest phase-1 tableau check_scalable will allocate; larger inputs are
 # refused with a ValueError instead of exhausting memory.
 MAX_TABLEAU_BYTES = 1 << 30
@@ -71,12 +73,13 @@ class SimplexCycleError(RuntimeError):
     unreachable under Bland's rule)."""
 
 
-def _phase_one(T, tol=PIVOT_TOL, max_pivots=MAX_PIVOTS):
+def _phase_one(T):
     """Phase 1 in place on the tableau [A | I | b] with b >= 0.
 
     The last rows-many columns before the right-hand side are the
     artificials, basic at the start. Entering and leaving variables follow
-    Bland's rule (smallest index), which rules out cycling. Returns
+    Bland's rule (smallest index), which rules out cycling; PIVOT_TOL is the
+    pivot tolerance and MAX_PIVOTS the pivot budget. Returns
     (basis, cost row, pivot count); the cost row holds the reduced costs
     in the z - c convention, and its last entry is the sum of the
     artificials.
@@ -88,19 +91,19 @@ def _phase_one(T, tol=PIVOT_TOL, max_pivots=MAX_PIVOTS):
     cost[width - 1 - m:-1] -= 1.0
     pivots = 0
     while True:
-        entering = int(np.argmax(cost[:-1] > tol))
-        if cost[entering] <= tol:
+        entering = int(np.argmax(cost[:-1] > PIVOT_TOL))
+        if cost[entering] <= PIVOT_TOL:
             break
         column = T[:, entering]
-        candidates = np.flatnonzero(column > tol)
+        candidates = np.flatnonzero(column > PIVOT_TOL)
         if candidates.size == 0:
             # unbounded phase-1 objective cannot happen; treat as failure
             raise SimplexCycleError("phase-1 ratio test failed")
         ratios = T[candidates, -1] / column[candidates]
-        ties = candidates[ratios <= ratios.min() + tol]
+        ties = candidates[ratios <= ratios.min() + PIVOT_TOL]
         leaving = ties[np.argmin(basis[ties])]
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise SimplexCycleError("simplex cycling guard exceeded")
         T[leaving] /= T[leaving, entering]
         pivot_row = T[leaving]
@@ -140,13 +143,13 @@ def _dual_tableau(support, vectors):
     return T
 
 
-def _certificate_holds(support, vectors, w, z, tol=1e-9):
-    """True iff w >= 1 - tol on the support and every mode's slice sums of w
-    plus z_j times ``vectors[j]`` vanish to tol * max(1, max w)."""
-    if w.min() < 1.0 - tol:
+def _certificate_holds(support, vectors, w, z):
+    """True iff w >= 1 - CHECK_TOL on the support and every mode's slice sums
+    of w plus z_j times ``vectors[j]`` vanish to CHECK_TOL * max(1, max w)."""
+    if w.min() < 1.0 - CHECK_TOL:
         return False
     entries = np.nonzero(support)
-    bound = tol * max(1.0, float(w.max()))
+    bound = CHECK_TOL * max(1.0, float(w.max()))
     for j, m in enumerate(support.shape):
         residual = np.bincount(entries[j], weights=w, minlength=m)
         residual += z[j] * vectors[j]
@@ -211,23 +214,24 @@ def check_scalable(tensor, targets):
     return FeasibilityReport(NOT_SCALABLE, witness, stats)
 
 
-def verify_witness(tensor, targets, x, tol=1e-9):
-    """Check the witness conditions to tolerance ``tol``.
+def verify_witness(tensor, targets, x):
+    """Check the witness conditions to tolerance CHECK_TOL.
 
-    True iff every supported entry sum is <= tol, the total over supported
-    entries is <= -1+tol, and every block's inner product with its target
-    t_j is within tol * max|t_j| of zero.
+    True iff every supported entry sum is <= CHECK_TOL, the total over
+    supported entries is <= -1 + CHECK_TOL, and every block's inner product
+    with its target t_j is within CHECK_TOL * max|t_j| of zero.
     """
     blocks = getattr(x, "blocks", x)
     if tuple(len(np.asarray(b)) for b in blocks) != tensor.dims:
         raise ValueError("witness dims do not match tensor dims")
     sums = _exponents(tensor, blocks)[tensor.support]
-    if sums.size == 0 or float(sums.max()) > tol:
+    if sums.size == 0 or float(sums.max()) > CHECK_TOL:
         return False
-    if float(sums.sum()) > -1.0 + tol:
+    if float(sums.sum()) > -1.0 + CHECK_TOL:
         return False
     for j, b in enumerate(blocks):
         t = targets.vectors[j]
-        if abs(float(np.asarray(b, dtype=float) @ t)) > tol * float(np.abs(t).max()):
+        bound = CHECK_TOL * float(np.abs(t).max())
+        if abs(float(np.asarray(b, dtype=float) @ t)) > bound:
             return False
     return True

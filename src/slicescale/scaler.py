@@ -153,12 +153,12 @@ def _without_gauge(problem, points):
     return [BlockVector._adopt(row) for row in zip(*modes)]
 
 
-def _check_start(problem, x0, tol=1e-10):
+def _check_start(problem, x0):
     """Refuse a start of the wrong dims, off a target hyperplane, or outside
-    the reduced space on a gauge instance."""
+    the reduced space on a gauge instance, to 1e-10 relative."""
     if x0.dims != problem.block_dims:
         raise ValueError("block dims do not match problem dims")
-    bound = tol * max(1.0, x0.norm_inf())
+    bound = 1e-10 * max(1.0, x0.norm_inf())
     for j, (block, s) in enumerate(zip(x0.blocks, problem.targets.vectors)):
         if abs(float(block @ s)) > bound * float(np.abs(s).max()):
             raise ValueError(f"block {j} is not orthogonal to its target")

@@ -112,8 +112,9 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims}, total={self.total:.6g})"
 
 
-def check_compatibility(vectors, rtol=1e-10):
-    """Common total of the target vectors; totals must agree to ``rtol``.
+def check_compatibility(vectors):
+    """Common total of the target vectors; totals must agree to 1e-10
+    relative.
 
     Raises ValueError listing the totals if they disagree.
     """
@@ -122,7 +123,7 @@ def check_compatibility(vectors, rtol=1e-10):
         raise ValueError("no target vectors")
     ref = sum(totals) / len(totals)
     spread = max(totals) - min(totals)
-    if spread > rtol * max(abs(ref), np.finfo(float).tiny):
+    if spread > 1e-10 * max(abs(ref), np.finfo(float).tiny):
         raise ValueError(f"incompatible slice-sum totals: {totals}")
     return ref
 

@@ -12,9 +12,8 @@ from helpers import (fd_gradient, fd_hessian, projected_mode_bases,
                      reduced_residual, reference_bases, sinkhorn_reference,
                      slice_sum_gradient)
 from slicescale import blockmin
-from slicescale.blockmin import (BlockVector, ConvergenceBound,
-                                 QuadraticBlockProblem, estimate_alpha_beta,
-                                 sample_convex_combinations, theoretical_bound)
+from slicescale.blockmin import (BlockVector, QuadraticBlockProblem,
+                                 rate_certificate, sample_convex_combinations)
 from slicescale.bridge import BridgeProblem, reduce_to_scaling, solve_bridge
 from slicescale.feasibility import NOT_SCALABLE, SCALABLE, check_scalable, verify_witness
 from slicescale.numerics import symmetric_eigs
@@ -61,13 +60,11 @@ def bound_violations(problem, solution, seed, label):
     rng = np.random.default_rng(seed)
     points = list(trace.iterates)
     points += sample_convex_combinations(points, 16, rng)
-    alpha, beta = estimate_alpha_beta(problem, points)
-    cb = ConvergenceBound(d=problem.d, alpha=alpha, beta=beta,
-                          grad0_norm=trace.full_grad_norms[0])
+    curve = rate_certificate(problem, trace, points)[3]
     gaps = trace.gaps()
     out = []
     for k in range(1, trace.n_steps + 1):
-        limit = theoretical_bound(cb, k) * 1.05
+        limit = curve[k - 1] * 1.05
         if gaps[k] > limit:
             out.append(f"{label} k={k}: gap {gaps[k]:.3e} > bound {limit:.3e}")
     return out
@@ -368,12 +365,11 @@ def test_criterion_11_quadratic_demo(quadratic_runs):
     problem, (x, trace, status) = quadratic_runs[2]
     violations += greedy_bound_violations(trace, 2, "coupled")
     violations += descent_violations(trace, RUN_TOL, "coupled")
-    alpha, beta = estimate_alpha_beta(problem, [BlockVector([[0.0], [0.0]])])
-    cb = ConvergenceBound(d=2, alpha=alpha, beta=beta,
-                          grad0_norm=trace.full_grad_norms[0])
+    assert problem.d == 2
+    curve = rate_certificate(problem, trace, [BlockVector([[0.0], [0.0]])])[3]
     gaps = trace.gaps()
     for k in range(1, trace.n_steps + 1):
-        if gaps[k] > theoretical_bound(cb, k) * 1.05:
+        if gaps[k] > curve[k - 1] * 1.05:
             violations.append(f"coupled k={k}: gap above certificate")
     report(11, "diagonal SPD quadratics converge in at most n steps; the "
                "coupled 2x2 case satisfies the greedy, descent, and rate "

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import alternating_scaling
 from slicescale import blockmin, numerics
-from slicescale.blockmin import (BlockVector, ConvergenceBound,
+from slicescale.blockmin import (BlockVector, IterateTrace,
                                  NumericalOverflowError, QuadraticBlockProblem,
-                                 estimate_alpha_beta, run, theoretical_bound)
+                                 estimate_alpha_beta, rate_certificate, run)
 from slicescale.objective import ScalingProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
@@ -387,34 +387,51 @@ class TestEngineContract:
         assert len(exact.objective_decreases) == exact.n_steps > 2
 
 
+def diagonal_certificate(spectrum, grad0_norm, n_steps):
+    """rate_certificate of the diagonal quadratic with Hessian diag(spectrum),
+    one block per entry, for a run of ``n_steps`` steps that starts at
+    full-gradient norm ``grad0_norm``."""
+    p = QuadraticBlockProblem(np.diag(spectrum), np.zeros(len(spectrum)))
+    trace = IterateTrace(full_grad_norms=[grad0_norm],
+                         chosen_blocks=[0] * n_steps)
+    return rate_certificate(p, trace, [BlockVector.zeros(p.block_dims)])
+
+
 class TestBounds:
+    # eigvalsh returns the entries of these diagonal matrices exactly, so
+    # alpha and beta are the spectrum's extremes
     def test_kappa_one_first_step(self):
-        b = ConvergenceBound(d=2, alpha=2.0, beta=2.0, grad0_norm=1.0)
+        alpha, beta, kappa, curve = diagonal_certificate([2.0, 2.0], 1.0, 2)
+        assert (alpha, beta, kappa) == (2.0, 2.0, 1.0)
         lead = 1.0 / (2 * 2.0)
-        assert theoretical_bound(b, 1) == pytest.approx(lead * 0.5)
-        assert theoretical_bound(b, 2) == 0.0  # one-step convergence predicted
+        assert curve[0] == pytest.approx(lead * 0.5)
+        assert curve[1] == 0.0  # one-step convergence predicted
 
     def test_arithmetic_d2_kappa2(self):
-        b = ConvergenceBound(d=2, alpha=1.0, beta=2.0, grad0_norm=1.0)
-        assert theoretical_bound(b, 3) == pytest.approx(0.5 * 0.75 * 0.25)
+        alpha, beta, kappa, curve = diagonal_certificate([1.0, 2.0], 1.0, 3)
+        assert (alpha, beta, kappa) == (1.0, 2.0, 2.0)
+        assert len(curve) == 3
+        assert curve[2] == pytest.approx(0.5 * 0.75 * 0.25)
 
     @pytest.mark.parametrize("d, beta", [(4, 10.0), (3, 40.0), (2, 300.0)])
     def test_curve_matches_step_by_step_product(self, d, beta):
         # the bound is lead * first * later**(k-1), the product of the
         # per-step contractions taken one at a time
-        b = ConvergenceBound(d=d, alpha=1.0, beta=beta, grad0_norm=2.0)
-        value = theoretical_bound(b, 1)
+        spectrum = [1.0] + [beta] * (d - 1)
+        alpha, got_beta, kappa, curve = diagonal_certificate(spectrum, 2.0, 2000)
+        assert (alpha, got_beta, kappa) == (1.0, beta, beta)
+        assert len(curve) == 2000
+        later = 1.0 - 1.0 / ((d - 1) * kappa)
+        value = curve[0]
         for k in range(2, 2001):
-            value *= b.later_step_factor
-            assert abs(theoretical_bound(b, k) - value) <= 1e-12 * value
+            value *= later
+            assert abs(curve[k - 1] - value) <= 1e-12 * value
 
     def test_invalid_data(self):
-        with pytest.raises(ValueError, match="k must be"):
-            theoretical_bound(ConvergenceBound(2, 1.0, 2.0, 1.0), 0)
-        with pytest.raises(ValueError, match="invalid bound data"):
-            theoretical_bound(ConvergenceBound(2, 2.0, 1.0, 1.0), 1)
-        with pytest.raises(ValueError, match="invalid bound data"):
-            theoretical_bound(ConvergenceBound(2, -1.0, 2.0, 1.0), 1)
+        p = QuadraticBlockProblem(np.eye(2), np.zeros(2), block_dims=(2,))
+        trace = IterateTrace(full_grad_norms=[1.0], chosen_blocks=[0])
+        with pytest.raises(ValueError, match="at least 2 blocks"):
+            rate_certificate(p, trace, [BlockVector.zeros(p.block_dims)])
 
 
 class TestEstimateAlphaBeta:

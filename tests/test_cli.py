@@ -107,6 +107,40 @@ class TestScaleCommand:
         assert rc == cli.EXIT_INVALID
         assert "guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["scale", "TENSOR", "--seed", "-1"], "seed"),
+        (["scale", "TENSOR", "--seed", "-1", "--no-trace-iterates"], "seed"),
+        (["scale", "TENSOR", "--guard", "0"], "guard"),
+        (["scale", "TENSOR", "--guard", "nan"], "guard"),
+        (["scale", "UNSCALABLE", "--guard", "0"], "guard"),
+        (["scale", "UNSCALABLE", "--guard", "nan"], "guard"),
+        (["demo-quadratic", "--seed", "-1"], "seed"),
+    ], ids=["seed", "seed-no-iterates", "guard-zero", "guard-nan",
+            "unscalable-guard-zero", "unscalable-guard-nan", "demo-seed"])
+    def test_invalid_option_refused_before_the_input(
+            self, argv, name, tensor_file, infeasible_file, monkeypatch, capsys):
+        loaded = []
+        load_problem = cli.load_problem
+
+        def recording(args):
+            loaded.append(args.input)
+            return load_problem(args)
+
+        monkeypatch.setattr(cli, "load_problem", recording)
+        files = {"TENSOR": tensor_file, "UNSCALABLE": infeasible_file}
+        rc = cli.main([files.get(a, a) for a in argv])
+        assert rc == cli.EXIT_INVALID
+        assert name in capsys.readouterr().err
+        assert loaded == []
+
+    def test_memory_error_exit_one(self, tensor_file, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+        monkeypatch.setattr(cli, "load_problem", exhausted)
+        assert cli.main(["scale", tensor_file]) == cli.EXIT_INVALID
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
     def test_missing_file_exit_one(self, tmp_path):
         assert cli.main(["scale", str(tmp_path / "nope.json")]) == cli.EXIT_INVALID
 
