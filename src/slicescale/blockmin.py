@@ -28,6 +28,8 @@ from . import numerics
 __all__ = [
     "BlockVector",
     "BlockProblem",
+    "PARTIAL_MIN_TOL",
+    "block_slices",
     "QuadraticBlockProblem",
     "IterateTrace",
     "NumericalOverflowError",
@@ -45,6 +47,10 @@ logger = logging.getLogger("slicescale")
 CONVERGED = "converged"
 MAX_ITERS_REACHED = "max_iters_reached"
 DIVERGING = "diverging"
+
+# Accuracy every partial minimizer is held to: after a step on block j the
+# block-j gradient norm is at most this, relative to max(1, |objective|).
+PARTIAL_MIN_TOL = 1e-12
 
 
 class NumericalOverflowError(ArithmeticError):
@@ -68,6 +74,13 @@ def _extreme(v, arg=np.ndarray.argmax):
     value or tests ``<= 0``, where that sign cannot show.
     """
     return float(v[arg(v)])
+
+
+def block_slices(dims):
+    """The slices that cut a vector into consecutive blocks of lengths
+    ``dims``."""
+    ends = np.cumsum(dims, dtype=int).tolist()
+    return [slice(end - m, end) for m, end in zip(dims, ends)]
 
 
 def _sup_norm(block):
@@ -101,11 +114,7 @@ class BlockVector:
         vec = np.asarray(vec, dtype=float).ravel()
         if vec.size != sum(dims):
             raise ValueError("length does not match block dims")
-        blocks, pos = [], 0
-        for m in dims:
-            blocks.append(vec[pos:pos + m])
-            pos += m
-        return cls(blocks)
+        return cls([vec[block] for block in block_slices(dims)])
 
     @property
     def dims(self):
@@ -170,7 +179,7 @@ class BlockProblem(abc.ABC):
 
     Subclasses must be strictly convex on their working space and must
     make each step an exact partial minimization: after ``step(x, j)`` the
-    block-j gradient norm must not exceed ``partial_min_tol``. ``tol`` in
+    block-j gradient norm must not exceed ``PARTIAL_MIN_TOL``. ``tol`` in
     :func:`run` bounds ``stop_value``: the gradient norm by default.
 
     :func:`run` calls ``evaluate(x)`` and then ``stop_value(x, ·)`` once at
@@ -182,9 +191,6 @@ class BlockProblem(abc.ABC):
     Results must not depend on that order: a call at any other point
     recomputes from scratch.
     """
-
-    # Accuracy the partial minimizer is held to.
-    partial_min_tol = 1e-12
 
     # Eigenvalues of ``hessian(x)`` that are zero by construction (directions
     # outside the working space), skipped by ``estimate_alpha_beta``.
@@ -245,11 +251,7 @@ class QuadraticBlockProblem(BlockProblem):
         if sum(dims) != b.size:
             raise ValueError("block dims must sum to the dimension")
         self._dims = dims
-        self._slices = []
-        pos = 0
-        for m in dims:
-            self._slices.append(slice(pos, pos + m))
-            pos += m
+        self._slices = block_slices(dims)
         # inverses of the diagonal blocks, each formed once from QR on first
         # use (numerics.factor_linear)
         self._inverses = [None] * len(dims)
@@ -419,7 +421,6 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     obj, norms = problem.evaluate(x)
     _check_finite(obj, norms, x, 0)
     trace = IterateTrace(iterates=[] if record_iterates else None)
-    partial_min_tol = problem.partial_min_tol
     debug = logger.isEnabledFor(logging.DEBUG)
     for k in range(max_iters + 1):
         full = math.sqrt(sum(map(operator.mul, norms, norms)))
@@ -453,7 +454,7 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
         trace.objective_decreases.append(
             prev_obj - obj if decrease is None else float(decrease)
         )
-        if norms[j] > partial_min_tol * max(1.0, abs(obj)):
+        if norms[j] > PARTIAL_MIN_TOL * max(1.0, abs(obj)):
             logger.warning(
                 "partial minimizer missed its tolerance on block %d "
                 "(residual %.2e)", j, norms[j]

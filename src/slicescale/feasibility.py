@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmin import BlockVector
+from .blockmin import BlockVector, block_slices
 from .tensor import _exponents
 
 __all__ = [
@@ -132,12 +132,10 @@ def _dual_tableau(support, vectors):
     nnz = entries[0].size
     T = np.zeros((n, nnz + 2 * d + n + 1))
     columns = np.arange(nnz)
-    start = 0
-    for j, m in enumerate(dims):
-        T[start + entries[j], columns] = -1.0
-        T[start:start + m, nnz + j] = -vectors[j]
-        T[start:start + m, nnz + d + j] = vectors[j]
-        start += m
+    for j, block in enumerate(block_slices(dims)):
+        T[block.start + entries[j], columns] = -1.0
+        T[block, nnz + j] = -vectors[j]
+        T[block, nnz + d + j] = vectors[j]
     T[np.arange(n), nnz + 2 * d + np.arange(n)] = 1.0
     T[:, -1] = -T[:, :nnz].sum(axis=1)  # each slice's entry count
     return T

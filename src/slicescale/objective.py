@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from . import numerics
-from .blockmin import BlockProblem, _extreme
-from .tensor import EXP_LIMIT, CofactorPlan, scale, support_exponent
+from .blockmin import BlockProblem, _extreme, block_slices
+from .tensor import EXP_LIMIT, cofactors, scale, support_exponent
 
 __all__ = [
     "ScalingProblem",
@@ -54,9 +54,8 @@ def ambient_second_moments(array):
     """
     dims = array.shape
     d = len(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    blocks = [slice(offsets[j], offsets[j + 1]) for j in range(d)]
-    M = np.zeros((offsets[-1], offsets[-1]))
+    blocks = block_slices(dims)
+    M = np.zeros((sum(dims), sum(dims)))
     for j in range(d):
         sums = array.sum(axis=tuple(a for a in range(d) if a != j))
         M[blocks[j], blocks[j]] = np.diag(sums)
@@ -95,11 +94,9 @@ def build_frame(tensor, targets):
     if tensor.support.all():
         return np.zeros((sum(tensor.dims), 0))
     gram = ambient_second_moments(tensor.support.astype(float))
-    start = 0
-    for s in targets.vectors:
+    for block, s in zip(block_slices(tensor.dims), targets.vectors):
         unit = s / np.linalg.norm(s)
-        gram[start:start + s.size, start:start + s.size] += np.outer(unit, unit)
-        start += s.size
+        gram[block, block] += np.outer(unit, unit)
     return numerics.null_space(gram)
 
 
@@ -144,7 +141,7 @@ class ScalingProblem(BlockProblem):
     m_j (the new u_j) and the stale w_k, k != j: one contraction of K along
     mode j, which for a matrix is the other mode's w itself (one
     matrix-vector product), and for d >= 3 contractions of the smaller array
-    it leaves (a ``tensor.CofactorPlan`` per block, made once). It writes the
+    it leaves (``tensor.cofactors`` with ``skip=j``). It writes the
     products u_k * w_k in place into one preallocated buffer of all N slice
     sums and stores their mass. evaluate, stop_value and step read that
     buffer, and stop_value works in a second one. The target constants of
@@ -167,7 +164,7 @@ class ScalingProblem(BlockProblem):
     ``rebases`` counts the rescales.
 
     Every step, with or without a gauge, replaces block j and nothing else,
-    and the state advances by block j's plan. The loop needs no projection
+    and the state advances from block j alone. The loop needs no projection
     onto the reduced space, because the block updates commute with gauge
     shifts. A gauge vector v = G a changes no exponent sum on the support,
     so the slice sums, the mass and everything read from them are the same
@@ -200,8 +197,7 @@ class ScalingProblem(BlockProblem):
         self.gauge_basis = build_frame(tensor, targets)
         self.tensor, self.targets = tensor, targets
         self._dims = dims = tensor.dims
-        offsets = np.cumsum((0,) + dims)
-        self._blocks = [slice(a, b) for a, b in zip(offsets, offsets[1:])]
+        self._blocks = block_slices(dims)
         vectors = targets.vectors
         # per mode: s_k, log s_k, sum s_k, s_k . s_k
         self._targets = [(s, np.log(s), float(_sum(s)), float(s @ s))
@@ -213,12 +209,6 @@ class ScalingProblem(BlockProblem):
         self._sigma_all = np.empty(sum(dims))
         self._sigmas = self.split(self._sigma_all)
         self._gap = np.empty(sum(dims))
-        modes = range(len(dims))
-        # the cofactors a step on block j leaves stale (w_j does not depend
-        # on u_j), and all of them for a rebase
-        self._plans = [CofactorPlan(len(dims), [k for k in modes if k != j])
-                       for j in modes]
-        self._full_plan = CofactorPlan(len(dims), modes)
         self.hessian_null_dim = len(dims) + self.gauge_dim
         self._rebases = 0
         self._restart()
@@ -299,7 +289,7 @@ class ScalingProblem(BlockProblem):
         self._distances = [0.0] * len(self._dims)
         self._factors = [np.ones(m) for m in self._dims]
         self._cofactors = [None] * len(self._dims)
-        self._full_plan(kernel, self._factors, self._cofactors)
+        cofactors(kernel, self._factors, self._cofactors)
         self._settle(x)
 
     def _advance(self, x, j):
@@ -314,7 +304,8 @@ class ScalingProblem(BlockProblem):
                 > EXP_LIMIT * (1.0 - 1e-12)):
             self._rebase(x)
             return
-        self._plans[j](self._kernel, self._factors, self._cofactors)
+        # w_j does not depend on u_j, so only the other cofactors are stale
+        cofactors(self._kernel, self._factors, self._cofactors, skip=j)
         self._settle(x)
 
     def _settle(self, x):

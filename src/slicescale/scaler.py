@@ -112,9 +112,11 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     (``"greedy-projected"``): the start must lie in it, and the gauge
     component the steps pick up is removed from ``x_star`` and from
     ``trace.iterates`` after the loop. The divergence guard reads the loop's
-    iterates before that removal. ``x0`` may be None (the zero start, valid
-    on both) or an ambient block vector with each block orthogonal to its
-    target. ``tol`` bounds the relative slice-sum mismatch.
+    iterates before that removal. ``divergence_guard`` must be positive;
+    None (the default) applies min(1e3, 560 / d), and ``math.inf`` turns the
+    guard off. ``x0`` may be None (the zero start, valid on both) or an
+    ambient block vector with each block orthogonal to its target. ``tol``
+    bounds the relative slice-sum mismatch.
     """
     method = "greedy-projected" if problem.gauge_dim else "greedy-standard"
     if x0 is None:
@@ -144,13 +146,11 @@ def _without_gauge(problem, points):
     """The block vectors ``points`` less their gauge components, as new
     BlockVectors: one stacked product V - (V G) G^T over the rows V of the
     concatenated points."""
-    G, k = problem.gauge_basis, len(points)
-    V = np.hstack([np.reshape([x.blocks[j] for x in points], (k, m))
-                   for j, m in enumerate(problem.block_dims)])
+    G = problem.gauge_basis
+    # a reshape, so that no points still give a 0 x N array
+    V = np.reshape([x.concat() for x in points], (len(points), G.shape[0]))
     V -= V.dot(G).dot(G.T)
-    # the k x m_j column blocks of V, whose rows are the new blocks
-    modes = [b.T for b in problem.split(V.T)]
-    return [BlockVector._adopt(row) for row in zip(*modes)]
+    return [BlockVector._adopt(problem.split(row)) for row in V]
 
 
 def _check_start(problem, x0):

@@ -7,7 +7,7 @@ __all__ = [
     "SliceTargets",
     "ScalingOverflowError",
     "slice_sums",
-    "CofactorPlan",
+    "cofactors",
     "support_exponent",
     "scale",
     "check_compatibility",
@@ -191,63 +191,44 @@ def _contract(array, u, axis):
     return np.tensordot(array, u, axes=([axis], [0]))
 
 
-class CofactorPlan:
-    """The contractions that give the cofactor sums of a set of modes.
+def cofactors(array, factors, out, skip=None):
+    """Write the cofactor sums w_k to ``out[k]`` for every mode k but
+    ``skip``; returns ``out`` and leaves ``out[skip]`` untouched.
 
-    For a plain d-mode array K and one factor vector u_l per mode, the
-    cofactor sums of mode k are w_k, the mode-k slice sums of K with every
-    other mode l weighted by u_l. The mode-k slice sums of
-    K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the rescaled tensor is
-    never formed. For a matrix w_0 = K u_1 and w_1 = K^T u_0.
+    For a plain d-mode array K and one factor vector u_l per mode, w_k is
+    the mode-k slice sums of K with every other mode l weighted by u_l. The
+    mode-k slice sums of K * (u_1 ⊗ ... ⊗ u_d) are then u_k * w_k, and the
+    rescaled tensor is never formed. For a matrix w_0 = K u_1 and
+    w_1 = K^T u_0.
 
-    A plan for ``modes`` of a ``ndim``-mode array is a list of contractions,
-    ``steps``, each of an earlier result along one axis by the factor of the
-    mode that axis carries, as (source, axis, mode): result 0 is the array
-    and step i makes result i + 1. ``outputs`` pairs each mode asked for
-    with the result that is its w_k. Modes not asked for are contracted first, so leaving out one
-    mode saves a pass over the array; asking for every mode costs two passes
-    plus passes over smaller arrays. Asking for every mode but one costs one
-    contraction of the array and, for a matrix, nothing more. The plan
-    depends on ``ndim`` and ``modes`` only, so a caller that evaluates the
-    same set of modes many times makes it once.
+    With ``skip=j`` (after a step on block j, since w_j does not depend on
+    u_j) axis j is contracted first, so K is passed over once, and for a
+    matrix that one contraction is the whole work. Every mode (``skip``
+    None) costs two passes over K plus passes over smaller arrays.
     """
+    modes = list(range(array.ndim))
+    if skip is not None:
+        array = _contract(array, factors[skip], skip)
+        del modes[skip]
+    _every_cofactor(array, modes, factors, out)
+    return out
 
-    __slots__ = ("steps", "outputs")
 
-    def __init__(self, ndim, modes):
-        self.steps, self.outputs = [], []
-        self._add(0, list(range(ndim)), set(modes))
-
-    def _add(self, source, labels, wanted):
-        # ``labels`` maps the axes of result ``source`` to the modes they
-        # carry; ``wanted`` holds axes of that result
-        ndim = len(labels)
-        spare = [c for c in range(ndim) if c not in wanted]
-        c = spare[-1] if spare else ndim - 1
-        if wanted - {c}:
-            rest = [k for k in range(ndim) if k != c]
-            self.steps.append((source, c, labels[c]))
-            if ndim == 2:
-                self.outputs.append((labels[rest[0]], len(self.steps)))
-            else:
-                self._add(len(self.steps), [labels[k] for k in rest],
-                          {rest.index(k) for k in wanted if k != c})
-        if c in wanted:
-            # no spare mode: mode c itself needs a pass that keeps it
-            self.steps.append((source, 0, labels[0]))
-            if ndim == 2:
-                self.outputs.append((labels[c], len(self.steps)))
-            else:
-                self._add(len(self.steps), labels[1:], {c - 1})
-
-    def __call__(self, array, factors, out):
-        """Write w_k to ``out[k]`` for each planned mode k; returns ``out``."""
-        results = [array]
-        for source, axis, mode in self.steps:
-            results.append(_contract(results[source], factors[mode], axis))
-        for mode, index in self.outputs:
-            out[mode] = results[index]
-        return out
+def _every_cofactor(array, modes, factors, out):
+    # the axes of ``array`` carry ``modes``: the modes before the last come
+    # from the array with the last axis contracted, and the last from
+    # contracting axis 0 and then every other axis before the last, from
+    # the back
+    if len(modes) == 1:
+        out[modes[0]] = array
+        return
+    *head, last = modes
+    _every_cofactor(_contract(array, factors[last], len(head)), head,
+                    factors, out)
+    rest = _contract(array, factors[head[0]], 0)
+    for mode in reversed(head[1:]):
+        rest = _contract(rest, factors[mode], rest.ndim - 2)
+    out[last] = rest
 
 
 def _exponents(t, x):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from slicescale import blockmin
-from slicescale.blockmin import BlockProblem, BlockVector
+from slicescale.blockmin import BlockProblem, BlockVector, block_slices
 from slicescale.numerics import RANK_RTOL, _fix_signs, null_space
 from slicescale.objective import ambient_second_moments
 from slicescale.scaler import closed_form_block_update
@@ -224,11 +224,6 @@ def orthonormalize(vectors):
     return _fix_signs(U[:, s > tol])
 
 
-def _block_slices(dims):
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    return [slice(offsets[j], offsets[j + 1]) for j in range(len(dims))]
-
-
 def reference_bases(problem):
     """Explicit orthonormal bases of a scaling problem's subspaces, built from
     ``scipy.linalg.null_space`` (an SVD):
@@ -245,7 +240,7 @@ def reference_bases(problem):
                   for s in problem.targets.vectors]
     working = np.zeros((sum(dims), sum(dims) - len(dims)))
     col = 0
-    for block, basis in zip(_block_slices(dims), mode_bases):
+    for block, basis in zip(block_slices(dims), mode_bases):
         working[block, col:col + basis.shape[1]] = basis
         col += basis.shape[1]
     reduced = working
@@ -294,7 +289,7 @@ def projected_mode_bases(problem):
     bases = reference_bases(problem)
     reduced = bases.reduced_basis
     return [orthonormalize((reduced @ (reduced[block].T @ q)).T)
-            for block, q in zip(_block_slices(problem.block_dims),
+            for block, q in zip(block_slices(problem.block_dims),
                                 bases.mode_bases)]
 
 

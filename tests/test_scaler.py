@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,21 @@ class TestSolvePositive:
         assert sol.method == "greedy-standard"
         assert sol.status == blockmin.DIVERGING
         assert sol.trace.n_steps == 0
+
+    def test_guard_none_is_the_default_and_inf_turns_it_off(self):
+        # No scaling gives this support unit row and column sums, so the
+        # exponents drift without bound. None applies the default guard
+        # min(1e3, 560 / 2) = 280, and the run diverges where an explicit
+        # 280 stops it; inf never stops it.
+        array = [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        for guard in (None, 280.0):
+            sol = solve(problem_of(array), divergence_guard=guard)
+            assert sol.status == blockmin.DIVERGING
+            assert sol.trace.n_steps == 605
+        sol = solve(problem_of(array), divergence_guard=math.inf,
+                    max_iters=300)
+        assert sol.status == blockmin.MAX_ITERS_REACHED
+        assert sol.trace.n_steps == 300
 
 
 class TestSolveModified:
@@ -559,6 +575,17 @@ class TestFactoredState:
         # a far start, so the exponents travel well past the rebase distance
         x0 = random_reduced_point(problem, np.random.default_rng(2200),
                                   radius=20.0)
+        self.assert_parity(problem, x0)
+        assert problem.rebases >= 2
+
+    @pytest.mark.parametrize("dims", [(5, 4, 6), (3, 4, 2, 3)])
+    def test_far_start_across_rebases(self, dims):
+        # a 3- and a 4-mode tensor from a far start: the advances run the
+        # cofactors of every mode but the moved one, the rebases all of them
+        rng = np.random.default_rng(2100 + len(dims))
+        problem = ScalingProblem(random_positive_tensor(rng, dims),
+                                 random_compatible_targets(rng, dims))
+        x0 = random_reduced_point(problem, rng, radius=20.0)
         self.assert_parity(problem, x0)
         assert problem.rebases >= 2
 

@@ -3,9 +3,9 @@ import pytest
 
 from helpers import (masked_scale_reference, random_compatible_targets,
                      random_pattern_tensor, random_positive_tensor)
-from slicescale.tensor import (EXP_LIMIT, CofactorPlan, DenseTensor,
-                               ScalingOverflowError,
-                               SliceTargets, check_compatibility,
+from slicescale import tensor
+from slicescale.tensor import (EXP_LIMIT, DenseTensor, ScalingOverflowError,
+                               SliceTargets, check_compatibility, cofactors,
                                rank_one_target, scale, slice_sums,
                                support_exponent)
 
@@ -216,33 +216,45 @@ class TestCofactorSums:
         x = [rng.uniform(-2.0, 2.0, m) for m in dims]
         factors = [np.exp(b) for b in x]
         scaled = scale(DenseTensor(kernel), x)
-        subsets = [range(len(dims)), [0], [len(dims) - 1], [1, len(dims) - 1],
-                   []]
-        for modes in subsets:
-            got = CofactorPlan(len(dims), modes)(kernel, factors, {})
-            assert sorted(got) == sorted(set(modes))
-            for k in modes:
-                np.testing.assert_allclose(factors[k] * got[k],
-                                           slice_sums(scaled, k), rtol=1e-13)
+        for skip in [None, *range(len(dims))]:
+            out = [None] * len(dims)
+            got = cofactors(kernel, factors, out, skip=skip)
+            assert got is out
+            for k in range(len(dims)):
+                if k == skip:
+                    assert got[k] is None
+                else:
+                    np.testing.assert_allclose(factors[k] * got[k],
+                                               slice_sums(scaled, k),
+                                               rtol=1e-13)
 
     @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4), (2, 3, 2, 3)])
-    def test_plan_for_every_mode_but_one(self, dims):
-        # a step on block j leaves every w_k with k != j stale: the plan
-        # passes over the kernel once, contracting mode j out, and for a
-        # matrix that one contraction is the whole plan
+    def test_plan_for_every_mode_but_one(self, dims, monkeypatch):
+        # a step on block j leaves every w_k with k != j stale: the kernel
+        # is passed over once, contracting mode j out, and for a matrix that
+        # one contraction is the whole work
         rng = np.random.default_rng(810 + len(dims))
         kernel = random_positive_tensor(rng, dims).array
         factors = [rng.uniform(0.5, 2.0, m) for m in dims]
+        calls = []
+        contract = tensor._contract
+
+        def recorded(array, u, axis):
+            calls.append((array, axis))
+            return contract(array, u, axis)
+
+        monkeypatch.setattr(tensor, "_contract", recorded)
         for j in range(len(dims)):
-            others = [k for k in range(len(dims)) if k != j]
-            plan = CofactorPlan(len(dims), others)
-            assert plan.steps[0] == (0, j, j)
-            assert all(source > 0 for source, _, _ in plan.steps[1:])
+            calls.clear()
+            stale = object()
+            got = cofactors(kernel, factors, [stale] * len(dims), skip=j)
+            assert [axis for array, axis in calls if array is kernel] == [j]
             if len(dims) == 2:
-                assert len(plan.steps) == 1
-            got = plan(kernel, factors, [None] * len(dims))
-            assert got[j] is None
-            for k in others:
+                assert len(calls) == 1
+            assert got[j] is stale
+            for k in range(len(dims)):
+                if k == j:
+                    continue
                 # K weighted by every factor but u_k, summed over the other
                 # modes
                 weights = np.ones(())
@@ -251,11 +263,14 @@ class TestCofactorSums:
                         weights, np.ones_like(u) if i == k else u)
                 want = slice_sums(DenseTensor(kernel * weights), k)
                 np.testing.assert_allclose(got[k], want, rtol=1e-13)
+        calls.clear()
+        cofactors(kernel, factors, [None] * len(dims))
+        assert sum(array is kernel for array, _ in calls) == 2
 
     def test_matrix_is_two_matvecs(self):
         kernel = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
         u = [np.array([1.0, 10.0]), np.array([1.0, 2.0, 3.0])]
-        got = CofactorPlan(2, [0, 1])(kernel, u, {})
+        got = cofactors(kernel, u, [None, None])
         np.testing.assert_array_equal(got[0], kernel @ u[1])
         np.testing.assert_array_equal(got[1], u[0] @ kernel)
 
