@@ -39,7 +39,6 @@ __all__ = [
     "run",
     "rate_certificate",
     "estimate_alpha_beta",
-    "sample_convex_combinations",
 ]
 
 logger = logging.getLogger("slicescale")
@@ -120,10 +119,6 @@ class BlockVector:
     def dims(self):
         return tuple(b.size for b in self.blocks)
 
-    @property
-    def d(self):
-        return len(self.blocks)
-
     def concat(self):
         return np.concatenate(self.blocks)
 
@@ -158,17 +153,6 @@ class BlockVector:
         out = object.__new__(cls)
         out.blocks = tuple(blocks)
         return out
-
-    def __add__(self, other):
-        if self.dims != other.dims:
-            raise ValueError("block dims mismatch")
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return BlockVector([s * b for b in self.blocks])
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"BlockVector(dims={self.dims})"
@@ -373,18 +357,6 @@ def estimate_alpha_beta(problem, points):
         alpha = min(alpha, float(vals[low]))
         beta = max(beta, float(vals[-1]))
     return alpha, beta
-
-
-def sample_convex_combinations(points, count, rng):
-    """Random pairwise convex combinations of the given block vectors."""
-    points = list(points)
-    out = []
-    for _ in range(count):
-        i = int(rng.integers(len(points)))
-        k = int(rng.integers(len(points)))
-        lam = float(rng.uniform())
-        out.append((1.0 - lam) * points[i] + lam * points[k])
-    return out
 
 
 def _check_finite(obj, norms, x, at_step):

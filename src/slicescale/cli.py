@@ -105,6 +105,8 @@ def load_problem(args):
     if args.targets_path:
         with open(args.targets_path) as fh:
             data = json.load(fh)
+        if isinstance(data, dict) and "targets" not in data:
+            raise ValueError("targets file needs a 'targets' list")
         vectors = data["targets"] if isinstance(data, dict) else data
         return tensor, SliceTargets(vectors)
     if inline_targets is None:
@@ -115,16 +117,31 @@ def load_problem(args):
 def bound_certificate(problem, trace, seed):
     """Sampled rate certificate for a converged trace with recorded iterates.
 
-    Hessian extremes are sampled at every iterate, the final point, and 16
-    random pairwise convex combinations; the resulting per-step bound curve
-    is reported next to the observed objective gaps.
+    Hessian extremes are sampled at every recorded iterate (the final point
+    included) and at 16 random pairwise convex combinations of them. Each
+    combination draws i, then k (indices into the iterates), then lam from
+    ``np.random.default_rng(seed)`` and is (1 - lam) x_i + lam x_k, formed
+    on the concatenated ambient vectors. The resulting per-step bound curve
+    is reported next to the observed objective gaps. Returns None without
+    iterates or steps, and {"skipped": reason} when the certificate cannot
+    be formed, as when a sampled reduced Hessian has no positive smallest
+    eigenvalue at the resolution of ``eigvalsh``.
     """
     if not trace.iterates or trace.n_steps == 0:
         return None
     rng = np.random.default_rng(seed)
     points = list(trace.iterates)
-    points += blockmin.sample_convex_combinations(points, 16, rng)
-    alpha, beta, kappa, curve = blockmin.rate_certificate(problem, trace, points)
+    rows = [x.concat() for x in points]
+    for _ in range(16):
+        i = int(rng.integers(len(rows)))
+        k = int(rng.integers(len(rows)))
+        lam = float(rng.uniform())
+        points.append(BlockVector.from_concat(
+            problem.block_dims, (1.0 - lam) * rows[i] + lam * rows[k]))
+    try:
+        alpha, beta, kappa, curve = blockmin.rate_certificate(problem, trace, points)
+    except ValueError as err:
+        return {"skipped": str(err)}
     return {
         "sampled_alpha": alpha,
         "sampled_beta": beta,
@@ -215,7 +232,7 @@ def cmd_feasible(args):
 def load_bridge_file(path, stochastic):
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
+    if not (isinstance(data, dict) and {"matrix", "source", "target"} <= data.keys()):
         raise ValueError("bridge file needs an object with 'matrix', "
                          "'source' and 'target'")
     A, a, b = (_floats(data[key], key)

@@ -265,11 +265,6 @@ class ScalingProblem(BlockProblem):
         """The rescaled tensor at ambient blocks ``x``."""
         return scale(self.tensor, x)
 
-    def hessian_ambient(self, x):
-        """Ambient Hessian: diagonal blocks are slice sums, off-diagonal
-        blocks are two-mode marginals of the rescaled tensor."""
-        return ambient_second_moments(self.scaled(x).array)
-
     def _restart(self):
         """Forget the state's point, so that the next call rebases."""
         self._point = None
@@ -362,6 +357,8 @@ class ScalingProblem(BlockProblem):
         """P H P, with H the ambient Hessian and P the projector onto the
         reduced space: zero on the d + g dimensional complement and H's
         (positive definite) compression on the reduced space, so its
-        spectrum is the reduced one plus ``hessian_null_dim`` zeros."""
+        spectrum is the reduced one plus ``hessian_null_dim`` zeros. H is
+        the matrix of one- and two-mode sums of the rescaled tensor
+        (:func:`ambient_second_moments`)."""
         project = self.project
-        return project(project(self.hessian_ambient(x)).T)
+        return project(project(ambient_second_moments(self.scaled(x).array)).T)

@@ -154,10 +154,13 @@ def _without_gauge(problem, points):
 
 
 def _check_start(problem, x0):
-    """Refuse a start of the wrong dims, off a target hyperplane, or outside
-    the reduced space on a gauge instance, to 1e-10 relative."""
+    """Refuse a start of the wrong dims, with a non-finite entry, off a
+    target hyperplane, or outside the reduced space on a gauge instance, to
+    1e-10 relative."""
     if x0.dims != problem.block_dims:
         raise ValueError("block dims do not match problem dims")
+    if not np.isfinite(x0.concat()).all():
+        raise ValueError("start must be finite")
     bound = 1e-10 * max(1.0, x0.norm_inf())
     for j, (block, s) in enumerate(zip(x0.blocks, problem.targets.vectors)):
         if abs(float(block @ s)) > bound * float(np.abs(s).max()):

@@ -11,13 +11,12 @@ import pytest
 from helpers import (fd_gradient, fd_hessian, projected_mode_bases,
                      reduced_residual, reference_bases, sinkhorn_reference,
                      slice_sum_gradient)
-from slicescale import blockmin
-from slicescale.blockmin import (BlockVector, QuadraticBlockProblem,
-                                 rate_certificate, sample_convex_combinations)
+from slicescale import blockmin, cli
+from slicescale.blockmin import BlockVector, QuadraticBlockProblem, rate_certificate
 from slicescale.bridge import BridgeProblem, reduce_to_scaling, solve_bridge
 from slicescale.feasibility import NOT_SCALABLE, SCALABLE, check_scalable, verify_witness
 from slicescale.numerics import symmetric_eigs
-from slicescale.objective import ScalingProblem
+from slicescale.objective import ScalingProblem, ambient_second_moments
 from slicescale.scaler import random_reduced_point, solve
 from slicescale.tensor import DenseTensor, SliceTargets
 
@@ -57,10 +56,7 @@ def descent_violations(trace, tol, label):
 
 def bound_violations(problem, solution, seed, label):
     trace = solution.trace
-    rng = np.random.default_rng(seed)
-    points = list(trace.iterates)
-    points += sample_convex_combinations(points, 16, rng)
-    curve = rate_certificate(problem, trace, points)[3]
+    curve = cli.bound_certificate(problem, trace, seed)["bound_curve"]
     gaps = trace.gaps()
     out = []
     for k in range(1, trace.n_steps + 1):
@@ -249,7 +245,7 @@ def test_criterion_7_derivative_checks():
             grad_err = np.abs(grad - fd_gradient(f, vec, h=1e-5)).max()
             if grad_err > 1e-6 * np.abs(grad).max():
                 violations.append(f"problem {s}: gradient error {grad_err:.2e}")
-            H = problem.hessian_ambient(x)
+            H = ambient_second_moments(problem.scaled(x).array)
             hess_err = np.abs(H - fd_hessian(f, vec, h=1e-4)).max()
             if hess_err > 1e-4 * np.abs(H).max():
                 violations.append(f"problem {s}: hessian error {hess_err:.2e}")

@@ -67,8 +67,6 @@ class TestBlockVector:
         np.testing.assert_array_equal(x.concat(), [1, 2, 3, 4, 5])
         y = x.with_block(0, [9, 9])
         np.testing.assert_array_equal(y.concat(), [9, 9, 3, 4, 5])
-        np.testing.assert_array_equal((x + y).concat(), [10, 11, 6, 8, 10])
-        np.testing.assert_array_equal((2.0 * x).concat(), [2, 4, 6, 8, 10])
         assert x.norm_inf() == 5.0
 
     def test_zeros(self):
@@ -483,12 +481,14 @@ def midpoint_convexity_ok(problem, center, rng, trials=16, radius=1.0):
     def f(x):
         return problem.evaluate(x)[0]
 
-    dims = center.dims
+    dims, c = center.dims, center.concat()
     for _ in range(trials):
-        x = center + BlockVector([rng.uniform(-radius, radius, m) for m in dims])
-        y = center + BlockVector([rng.uniform(-radius, radius, m) for m in dims])
-        fx, fy = f(x), f(y)
-        if f(0.5 * (x + y)) > 0.5 * (fx + fy) + 1e-9 * (abs(fx) + abs(fy) + 1.0):
+        u = c + np.concatenate([rng.uniform(-radius, radius, m) for m in dims])
+        v = c + np.concatenate([rng.uniform(-radius, radius, m) for m in dims])
+        fx = f(BlockVector.from_concat(dims, u))
+        fy = f(BlockVector.from_concat(dims, v))
+        mid = f(BlockVector.from_concat(dims, 0.5 * (u + v)))
+        if mid > 0.5 * (fx + fy) + 1e-9 * (abs(fx) + abs(fy) + 1.0):
             return False
     return True
 

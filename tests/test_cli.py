@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import reduced_residual
-from slicescale import cli, feasibility, scaler
+from slicescale import blockmin, cli, feasibility, scaler
 from slicescale.objective import ScalingProblem
 from slicescale.tensor import DenseTensor, SliceTargets
 
@@ -31,6 +31,19 @@ def infeasible_file(tmp_path):
     write_json(path, {"dims": [2, 2], "values": [1.0, 1.0, 0.0, 1.0],
                       "targets": [[1.0, 1.0], [1.0, 1.0]]})
     return str(path)
+
+
+def gauge_case():
+    """A 7 x 7 block-diagonal support with one gauge direction, and its
+    targets."""
+    rng = np.random.default_rng(2100)
+    array = np.zeros((7, 7))
+    array[:3, :4] = rng.uniform(0.2, 1.0, (3, 4))
+    array[3:, 4:] = rng.uniform(0.2, 1.0, (4, 3))
+    targets = SliceTargets([
+        np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)]),
+        np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])])
+    return DenseTensor(array), targets
 
 
 def read_report(path):
@@ -59,6 +72,27 @@ class TestFileRoundTrip:
         write_json(path, {"dims": [2, 2]})
         with pytest.raises(ValueError, match="values"):
             cli.load_tensor_file(str(path))
+
+    @pytest.mark.parametrize("command, document, key", [
+        ("bridge", {"source": [0.5, 0.5], "target": [0.6, 0.4]}, "matrix"),
+        ("bridge", {"matrix": [[0.5, 0.25], [0.5, 0.75]],
+                    "target": [0.6, 0.4]}, "source"),
+        ("bridge", {"matrix": [[0.5, 0.25], [0.5, 0.75]],
+                    "source": [0.5, 0.5]}, "target"),
+        ("scale", {"vectors": [[1.0, 1.0], [1.0, 1.0]]}, "targets"),
+    ], ids=["bridge-matrix", "bridge-source", "bridge-target", "targets"])
+    def test_missing_json_key_is_named(self, command, document, key,
+                                       tensor_file, tmp_path, capsys):
+        path = str(tmp_path / "input.json")
+        write_json(path, document)
+        if command == "bridge":
+            argv = ["bridge", path]
+        else:
+            argv = ["scale", tensor_file, "--targets", path]
+        assert cli.main(argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs" in err
+        assert f"'{key}'" in err
 
 
 class TestScaleCommand:
@@ -188,15 +222,9 @@ class TestScaleCommand:
     def test_random_start_is_seeded(self, tmp_path):
         # a block-diagonal support with one gauge direction, where the start
         # must also be orthogonal to the gauge
-        rng = np.random.default_rng(2100)
-        array = np.zeros((7, 7))
-        array[:3, :4] = rng.uniform(0.2, 1.0, (3, 4))
-        array[3:, 4:] = rng.uniform(0.2, 1.0, (4, 3))
-        targets = SliceTargets([
-            np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)]),
-            np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])])
+        tensor, targets = gauge_case()
         path = str(tmp_path / "gauge.json")
-        cli.save_tensor_file(path, DenseTensor(array), targets)
+        cli.save_tensor_file(path, tensor, targets)
         texts = {}
         for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
             out = str(tmp_path / f"{name}.json")
@@ -209,7 +237,7 @@ class TestScaleCommand:
         # another seed starts elsewhere
         assert (texts["a"]["trace"]["objectives"][0]
                 != texts["c"]["trace"]["objectives"][0])
-        problem = ScalingProblem(DenseTensor(array), targets)
+        problem = ScalingProblem(tensor, targets)
         assert problem.gauge_dim == 1
         x0 = scaler.random_reduced_point(problem, np.random.default_rng(3))
         assert reduced_residual(problem, x0) <= 1e-12
@@ -260,6 +288,54 @@ class TestScaleCommand:
         r1, r2 = read_report(out1), read_report(out2)
         assert max(r1["residuals"]) <= 1e-8
         assert r1["trace"] == r2["trace"]
+
+    def test_unresolvable_certificate_is_skipped(self, tmp_path):
+        # A positive, so scalable, input whose smallest reduced Hessian
+        # eigenvalue lies below what eigvalsh resolves: the run converges,
+        # and the report says why the certificate was skipped.
+        eps = 1e-16
+        path = str(tmp_path / "tiny.json")
+        write_json(path, {"dims": [3, 3],
+                          "values": [2.0, eps, eps, eps, 1.0, eps, eps, eps, 5.0],
+                          "targets": [[1.0] * 3, [1.0] * 3]})
+        out = str(tmp_path / "report.json")
+        assert cli.main(["scale", path, "--output", out]) == cli.EXIT_OK
+        report = read_report(out)
+        assert report["status"] == "converged"
+        assert max(report["residuals"]) <= 1e-8
+        assert report["certificate"] == {
+            "skipped": "not strictly convex at sample"}
+
+
+class TestBoundCertificate:
+    def test_samples_iterates_and_16_reduced_combinations(self, monkeypatch):
+        problem = ScalingProblem(*gauge_case())
+        assert problem.gauge_dim == 1
+        x0 = scaler.random_reduced_point(problem, np.random.default_rng(3))
+        trace = scaler.solve(problem, x0=x0).trace
+        seen = []
+        real = blockmin.estimate_alpha_beta
+
+        def recording(problem, points):
+            seen.append(list(points))
+            return real(problem, points)
+
+        monkeypatch.setattr(blockmin, "estimate_alpha_beta", recording)
+        certificate = cli.bound_certificate(problem, trace, 5)
+        assert certificate["sampled_alpha"] > 0
+        points, = seen
+        n = len(trace.iterates)
+        assert len(points) == n + 16
+        assert all(p is x for p, x in zip(points, trace.iterates))
+        assert max(reduced_residual(problem, x) for x in points) <= 1e-12
+        # the combinations, in the documented draw order (i, k, lam)
+        draws = np.random.default_rng(5)
+        rows = [x.concat() for x in trace.iterates]
+        for point in points[n:]:
+            i, k = draws.integers(n), draws.integers(n)
+            lam = draws.uniform()
+            np.testing.assert_array_equal(
+                point.concat(), (1.0 - lam) * rows[i] + lam * rows[k])
 
 
 class TestDeterminism:

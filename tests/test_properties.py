@@ -11,7 +11,7 @@ from helpers import (alternating_scaling, projected_mode_bases,
                      random_positive_tensor, reference_bases,
                      slice_sum_gradient)
 from slicescale.blockmin import CONVERGED, estimate_alpha_beta
-from slicescale.objective import ScalingProblem
+from slicescale.objective import ScalingProblem, ambient_second_moments
 from slicescale.scaler import random_reduced_point, solve
 from slicescale.tensor import DenseTensor, SliceTargets
 
@@ -102,8 +102,8 @@ def test_certificate_matches_reduced_basis_congruence(case):
     points = [random_reduced_point(problem, rng) for _ in range(3)]
     alpha, beta = estimate_alpha_beta(problem, points)
     Q = reference_bases(problem).reduced_basis
-    spectra = [np.linalg.eigvalsh(Q.T @ problem.hessian_ambient(x) @ Q)
-               for x in points]
+    hessians = [ambient_second_moments(problem.scaled(x).array) for x in points]
+    spectra = [np.linalg.eigvalsh(Q.T @ H @ Q) for H in hessians]
     ref_alpha = min(vals[0] for vals in spectra)
     ref_beta = max(vals[-1] for vals in spectra)
     assert ref_alpha > 0

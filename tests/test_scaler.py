@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ class TestStartChecks:
         z = BlockVector(p.split(p.gauge_basis[:, 0]))
         with pytest.raises(ValueError, match="reduced"):
             solve(p, x0=z)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("array", [np.ones((2, 2)), np.eye(2)],
+                             ids=["positive", "gauge"])
+    def test_rejects_non_finite_start(self, array, value, monkeypatch):
+        p = problem_of(array)
+        calls = []
+        monkeypatch.setattr(objective, "scale", lambda *args: calls.append(args))
+        x0 = BlockVector([[value, -value], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="start must be finite"):
+                solve(p, x0=x0)
+        assert calls == []
 
 
 class TestSolveDispatch:
