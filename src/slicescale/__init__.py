@@ -18,6 +18,6 @@ from .numerics import null_space, symmetric_eigs
 from .objective import ScalingProblem, build_frame
 from .scaler import ScalingSolution, closed_form_block_update, normalize, solve
 from .tensor import (DenseTensor, ScalingOverflowError, SliceTargets,
-                     check_compatibility, rank_one_target, scale, slice_sums)
+                     rank_one_target, scale, slice_sums)
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ __all__ = [
     "MAX_ITERS_REACHED",
     "DIVERGING",
     "run",
+    "check_run_limits",
     "rate_certificate",
     "estimate_alpha_beta",
 ]
@@ -115,15 +116,8 @@ class BlockVector:
             raise ValueError("length does not match block dims")
         return cls([vec[block] for block in block_slices(dims)])
 
-    @property
-    def dims(self):
-        return tuple(b.size for b in self.blocks)
-
     def concat(self):
         return np.concatenate(self.blocks)
-
-    def norm_inf(self):
-        return max(_sup_norm(b) for b in self.blocks)
 
     def with_block(self, j, new_block):
         """Block j replaced by a read-only copy of ``new_block``; the other
@@ -155,7 +149,7 @@ class BlockVector:
         return out
 
     def __repr__(self):
-        return f"BlockVector(dims={self.dims})"
+        return f"BlockVector(dims={tuple(b.size for b in self.blocks)})"
 
 
 class BlockProblem(abc.ABC):
@@ -343,6 +337,11 @@ def estimate_alpha_beta(problem, points):
     eigenvalue over the samples; the smallest is the one after the problem's
     ``hessian_null_dim`` structural zeros. These are sample estimates of the
     sublevel-set extremes, not guaranteed bounds.
+
+    The resolution of ``eigvalsh`` at a sample is n * eps * |largest
+    eigenvalue|, with n the Hessian's order. A smallest working eigenvalue
+    within it of zero raises ValueError("alpha below eigvalsh resolution"),
+    and one below it ValueError("not strictly convex at sample").
     """
     points = list(points)
     if not points:
@@ -352,8 +351,11 @@ def estimate_alpha_beta(problem, points):
     low = problem.hessian_null_dim
     for x in points:
         vals = numerics.symmetric_eigs(problem.hessian(x))
-        if vals[low] <= 0:
+        floor = vals.size * np.finfo(float).eps * abs(vals[-1])
+        if vals[low] <= -floor:
             raise ValueError("not strictly convex at sample")
+        if vals[low] <= floor:
+            raise ValueError("alpha below eigvalsh resolution")
         alpha = min(alpha, float(vals[low]))
         beta = max(beta, float(vals[-1]))
     return alpha, beta
@@ -364,6 +366,20 @@ def _check_finite(obj, norms, x, at_step):
         raise NumericalOverflowError(
             f"numerical overflow at step {at_step}", iterate=x, at_step=at_step
         )
+
+
+def check_run_limits(tol, max_iters, divergence_guard):
+    """Refuse a ``tol`` that is not positive and finite, a ``max_iters``
+    below 1, and a ``divergence_guard`` that is not positive (NaN included);
+    returns the guard as a float, inf for None."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    guard = math.inf if divergence_guard is None else float(divergence_guard)
+    if not guard > 0:
+        raise ValueError("divergence guard must be positive")
+    return guard
 
 
 def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False):
@@ -379,13 +395,7 @@ def run(problem, x0, tol, max_iters, divergence_guard=1e3, record_iterates=False
     trace, status). Non-finite objective or gradient values raise
     NumericalOverflowError.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    guard = math.inf if divergence_guard is None else float(divergence_guard)
-    if not guard > 0:
-        raise ValueError("divergence guard must be positive")
+    guard = check_run_limits(tol, max_iters, divergence_guard)
     x = x0
     # per-block sup norms for the guard, if there is one; a step on block j
     # recomputes only sups[j]

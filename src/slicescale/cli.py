@@ -16,7 +16,6 @@ An unscalable input under ``scale --force`` ends diverging or out of budget.
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -48,16 +47,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_run_limits(args):
-    """Refuse out-of-range run options before any input is read."""
-    if not 0 < args.tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if args.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    """Refuse out-of-range run options before any input is read: the
+    engine's limits (``blockmin.check_run_limits``), then the seed."""
+    blockmin.check_run_limits(args.tol, args.max_iters,
+                              getattr(args, "guard", None))
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be a non-negative integer")
-    guard = getattr(args, "guard", None)
-    if guard is not None and not guard > 0:
-        raise ValueError("divergence guard must be positive")
 
 
 def _setup_logging():

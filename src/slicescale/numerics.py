@@ -3,13 +3,12 @@
 Null spaces of symmetric matrices come from ``eigh``, symmetric eigenvalues
 from ``eigvalsh``, and repeated linear solves with one matrix from its
 inverse, formed once from QR. A null space is a plain N x k array of
-orthonormal columns, with each column's sign fixed (its entry of largest
-magnitude is positive), so the same input gives the same basis on a fixed
-numpy/LAPACK build. Inside a multi-dimensional subspace the orientation is
-whatever LAPACK returns. Nothing the solvers report or store depends on it:
-their iterates are ambient exponent blocks, and the gauge basis enters only
-through projectors and norms, where their orientation cancels. Everything
-operates on plain float64 numpy arrays.
+orthonormal columns with the orientation ``eigh`` gives them: the column
+signs, and the basis inside a multi-dimensional subspace, are whatever
+LAPACK returns. Nothing the solvers report or store depends on it: their
+iterates are ambient exponent blocks, and the gauge basis G is read only
+through G G^T and the per-block gradient-norm maps, where its orientation
+cancels. Everything operates on plain float64 numpy arrays.
 """
 
 import numpy as np
@@ -25,19 +24,10 @@ __all__ = [
 RANK_RTOL = 1e-10
 
 
-def _fix_signs(Q):
-    """Flip columns in place so that each one's entry of largest magnitude is
-    positive; returns Q."""
-    if Q.shape[1]:
-        cols = np.arange(Q.shape[1])
-        lead = Q[np.abs(Q).argmax(axis=0), cols]
-        Q *= np.where(lead < 0, -1.0, 1.0)
-    return Q
-
-
 def null_space(A):
     """Orthonormal basis of {x : A x = 0} for a symmetric A (a Gram matrix),
-    the columns of an n x (n - rank(A)) array, from one ``eigh``.
+    the columns of an n x (n - rank(A)) array, from one ``eigh``, with the
+    orientation ``eigh`` gives them.
 
     Eigenvalues of magnitude at most RANK_RTOL times the largest count as
     zero. Input that is not exactly symmetric raises ValueError.
@@ -50,7 +40,7 @@ def null_space(A):
     vals, vecs = np.linalg.eigh(A)
     size = np.abs(vals)
     # boolean indexing copies, so the basis does not keep vecs alive
-    return _fix_signs(vecs[:, size <= RANK_RTOL * size.max()])
+    return vecs[:, size <= RANK_RTOL * size.max()]
 
 
 def symmetric_eigs(M):

@@ -77,9 +77,10 @@ def build_frame(tensor, targets):
     the outer product of s_j / ||s_j|| in diagonal block j. Normalizing a row
     of T leaves its kernel unchanged and makes the gauge independent of the
     targets' scale. That null space is the only factorization made, and only
-    when the support has a zero; it comes from one LAPACK ``eigh`` with
-    fixed column signs, so on a fixed numpy/LAPACK build its orientation is
-    reproducible.
+    when the support has a zero; it comes from one LAPACK ``eigh``, and the
+    basis keeps the orientation ``eigh`` gives it. Only G G^T and the
+    block-gradient norms of :class:`ScalingProblem` read the basis, and
+    neither depends on its orientation.
 
     On full support the gauge is {0}, so G is N x 0 and no Gram matrix is
     formed. Then ker R is exactly the per-mode constant shifts c_k·1 with

@@ -44,10 +44,6 @@ __all__ = [
 GUARD_EXP_BUDGET = 560.0
 
 
-def default_divergence_guard(d):
-    return min(1e3, GUARD_EXP_BUDGET / d)
-
-
 def closed_form_block_update(problem, x, j, sigma=None):
     """Exact minimizer of the objective over mode-j exponents.
 
@@ -124,7 +120,7 @@ def solve(problem, x0=None, tol=1e-10, max_iters=10000, divergence_guard=None,
     else:
         _check_start(problem, x0)
     if divergence_guard is None:
-        divergence_guard = default_divergence_guard(problem.d)
+        divergence_guard = min(1e3, GUARD_EXP_BUDGET / problem.d)
     # the run starts from a rebase at x0, as on a fresh problem
     problem._restart()
     x, trace, status = blockmin.run(problem, x0, tol, max_iters,
@@ -157,16 +153,16 @@ def _check_start(problem, x0):
     """Refuse a start of the wrong dims, with a non-finite entry, off a
     target hyperplane, or outside the reduced space on a gauge instance, to
     1e-10 relative."""
-    if x0.dims != problem.block_dims:
+    if tuple(b.size for b in x0.blocks) != problem.block_dims:
         raise ValueError("block dims do not match problem dims")
-    if not np.isfinite(x0.concat()).all():
+    vec = x0.concat()
+    if not np.isfinite(vec).all():
         raise ValueError("start must be finite")
-    bound = 1e-10 * max(1.0, x0.norm_inf())
+    bound = 1e-10 * max(1.0, float(np.abs(vec).max()))
     for j, (block, s) in enumerate(zip(x0.blocks, problem.targets.vectors)):
         if abs(float(block @ s)) > bound * float(np.abs(s).max()):
             raise ValueError(f"block {j} is not orthogonal to its target")
     if problem.gauge_dim:
-        vec = x0.concat()
         if float(np.abs(vec - problem.project(vec)).max()) > bound:
             raise ValueError("point lies outside the reduced working space")
 

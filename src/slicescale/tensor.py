@@ -10,7 +10,6 @@ __all__ = [
     "cofactors",
     "support_exponent",
     "scale",
-    "check_compatibility",
     "rank_one_target",
 ]
 
@@ -112,24 +111,12 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims}, total={self.total:.6g})"
 
 
-def check_compatibility(vectors):
-    """Common total of the target vectors; totals must agree to 1e-10
-    relative.
-
-    Raises ValueError listing the totals if they disagree.
-    """
-    totals = [float(np.sum(np.asarray(v, dtype=float))) for v in vectors]
-    if not totals:
-        raise ValueError("no target vectors")
-    ref = sum(totals) / len(totals)
-    spread = max(totals) - min(totals)
-    if spread > 1e-10 * max(abs(ref), np.finfo(float).tiny):
-        raise ValueError(f"incompatible slice-sum totals: {totals}")
-    return ref
-
-
 class SliceTargets:
-    """Positive per-mode target vectors with a shared total mass."""
+    """Positive per-mode target vectors with a shared total mass.
+
+    The vectors' totals must agree to 1e-10 relative, else ValueError lists
+    them; ``total`` is their mean.
+    """
 
     __slots__ = ("vectors", "total")
 
@@ -146,7 +133,11 @@ class SliceTargets:
             v.setflags(write=False)
         if len(vs) < 2:
             raise ValueError("at least 2 target vectors are required")
-        self.total = check_compatibility(vs)
+        totals = [float(np.sum(v)) for v in vs]
+        self.total = sum(totals) / len(totals)
+        spread = max(totals) - min(totals)
+        if spread > 1e-10 * max(abs(self.total), np.finfo(float).tiny):
+            raise ValueError(f"incompatible slice-sum totals: {totals}")
         self.vectors = tuple(vs)
 
     @classmethod

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from slicescale import blockmin
 from slicescale.blockmin import BlockProblem, BlockVector, block_slices
-from slicescale.numerics import RANK_RTOL, _fix_signs, null_space
+from slicescale.numerics import RANK_RTOL, null_space
 from slicescale.objective import ambient_second_moments
 from slicescale.scaler import closed_form_block_update
 from slicescale.tensor import DenseTensor, SliceTargets, scale, slice_sums
@@ -204,7 +204,8 @@ def orthonormalize(vectors):
     vector per row; an array is used as it is, without a copy. Linearly
     independent inputs give the Gram-Schmidt basis (QR with a positive
     diagonal): basis vector i has a positive coefficient on input i.
-    Rank-deficient inputs yield fewer output vectors than inputs.
+    Rank-deficient inputs yield fewer output vectors than inputs, from an
+    SVD, each with its entry of largest magnitude positive.
     """
     A = np.asarray(vectors, dtype=float)
     if not len(A):
@@ -221,7 +222,8 @@ def orthonormalize(vectors):
             Q *= np.sign(diag)
             return Q
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return _fix_signs(U[:, s > tol])
+    Q = U[:, s > tol]
+    return Q * np.sign(Q[np.abs(Q).argmax(axis=0), np.arange(Q.shape[1])])
 
 
 def reference_bases(problem):

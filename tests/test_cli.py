@@ -304,7 +304,7 @@ class TestScaleCommand:
         assert report["status"] == "converged"
         assert max(report["residuals"]) <= 1e-8
         assert report["certificate"] == {
-            "skipped": "not strictly convex at sample"}
+            "skipped": "alpha below eigvalsh resolution"}
 
 
 class TestBoundCertificate:

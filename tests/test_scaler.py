@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -115,8 +116,8 @@ class TestSolvePositive:
         z = 10.0 * np.where(Q[row] < 0, -1.0, 1.0)
         x0 = BlockVector([Q @ z, np.zeros(6)])
         coords_sup = float(np.abs(Q.T @ x0.blocks[0]).max())
-        assert coords_sup < x0.norm_inf()
-        guard = 0.5 * (coords_sup + x0.norm_inf())
+        assert coords_sup < np.abs(x0.concat()).max()
+        guard = 0.5 * (coords_sup + np.abs(x0.concat()).max())
         sol = solve(p, x0=x0, divergence_guard=guard)
         assert sol.method == "greedy-standard"
         assert sol.status == blockmin.DIVERGING
@@ -359,35 +360,47 @@ def random_orthogonal(rng, k):
     return q
 
 
-def gauge_instance(rng):
-    array = np.zeros((7, 7))
-    array[:3, :4] = np.exp(rng.uniform(-2.0, 2.0, (3, 4)))
-    array[3:, 4:] = np.exp(rng.uniform(-2.0, 2.0, (4, 3)))
-    rows = np.concatenate([np.full(3, 3.5 / 3), np.full(4, 3.5 / 4)])
-    cols = np.concatenate([np.full(4, 3.5 / 4), np.full(3, 3.5 / 3)])
-    return DenseTensor(array), SliceTargets([rows, cols])
+def gauge_instance(rng, shapes=((3, 4), (4, 3))):
+    """A block-diagonal matrix with one block of each shape, entries
+    exp(U(-2, 2)), and targets that give every block mass 3.5; its gauge
+    has dimension len(shapes) - 1."""
+    rows, cols = zip(*shapes)
+    array = np.zeros((sum(rows), sum(cols)))
+    r = c = 0
+    for m, n in shapes:
+        array[r:r + m, c:c + n] = np.exp(rng.uniform(-2.0, 2.0, (m, n)))
+        r, c = r + m, c + n
+    return DenseTensor(array), SliceTargets([
+        np.concatenate([np.full(m, 3.5 / m) for m in sizes])
+        for sizes in (rows, cols)])
 
 
 class TestOrientationInvariance:
     """Nothing a solve reports depends on how the gauge basis is turned."""
 
-    @pytest.mark.parametrize("case", ["positive", "gauge"])
+    @pytest.mark.parametrize("case", ["positive", "gauge", "sign-flip"])
     def test_solve_ignores_basis_orientation(self, case, monkeypatch):
         rng = np.random.default_rng(1400)
         if case == "positive":
             dims = (4, 5, 3)
             tensor = random_positive_tensor(rng, dims)
             targets = random_compatible_targets(rng, dims)
-        else:
+        elif case == "gauge":
             tensor, targets = gauge_instance(rng)
+        else:
+            tensor, targets = gauge_instance(rng, ((3, 2), (2, 3), (2, 2)))
         plain = ScalingProblem(tensor, targets)
-        # the same gauge, its basis turned by a random orthogonal change of
-        # coordinates
-        G = plain.gauge_basis @ random_orthogonal(rng, plain.gauge_dim)
+        if case == "sign-flip":
+            # the same basis with its first column negated
+            G = plain.gauge_basis * [-1.0, 1.0]
+        else:
+            # the same gauge, its basis turned by a random orthogonal
+            # change of coordinates
+            G = plain.gauge_basis @ random_orthogonal(rng, plain.gauge_dim)
         monkeypatch.setattr(objective, "build_frame", lambda *args: G)
         turned = ScalingProblem(tensor, targets)
         assert turned.gauge_basis is G
-        assert (plain.gauge_dim > 0) == (case == "gauge")
+        assert (plain.gauge_dim > 0) == (case != "positive")
         a, b = solve(plain, tol=1e-11), solve(turned, tol=1e-11)
         assert a.status == b.status == blockmin.CONVERGED
         assert a.trace.n_steps == b.trace.n_steps > 0
@@ -402,7 +415,18 @@ class TestOrientationInvariance:
         # the iterates are ambient exponents, so they agree as well
         xa, xb = a.trace.iterates[-1], b.trace.iterates[-1]
         np.testing.assert_allclose(xb.concat(), xa.concat(), rtol=0,
-                                   atol=1e-12 * max(1.0, xa.norm_inf()))
+                                   atol=1e-12 * max(1.0, np.abs(xa.concat()).max()))
+        if case == "sign-flip":
+            # a sign flip is exact in IEEE arithmetic, and it cancels in
+            # G G^T and in the block-gradient norms, so every bit agrees
+            for f in dataclasses.fields(a.trace):
+                if f.name != "iterates":
+                    assert getattr(b.trace, f.name) == getattr(a.trace, f.name)
+            assert len(b.trace.iterates) == len(a.trace.iterates)
+            for xa, xb in zip(a.trace.iterates, b.trace.iterates):
+                np.testing.assert_array_equal(xb.concat(), xa.concat())
+            np.testing.assert_array_equal(b.x_star.concat(), a.x_star.concat())
+            np.testing.assert_array_equal(b.scaled.array, a.scaled.array)
 
 
 def seeded_case(case, rng):

@@ -5,7 +5,7 @@ from helpers import (masked_scale_reference, random_compatible_targets,
                      random_pattern_tensor, random_positive_tensor)
 from slicescale import tensor
 from slicescale.tensor import (EXP_LIMIT, DenseTensor, ScalingOverflowError,
-                               SliceTargets, check_compatibility, cofactors,
+                               SliceTargets, cofactors,
                                rank_one_target, scale, slice_sums,
                                support_exponent)
 
@@ -286,16 +286,16 @@ class TestSupportExponent:
 
 class TestCompatibility:
     def test_common_total(self):
-        assert check_compatibility([[1.0, 1.0], [0.5, 1.5]]) == pytest.approx(2.0)
+        assert SliceTargets([[1.0, 1.0], [0.5, 1.5]]).total == pytest.approx(2.0)
 
     def test_mismatch_lists_totals(self):
         with pytest.raises(ValueError, match="incompatible"):
-            check_compatibility([[1.0, 1.0], [1.0, 2.0]])
+            SliceTargets([[1.0, 1.0], [1.0, 2.0]])
 
     def test_probability_vectors(self):
-        assert check_compatibility(
+        assert SliceTargets(
             [[0.3, 0.7], [0.2, 0.5, 0.3]]
-        ) == pytest.approx(1.0)
+        ).total == pytest.approx(1.0)
 
     def test_targets_validation(self):
         with pytest.raises(ValueError, match="positive"):
