@@ -11,7 +11,7 @@ problems to this scaling.
 from .blockmin import (BlockProblem, BlockVector, IterateTrace,
                        NumericalOverflowError, QuadraticBlockProblem,
                        estimate_alpha_beta, rate_certificate, run)
-from .bridge import BridgeProblem, BridgeResult, reduce_to_scaling, solve_bridge
+from .bridge import BridgeProblem, BridgeResult, solve_bridge
 from .feasibility import (FeasibilityReport, InfeasibleScalingError,
                           check_scalable, verify_witness)
 from .numerics import null_space, symmetric_eigs

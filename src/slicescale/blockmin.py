@@ -221,6 +221,8 @@ class QuadraticBlockProblem(BlockProblem):
         b = np.asarray(linear, dtype=float).ravel()
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.size:
             raise ValueError("matrix/linear dimensions mismatch")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("matrix and linear entries must be finite")
         if np.abs(A - A.T).max() > 1e-10 * max(1.0, np.abs(A).max()):
             raise ValueError("matrix must be symmetric")
         self.matrix = A

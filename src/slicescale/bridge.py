@@ -12,18 +12,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scaler
-from .blockmin import IterateTrace
 from .feasibility import InfeasibleScalingError, check_scalable
 from .objective import ScalingProblem
-from .tensor import DenseTensor, SliceTargets
+from .tensor import DenseTensor, SliceTargets, _floats
 
-__all__ = ["BridgeProblem", "BridgeResult", "reduce_to_scaling", "solve_bridge"]
+__all__ = ["BridgeProblem", "BridgeResult", "solve_bridge"]
 
 
 @dataclass
 class BridgeProblem:
     """Matrix rescaling data: find B ~ matrix with B @ source = target and
-    column sums equal to column_sums."""
+    column sums equal to column_sums.
+
+    Construction stores the four inputs as float arrays and builds the
+    slice-sum instance they reduce to: ``tensor`` is the column-scaled
+    matrix A diag(a) and ``targets`` are the row targets b and column
+    targets c * a. Those constructors validate it, so a refused input
+    raises ValueError here, with their messages ("zero slice in mode k",
+    "incompatible slice-sum totals: [...]"); the source is checked for
+    positive finite entries, and the matrix for nonnegative ones, first.
+    """
 
     matrix: np.ndarray
     source: np.ndarray
@@ -31,52 +39,35 @@ class BridgeProblem:
     column_sums: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
-        a = np.asarray(self.source, dtype=float).ravel()
-        b = np.asarray(self.target, dtype=float).ravel()
-        c = np.asarray(self.column_sums, dtype=float).ravel()
+        A = _floats(self.matrix, "matrix")
+        a, b, c = (_floats(getattr(self, key), key).ravel()
+                   for key in ("source", "target", "column_sums"))
         if A.ndim != 2:
             raise ValueError("matrix must be 2-d")
         m, n = A.shape
         if a.size != n or c.size != n or b.size != m:
             raise ValueError("marginal vector lengths do not match the matrix")
-        if np.any(A < 0) or not np.all(np.isfinite(A)):
-            raise ValueError("matrix entries must be nonnegative and finite")
-        if np.any(a <= 0) or np.any(b <= 0) or np.any(c <= 0):
-            raise ValueError("marginal vectors must be positive")
-        if np.any(A.sum(axis=1) <= 0) or np.any(A.sum(axis=0) <= 0):
-            raise ValueError("matrix has a zero row or zero column")
-        lhs = float(c @ a)
-        rhs = float(b.sum())
-        if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs)):
-            raise ValueError(
-                f"incompatible marginals: c.a = {lhs} but sum(b) = {rhs}"
-            )
-        self.matrix = A
-        self.source = a
-        self.target = b
-        self.column_sums = c
+        # A * a alone would pass a negative source against a nonpositive
+        # column, and a negative entry rounded to -0.0 by a tiny source
+        if not np.all(np.isfinite(a)) or np.any(a <= 0):
+            raise ValueError("source entries must be positive and finite")
+        if np.any(A < 0):
+            raise ValueError("entries must be nonnegative")
+        self.matrix, self.source, self.target, self.column_sums = A, a, b, c
+        self.tensor = DenseTensor(A * a)
+        self.targets = SliceTargets([b, c * a])
 
 
 @dataclass
 class BridgeResult:
+    """The rescaled matrix (None when the scaler did not converge), its
+    sup-norm residuals, and the scaler's solution with its status and
+    trace."""
+
     matrix: np.ndarray
-    trace: IterateTrace
-    status: str
     source_residual: float
     column_residual: float
     solution: scaler.ScalingSolution
-
-
-def reduce_to_scaling(problem):
-    """Column-scale the matrix by the source vector.
-
-    Returns (scaled matrix, row targets, column targets); the targets are
-    compatible by the problem's marginal condition, which BridgeProblem
-    checks at construction and SliceTargets checks again.
-    """
-    A = problem.matrix * problem.source[None, :]
-    return A, problem.target, problem.column_sums * problem.source
 
 
 def solve_bridge(problem, tol=1e-10, max_iters=10000, x0=None):
@@ -87,19 +78,14 @@ def solve_bridge(problem, tol=1e-10, max_iters=10000, x0=None):
     has the matrix's support and the reported sup-norm residuals
     ||B @ source - target|| and ||column sums - column_sums||.
     """
-    reduced, row_targets, col_targets = reduce_to_scaling(problem)
-    tensor = DenseTensor(reduced)
-    targets = SliceTargets([row_targets, col_targets])
-    report = check_scalable(tensor, targets)
+    report = check_scalable(problem.tensor, problem.targets)
     if not report.scalable:
         raise InfeasibleScalingError(report)
-    scaling_problem = ScalingProblem(tensor, targets)
-    solution = scaler.solve(scaling_problem, x0=x0, tol=tol, max_iters=max_iters)
+    solution = scaler.solve(ScalingProblem(problem.tensor, problem.targets),
+                            x0=x0, tol=tol, max_iters=max_iters)
     if solution.scaled is None:
-        return BridgeResult(None, solution.trace, solution.status,
-                            float("nan"), float("nan"), solution)
+        return BridgeResult(None, float("nan"), float("nan"), solution)
     B = solution.scaled.array / problem.source[None, :]
     source_residual = float(np.abs(B @ problem.source - problem.target).max())
     column_residual = float(np.abs(B.sum(axis=0) - problem.column_sums).max())
-    return BridgeResult(B, solution.trace, solution.status, source_residual,
-                        column_residual, solution)
+    return BridgeResult(B, source_residual, column_residual, solution)

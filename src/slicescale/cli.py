@@ -27,7 +27,7 @@ from .blockmin import BlockVector, NumericalOverflowError, QuadraticBlockProblem
 from .bridge import BridgeProblem, solve_bridge
 from .feasibility import InfeasibleScalingError, check_scalable
 from .objective import ScalingProblem
-from .tensor import DenseTensor, ScalingOverflowError, SliceTargets, _floats
+from .tensor import DenseTensor, ScalingOverflowError, SliceTargets
 
 logger = logging.getLogger("slicescale")
 
@@ -86,16 +86,20 @@ def save_tensor_file(path, tensor, targets=None):
 
 
 def load_problem(args):
-    """Tensor plus targets from the parsed input flags."""
+    """Tensor plus targets from the parsed input flags. Target flags that
+    the input kind would ignore are refused before any file is read."""
     if args.csv:
-        matrix = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        tensor = DenseTensor(matrix)
+        if args.targets_path is not None:
+            raise ValueError("--targets applies to JSON input, not --csv")
         if not (args.row_targets and args.col_targets):
             raise ValueError("CSV input needs --row-targets and --col-targets")
+        tensor = DenseTensor(np.loadtxt(args.input, delimiter=",", ndmin=2))
         targets = SliceTargets(
             [_parse_vector(args.row_targets), _parse_vector(args.col_targets)]
         )
         return tensor, targets
+    if (args.row_targets, args.col_targets) != (None, None):
+        raise ValueError("--row-targets and --col-targets need --csv")
     tensor, inline_targets = load_tensor_file(args.input)
     if args.targets_path:
         with open(args.targets_path) as fh:
@@ -230,14 +234,12 @@ def load_bridge_file(path, stochastic):
     if not (isinstance(data, dict) and {"matrix", "source", "target"} <= data.keys()):
         raise ValueError("bridge file needs an object with 'matrix', "
                          "'source' and 'target'")
-    A, a, b = (_floats(data[key], key)
-               for key in ("matrix", "source", "target"))
     if stochastic or "column_sums" not in data:
         # (n,) for an m x n matrix; BridgeProblem refuses any other shape
-        c = np.ones(A.shape[1:2])
+        c = np.ones(np.shape(data["matrix"])[1:2])
     else:
-        c = _floats(data["column_sums"], "column_sums")
-    return BridgeProblem(A, a, b, c)
+        c = data["column_sums"]
+    return BridgeProblem(data["matrix"], data["source"], data["target"], c)
 
 
 def cmd_bridge(args):
@@ -252,8 +254,8 @@ def cmd_bridge(args):
         report["status"] = "not_scalable"
         report["feasibility"] = _witness_payload(err.report)
         return report, EXIT_INFEASIBLE
-    report["status"] = result.status
-    report["iterations"] = result.trace.n_steps
+    report["status"] = result.solution.status
+    report["iterations"] = result.solution.trace.n_steps
     if result.matrix is None:
         return report, EXIT_NUMERICAL
     report["matrix"] = [[float(v) for v in row] for row in result.matrix]
@@ -278,7 +280,7 @@ def cmd_demo_quadratic(args):
     problem = QuadraticBlockProblem(A, b)
     x0 = BlockVector([[v] for v in rng.uniform(-2.0, 2.0, n)])
     x, trace, status = blockmin.run(problem, x0, args.tol, args.max_iters,
-                                    divergence_guard=None, record_iterates=True)
+                                    divergence_guard=None)
     alpha, beta, kappa, curve = blockmin.rate_certificate(problem, trace, [x0])
     report = {
         "command": "demo-quadratic",

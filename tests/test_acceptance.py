@@ -13,7 +13,7 @@ from helpers import (fd_gradient, fd_hessian, projected_mode_bases,
                      slice_sum_gradient)
 from slicescale import blockmin, cli
 from slicescale.blockmin import BlockVector, QuadraticBlockProblem, rate_certificate
-from slicescale.bridge import BridgeProblem, reduce_to_scaling, solve_bridge
+from slicescale.bridge import BridgeProblem, solve_bridge
 from slicescale.feasibility import NOT_SCALABLE, SCALABLE, check_scalable, verify_witness
 from slicescale.numerics import symmetric_eigs
 from slicescale.objective import ScalingProblem, ambient_second_moments
@@ -338,8 +338,7 @@ def test_criterion_10_bridge():
         violations.append(f"source residual {first.source_residual:.2e}")
     if first.column_residual > 1e-8:
         violations.append(f"column residual {first.column_residual:.2e}")
-    reduced, rows, cols = reduce_to_scaling(problem)
-    scaling = ScalingProblem(DenseTensor(reduced), SliceTargets([rows, cols]))
+    scaling = ScalingProblem(problem.tensor, problem.targets)
     rng = np.random.default_rng(123)
     second = solve_bridge(problem, tol=RUN_TOL,
                           x0=random_reduced_point(scaling, rng))

@@ -181,6 +181,20 @@ class TestStep:
         np.testing.assert_allclose(x.blocks[1], [0.0, 0.0], atol=1e-14)
 
 
+class TestQuadraticValidation:
+    @pytest.mark.parametrize("matrix, linear", [
+        ([[2.0, np.nan], [np.nan, 2.0]], [0.0, 0.0]),
+        ([[np.inf, 0.0], [0.0, 2.0]], [0.0, 0.0]),
+        ([[2.0, 0.0], [0.0, 2.0]], [np.nan, 0.0]),
+        ([[2.0, 0.0], [0.0, 2.0]], [0.0, -np.inf]),
+    ], ids=["nan-matrix", "inf-matrix", "nan-linear", "inf-linear"])
+    def test_non_finite_refused(self, matrix, linear):
+        # a NaN pair compares unequal in the symmetry test, and the run
+        # would report overflow at step 0 instead of the bad input
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadraticBlockProblem(matrix, linear)
+
+
 class TestRun:
     def test_separable_quadratic_two_steps(self):
         p = QuadraticBlockProblem(np.diag([2.0, 2.0]), np.zeros(2))

@@ -460,6 +460,26 @@ class TestUsageErrors:
         assert exc.value.code == cli.EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scale", "feasible"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--row-targets", "1,1"], "--row-targets"),
+        (["--col-targets", "1,1"], "--col-targets"),
+        (["--csv", "--row-targets", "1,1", "--col-targets", "1,1",
+          "--targets", "TENSOR"], "--targets"),
+    ], ids=["row-targets-json", "col-targets-json", "targets-csv"])
+    def test_ignored_target_flags_refused(self, command, flags, named,
+                                          tensor_file, tmp_path, capsys):
+        # refused with the input present, and before it is read: a missing
+        # input is not reported
+        csv = tmp_path / "matrix.csv"
+        csv.write_text("1.0,2.0\n3.0,4.0\n")
+        present = str(csv) if "--csv" in flags else tensor_file
+        flags = [tensor_file if f == "TENSOR" else f for f in flags]
+        for path in (present, str(tmp_path / "absent")):
+            assert cli.main([command, path] + flags) == cli.EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
