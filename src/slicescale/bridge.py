@@ -49,9 +49,9 @@ class BridgeProblem:
             raise ValueError("marginal vector lengths do not match the matrix")
         # A * a alone would pass a negative source against a nonpositive
         # column, and a negative entry rounded to -0.0 by a tiny source
-        if not np.all(np.isfinite(a)) or np.any(a <= 0):
+        if not np.isfinite(a).all() or (a <= 0).any():
             raise ValueError("source entries must be positive and finite")
-        if np.any(A < 0):
+        if (A < 0).any():
             raise ValueError("entries must be nonnegative")
         self.matrix, self.source, self.target, self.column_sums = A, a, b, c
         self.tensor = DenseTensor(A * a)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmin import BlockVector, block_slices
-from .tensor import _exponents
+from .tensor import _blocks, _exponents
 
 __all__ = [
     "FeasibilityReport",
@@ -222,6 +222,7 @@ def verify_witness(tensor, targets, x):
     blocks = getattr(x, "blocks", x)
     if tuple(len(np.asarray(b)) for b in blocks) != tensor.dims:
         raise ValueError("witness dims do not match tensor dims")
+    blocks = _blocks(tensor, blocks)
     sums = _exponents(tensor, blocks)[tensor.support]
     if sums.size == 0 or float(sums.max()) > CHECK_TOL:
         return False
@@ -230,6 +231,6 @@ def verify_witness(tensor, targets, x):
     for j, b in enumerate(blocks):
         t = targets.vectors[j]
         bound = CHECK_TOL * float(np.abs(t).max())
-        if abs(float(np.asarray(b, dtype=float) @ t)) > bound:
+        if abs(float(b @ t)) > bound:
             return False
     return True

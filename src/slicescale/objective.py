@@ -162,7 +162,10 @@ class ScalingProblem(BlockProblem):
     The second rule makes the rebase's rescale raise ScalingOverflowError at
     exactly the iterate where rescaling every step would, and keeps every
     partial product of K and the factors inside the range of that rescale.
-    ``rebases`` counts the rescales.
+    ``rebases`` counts the rescales. A rebase at the zero point, where a
+    solve starts by default, takes the tensor itself as K (``scale``
+    returns it unchanged there), and its largest support exponent is 0, so
+    it builds no exponents and makes no exp.
 
     Every step, with or without a gauge, replaces block j and nothing else,
     and the state advances from block j alone. The loop needs no projection

@@ -24,9 +24,11 @@ class ScalingOverflowError(ArithmeticError):
 
 def _floats(value, what):
     """``value`` as a new float array; ValueError when it is not numeric."""
+    # numpy raises TypeError on a non-numeric object, ValueError on a
+    # string that is not a number and on a ragged list
     try:
         return np.array(value, dtype=float)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what} must be numbers") from None
 
 
@@ -56,13 +58,13 @@ class DenseTensor:
             raise ValueError("tensor needs at least 2 modes")
         if any(m < 2 for m in arr.shape):
             raise ValueError("every mode needs size >= 2")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("entries must be finite")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("entries must be nonnegative")
         for k in range(arr.ndim):
             axes = tuple(a for a in range(arr.ndim) if a != k)
-            if np.any(arr.sum(axis=axes) <= 0):
+            if arr.sum(axis=axes).min() <= 0:
                 raise ValueError(f"zero slice in mode {k}")
         arr.setflags(write=False)
         self.array = arr
@@ -128,12 +130,12 @@ class SliceTargets:
         for v in vs:
             if v.ndim != 1 or v.size < 2:
                 raise ValueError("each target vector needs length >= 2")
-            if not np.all(np.isfinite(v)) or np.any(v <= 0):
+            if not np.isfinite(v).all() or v.min() <= 0:
                 raise ValueError("target entries must be positive and finite")
             v.setflags(write=False)
         if len(vs) < 2:
             raise ValueError("at least 2 target vectors are required")
-        totals = [float(np.sum(v)) for v in vs]
+        totals = [float(v.sum()) for v in vs]
         self.total = sum(totals) / len(totals)
         spread = max(totals) - min(totals)
         if spread > 1e-10 * max(abs(self.total), np.finfo(float).tiny):
@@ -222,15 +224,24 @@ def _every_cofactor(array, modes, factors, out):
     out[last] = rest
 
 
-def _exponents(t, x):
+def _blocks(t, x):
+    """The exponent blocks of ``x`` as float arrays, one per mode of ``t``
+    and of its length."""
     blocks = getattr(x, "blocks", x)
     if len(blocks) != t.d:
         raise ValueError("block count does not match tensor modes")
-    expo = np.zeros(t.dims)
+    out = []
     for j, b in enumerate(blocks):
         b = np.asarray(b, dtype=float)
         if b.shape != (t.dims[j],):
             raise ValueError(f"block {j} has length {b.size}, expected {t.dims[j]}")
+        out.append(b)
+    return out
+
+
+def _exponents(t, blocks):
+    expo = np.zeros(t.dims)
+    for j, b in enumerate(blocks):
         shape = [1] * t.d
         shape[j] = t.dims[j]
         expo += b.reshape(shape)
@@ -239,8 +250,12 @@ def _exponents(t, x):
 
 def support_exponent(t, x):
     """Largest |x_1[i_1] + ... + x_d[i_d]| over the support of ``t``: the
-    magnitude that :func:`scale` holds to 700."""
-    return float(np.abs(_exponents(t, x)[t.support]).max())
+    magnitude that :func:`scale` holds to 700; 0 without a pass over the
+    tensor when every exponent is zero, where :func:`scale` returns ``t``."""
+    blocks = _blocks(t, x)
+    if not any(b.any() for b in blocks):
+        return 0.0
+    return float(np.abs(_exponents(t, blocks)[t.support]).max())
 
 
 def scale(t, x):
@@ -252,14 +267,19 @@ def scale(t, x):
     zero regardless of the exponent. Exponents above 700 in magnitude on the
     support raise ScalingOverflowError.
 
-    One pass over the whole array serves every support, with no gather or
-    scatter: the exponents off the support are set to 0, so their exp is 1
-    and their product with the zero entry is 0, and the sup norm tested
-    against the limit is that over the support. The supported entries are
-    the same elementwise products as those of an evaluation on the support
-    alone.
+    When every exponent is zero (-0.0 included) ``t`` itself is returned,
+    since each entry times exp(0) = 1 is that entry bit for bit; nothing is
+    built. Otherwise one pass over the whole array serves every support,
+    with no gather or scatter: the exponents off the support are set to 0,
+    so their exp is 1 and their product with the zero entry is 0, and the
+    sup norm tested against the limit is that over the support. The
+    supported entries are the same elementwise products as those of an
+    evaluation on the support alone.
     """
-    expo = _exponents(t, x)
+    blocks = _blocks(t, x)
+    if not any(b.any() for b in blocks):
+        return t
+    expo = _exponents(t, blocks)
     np.copyto(expo, 0.0, where=~t.support)
     if max(float(expo.max()), -float(expo.min())) > EXP_LIMIT:
         raise ScalingOverflowError("scaling overflow")

@@ -50,6 +50,24 @@ class TestBridgeProblem:
         path.write_text(json.dumps(data))
         assert cli.main(["bridge", str(path)]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("key, value", [
+        ("matrix", [[0.5, "x"], [0.5, 0.75]]),
+        ("matrix", [[0.5, 0.25], [0.5]]),
+        ("source", ["a", 0.5]),
+        ("target", [0.6, "b"]),
+        ("column_sums", [[1.0, 1.0], [1.0]]),
+    ], ids=["string-matrix", "ragged-matrix", "string-source",
+            "string-target", "ragged-column-sums"])
+    def test_non_numeric_entries_name_their_key(self, key, value, tmp_path,
+                                                capsys):
+        data = dict(COLUMN_STOCHASTIC, **{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be numbers$"):
+            BridgeProblem(**data)
+        path = tmp_path / "bridge.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["bridge", str(path)]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {key} must be numbers\n"
+
     def test_validation_zero_column(self):
         with pytest.raises(ValueError, match="zero slice in mode 1"):
             BridgeProblem([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5], [1.0, 1.0],

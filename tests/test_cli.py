@@ -480,6 +480,22 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"values": [1, 2, 3, "x"]}, "values must be numbers"),
+        ({"values": [[1, 2], [3]]}, "values must be numbers"),
+        ({"targets": [[1, "x"], [1, 1]]}, "target entries must be numbers"),
+        ({"targets": [[1, [1, 1]], [1, 1]]}, "target entries must be numbers"),
+        ({"dims": [2, "x"]}, "dims must be numbers"),
+    ], ids=["string-value", "ragged-values", "string-target",
+            "ragged-target", "string-dim"])
+    def test_non_numeric_entries_name_their_key(self, changes, message,
+                                                tmp_path, capsys):
+        path = tmp_path / "tensor.json"
+        write_json(path, dict({"dims": [2, 2], "values": [1, 2, 3, 4],
+                               "targets": [[1, 1], [1, 1]]}, **changes))
+        assert cli.main(["scale", str(path)]) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [["--help"], ["scale", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

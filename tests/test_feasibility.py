@@ -129,6 +129,19 @@ class TestVerifyWitness:
         halved = BlockVector([[-0.5, 0.5], [0.5, -0.5]])
         assert verify_witness(tensor, UNIFORM_2X2, halved)
 
+    def test_plain_lists(self):
+        tensor = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
+        assert verify_witness(tensor, UNIFORM_2X2, [[-1, 1], [1.0, -1.0]])
+        assert not verify_witness(tensor, UNIFORM_2X2, [[1, -1], [-1, 1]])
+
+    def test_block_shapes_checked(self):
+        tensor = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="witness dims"):
+            verify_witness(tensor, UNIFORM_2X2, [[-1.0, 1.0, 0.0], [1.0, -1.0]])
+        with pytest.raises(ValueError, match="block 0 has length"):
+            verify_witness(tensor, UNIFORM_2X2,
+                           [np.array([[-1.0], [1.0]]), [1.0, -1.0]])
+
     def test_zero_vector_rejected(self):
         tensor = DenseTensor([[1.0, 1.0], [0.0, 1.0]])
         assert not verify_witness(tensor, UNIFORM_2X2, BlockVector.zeros((2, 2)))

@@ -10,7 +10,7 @@ from helpers import (PerStepRescaleProblem, alternating_scaling,
                      in_plane_gradient, objective_decrease_reference, per_step_rescale_reference,
                      random_compatible_targets, random_positive_tensor,
                      reduced_residual, reference_bases, sinkhorn_reference)
-from slicescale import blockmin, objective
+from slicescale import blockmin, objective, tensor
 from slicescale.blockmin import BlockVector
 from slicescale.objective import ScalingProblem
 from slicescale.scaler import (closed_form_block_update, normalize,
@@ -476,6 +476,34 @@ class TestOneRescalePerStep:
         rebases = problem.rebases
         assert rebases == 1
         assert len(calls) <= rebases + 2
+
+
+class TestZeroStartRebase:
+    """The rebase at the zero start takes the tensor itself as its kernel:
+    no exponents are built until normalize."""
+
+    @pytest.mark.parametrize("start, builds", [("zero", 1), ("random", 3)])
+    def test_exponent_builds(self, start, builds, monkeypatch):
+        rng = np.random.default_rng(1550)
+        problem = problem_of(rng.uniform(0.1, 1.0, (12, 12)),
+                             random_compatible_targets(rng, (12, 12)))
+        x0 = (None if start == "zero"
+              else random_reduced_point(problem, np.random.default_rng(5)))
+        calls = []
+        real_exponents = tensor._exponents
+
+        def counting_exponents(t, blocks):
+            calls.append(t)
+            return real_exponents(t, blocks)
+
+        monkeypatch.setattr(tensor, "_exponents", counting_exponents)
+        sol = solve(problem, x0=x0, tol=1e-10)
+        assert sol.status == blockmin.CONVERGED
+        assert problem.rebases == 1
+        # zero start: normalize alone; random start: the rebase's rescale
+        # and support exponent, then normalize
+        assert len(calls) == builds
+        assert all(t is problem.tensor for t in calls)
 
 
 class TestObjectiveDecrease:

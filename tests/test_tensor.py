@@ -4,6 +4,7 @@ import pytest
 from helpers import (masked_scale_reference, random_compatible_targets,
                      random_pattern_tensor, random_positive_tensor)
 from slicescale import tensor
+from slicescale.blockmin import BlockVector
 from slicescale.tensor import (EXP_LIMIT, DenseTensor, ScalingOverflowError,
                                SliceTargets, cofactors,
                                rank_one_target, scale, slice_sums,
@@ -77,6 +78,41 @@ class TestDenseTensor:
         source[0, 0] = 9.0
         assert t.array[0, 0] == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DenseTensor([[1.0, bad], [1.0, 1.0]])
+
+    def test_accepts_negative_zero_as_a_zero(self):
+        t = DenseTensor([[1.0, -0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(t.support, [[True, False], [True, True]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            DenseTensor([[1.0, -1e-300], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (2, 3, 2, 3)])
+    def test_rejects_a_zero_slice_in_each_mode(self, dims):
+        for k in range(len(dims)):
+            for i in (0, dims[k] - 1):
+                array = np.ones(dims)
+                index = [slice(None)] * len(dims)
+                index[k] = i
+                array[tuple(index)] = 0.0
+                with pytest.raises(ValueError, match=f"zero slice in mode {k}"):
+                    DenseTensor(array)
+
+    @pytest.mark.parametrize("values", [
+        [1, 2, 3, "x"],  # a string numpy cannot read as a number
+        [[1, 2], [3]],  # a ragged list
+        [1, 2, 3, {"a": 1}],  # an object numpy cannot convert
+    ])
+    def test_from_flat_names_non_numeric_values(self, values):
+        with pytest.raises(ValueError, match="^values must be numbers$"):
+            DenseTensor.from_flat((2, 2), values)
+
+    def test_from_flat_names_non_numeric_dims(self):
+        with pytest.raises(ValueError, match="^dims must be numbers$"):
+            DenseTensor.from_flat(["2", "two"], [1, 2, 3, 4])
+
 
 class TestSliceSums:
     def test_matrix_modes(self):
@@ -111,6 +147,20 @@ class TestScale:
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         out = scale(t, [np.zeros(2), np.zeros(2)])
         np.testing.assert_array_equal(out.array, t.array)
+
+    @pytest.mark.parametrize("dims", [(3, 4), (2, 3, 4)])
+    def test_all_zero_exponents_return_the_tensor(self, dims):
+        # exp(0) = 1 makes every entry itself, -0.0 included, so nothing is
+        # built; a zero entry and a wrong block length change neither
+        t = random_pattern_tensor(np.random.default_rng(70), dims)
+        assert scale(t, [np.zeros(m) for m in dims]) is t
+        assert scale(t, [np.full(m, -0.0) for m in dims]) is t
+        assert scale(t, BlockVector.zeros(dims)) is t
+        with pytest.raises(ValueError, match="block 0 has length"):
+            scale(t, [np.zeros(dims[0] + 1)] + [np.zeros(m) for m in dims[1:]])
+        x = [np.zeros(m) for m in dims]
+        x[-1][-1] = 1e-300
+        assert scale(t, x) is not t
 
     def test_row_scaling(self):
         t = DenseTensor(np.ones((2, 2)))
@@ -267,6 +317,17 @@ class TestCofactorSums:
         cofactors(kernel, factors, [None] * len(dims))
         assert sum(array is kernel for array, _ in calls) == 2
 
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (2, 3, 4, 5), (3, 2, 4, 2, 3)])
+    def test_contract_equals_tensordot_bit_for_bit(self, dims):
+        rng = np.random.default_rng(860 + len(dims))
+        array = rng.uniform(0.1, 1.0, dims)
+        for axis, m in enumerate(dims):
+            u = rng.uniform(0.5, 2.0, m)
+            got = tensor._contract(array, u, axis)
+            want = np.tensordot(array, u, axes=([axis], [0]))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_matrix_is_two_matvecs(self):
         kernel = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]])
         u = [np.array([1.0, 10.0]), np.array([1.0, 2.0, 3.0])]
@@ -296,6 +357,17 @@ class TestCompatibility:
         assert SliceTargets(
             [[0.3, 0.7], [0.2, 0.5, 0.3]]
         ).total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    def test_targets_refuse_non_finite_and_non_positive_entries(self, bad):
+        with pytest.raises(ValueError,
+                           match="target entries must be positive and finite"):
+            SliceTargets([[1.0, bad], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("vector", [[1.0, "x"], [1.0, [1.0, 2.0]]])
+    def test_targets_name_non_numeric_entries(self, vector):
+        with pytest.raises(ValueError, match="^target entries must be numbers$"):
+            SliceTargets([vector, [0.5, 0.5]])
 
     def test_targets_validation(self):
         with pytest.raises(ValueError, match="positive"):
